@@ -5,9 +5,12 @@
 //! against. [`SimKernel`] is the fast path: the same rules, the same
 //! errors, the same hold-set evolution, but over a [`FlatSchedule`] with
 //!
-//! - knowledge sets as one flat `Vec<u64>` arena (`n` rows of
-//!   `ceil(n_msgs / 64)` words; union is a word-wise OR, the completion
-//!   check a popcount-maintained counter);
+//! - knowledge sets as one flat message-major `Vec<u64>` arena (row `m` is
+//!   the `ceil(n / 64)`-word bitmap of the processors holding message `m`,
+//!   so one multicast's word-ORs all land in one row; the completion check
+//!   is a popcount-maintained counter, and the processor-major views —
+//!   [`SimKernel::hold_bitsets`], [`SimKernel::residual`] — are produced by
+//!   a 64×64 block bit transpose);
 //! - adjacency as a precomputed bitmap, so the rule-3 check is one AND
 //!   instead of a binary search over neighbour lists;
 //! - per-round send/receive dedup via round-stamped tables, exactly as the
@@ -47,13 +50,14 @@ pub struct SimKernel<'g> {
     model: CommModel,
     n: usize,
     n_msgs: usize,
-    /// Words per hold row (`ceil(n_msgs / 64)`).
-    hold_words: usize,
-    /// `n * hold_words` arena; row `v` is `hold[v * hold_words ..][..hold_words]`.
+    /// Words per row of both arenas (`ceil(n / 64)`): every row is a bitmap
+    /// over processors.
+    row_words: usize,
+    /// `n_msgs * row_words` message-major arena: bit `v` of row `m`
+    /// (`hold[m * row_words ..][.. row_words]`) is set iff processor `v`
+    /// holds message `m`.
     hold: Vec<u64>,
-    /// Words per adjacency row (`ceil(n / 64)`).
-    adj_words: usize,
-    /// `n * adj_words` adjacency bitmap.
+    /// `n * row_words` adjacency bitmap; row `u` holds `u`'s neighbours.
     adj: Vec<u64>,
     time: usize,
     send_stamp: Vec<u64>,
@@ -100,46 +104,46 @@ impl<'g> SimKernel<'g> {
         origins: &[usize],
     ) -> Result<Self, ModelError> {
         let n = g.n();
-        let n_msgs = origins.len();
-        let hold_words = n_msgs.div_ceil(64);
-        let adj_words = n.div_ceil(64);
-        let mut hold = vec![0u64; n * hold_words];
-        let mut known_pairs = 0;
+        let row_words = n.div_ceil(64);
+        let mut hold = vec![0u64; origins.len() * row_words];
         for (m, &p) in origins.iter().enumerate() {
             if p >= n {
                 return Err(ModelError::BadOriginTable {
                     reason: format!("message {m} originates at out-of-range processor {p}"),
                 });
             }
-            let slot = p * hold_words + m / 64;
-            let bit = 1u64 << (m % 64);
-            if hold[slot] & bit == 0 {
-                hold[slot] |= bit;
-                known_pairs += 1;
-            }
+            hold[m * row_words + p / 64] |= 1u64 << (p % 64);
         }
-        let mut adj = vec![0u64; n * adj_words];
+        Ok(Self::from_arena(g, model, origins.len(), hold))
+    }
+
+    /// Assembles a kernel at time 0 around a filled message-major hold
+    /// arena.
+    fn from_arena(g: &'g Graph, model: CommModel, n_msgs: usize, hold: Vec<u64>) -> Self {
+        let n = g.n();
+        let row_words = n.div_ceil(64);
+        let mut adj = vec![0u64; n * row_words];
         for v in 0..n {
-            let row = v * adj_words;
+            let row = v * row_words;
             for u in g.neighbors(v) {
                 adj[row + u / 64] |= 1u64 << (u % 64);
             }
         }
-        Ok(SimKernel {
+        let known_pairs = hold.iter().map(|w| w.count_ones() as usize).sum();
+        SimKernel {
             g,
             model,
             n,
             n_msgs,
-            hold_words,
+            row_words,
             hold,
-            adj_words,
             adj,
             time: 0,
             send_stamp: vec![0; n],
             recv_stamp: vec![0; n],
             round_stamp: 0,
             known_pairs,
-        })
+        }
     }
 
     /// Creates a kernel whose knowledge is seeded from explicit hold sets
@@ -164,37 +168,9 @@ impl<'g> SimKernel<'g> {
                 reason: "hold sets have mixed capacities".to_string(),
             });
         }
-        let hold_words = n_msgs.div_ceil(64);
-        let adj_words = n.div_ceil(64);
-        let mut hold = vec![0u64; n * hold_words];
-        let mut known_pairs = 0;
-        for (p, h) in holds.iter().enumerate() {
-            let row = p * hold_words;
-            hold[row..row + h.words().len()].copy_from_slice(h.words());
-            known_pairs += h.len();
-        }
-        let mut adj = vec![0u64; n * adj_words];
-        for v in 0..n {
-            let row = v * adj_words;
-            for u in g.neighbors(v) {
-                adj[row + u / 64] |= 1u64 << (u % 64);
-            }
-        }
-        Ok(SimKernel {
-            g,
-            model,
-            n,
-            n_msgs,
-            hold_words,
-            hold,
-            adj_words,
-            adj,
-            time: 0,
-            send_stamp: vec![0; n],
-            recv_stamp: vec![0; n],
-            round_stamp: 0,
-            known_pairs,
-        })
+        let by_proc: Vec<u64> = holds.iter().flat_map(|h| h.words()).copied().collect();
+        let hold = transpose_bits(&by_proc, n, n_msgs);
+        Ok(Self::from_arena(g, model, n_msgs, hold))
     }
 
     /// The current time (number of rounds executed).
@@ -215,26 +191,44 @@ impl<'g> SimKernel<'g> {
     pub fn contains(&self, p: usize, m: usize) -> bool {
         p < self.n
             && m < self.n_msgs
-            && self.hold[p * self.hold_words + m / 64] & (1u64 << (m % 64)) != 0
-    }
-
-    /// The raw hold-row words of processor `p` (bits at or above `n_msgs`
-    /// are always zero).
-    #[inline]
-    pub fn hold_row(&self, p: usize) -> &[u64] {
-        &self.hold[p * self.hold_words..(p + 1) * self.hold_words]
+            && self.hold[m * self.row_words + p / 64] & (1u64 << (p % 64)) != 0
     }
 
     /// The hold set of processor `p` as a [`BitSet`], for oracle-parity
-    /// comparisons and handoff to [`BitSet`]-based consumers.
+    /// comparisons and handoff to [`BitSet`]-based consumers: bit `p` of
+    /// every message row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p >= n`.
     pub fn hold_bitset(&self, p: usize) -> BitSet {
-        BitSet::from_words(self.hold_row(p).to_vec(), self.n_msgs)
+        assert!(p < self.n, "processor {p} out of range (n = {})", self.n);
+        let mut words = vec![0u64; self.n_msgs.div_ceil(64)];
+        for m in 0..self.n_msgs {
+            if self.contains(p, m) {
+                words[m / 64] |= 1u64 << (m % 64);
+            }
+        }
+        BitSet::from_words(words, self.n_msgs)
     }
 
     /// All hold sets, indexed by processor — the shape
     /// `gossip_core::recovery::plan_completion` consumes.
     pub fn hold_bitsets(&self) -> Vec<BitSet> {
-        (0..self.n).map(|p| self.hold_bitset(p)).collect()
+        let msg_words = self.n_msgs.div_ceil(64);
+        let by_proc = self.processor_major();
+        (0..self.n)
+            .map(|p| {
+                let row = by_proc[p * msg_words..(p + 1) * msg_words].to_vec();
+                BitSet::from_words(row, self.n_msgs)
+            })
+            .collect()
+    }
+
+    /// The hold arena transposed to processor-major: `n` rows of
+    /// `ceil(n_msgs / 64)` words, bit `m` of row `v` set iff `v` holds `m`.
+    fn processor_major(&self) -> Vec<u64> {
+        transpose_bits(&self.hold, self.n_msgs, self.n)
     }
 
     /// Whether every processor holds every message (O(1): the kernel
@@ -262,7 +256,7 @@ impl<'g> SimKernel<'g> {
 
     #[inline]
     fn adjacent(&self, u: usize, v: usize) -> bool {
-        self.adj[u * self.adj_words + v / 64] & (1u64 << (v % 64)) != 0
+        self.adj[u * self.row_words + v / 64] & (1u64 << (v % 64)) != 0
     }
 
     /// Executes round `r` of `flat` with full rule validation in the
@@ -381,19 +375,24 @@ impl<'g> SimKernel<'g> {
             }
         }
 
-        // All checks passed; apply receives (word-OR per delivery).
+        // All checks passed; apply receives (word-OR per delivery, all in
+        // the message's row).
         for i in range {
-            let m = flat.msg_of(i) as usize;
-            let (w, b) = (m / 64, 1u64 << (m % 64));
+            let row = self.hold_row_mut(flat.msg_of(i) as usize);
+            let mut newly = 0;
             for &d32 in flat.dests_of(i) {
-                let slot = d32 as usize * self.hold_words + w;
-                let newly = self.hold[slot] & b == 0;
-                self.hold[slot] |= b;
-                self.known_pairs += newly as usize;
+                newly += set_bit(row, d32 as usize);
             }
+            self.known_pairs += newly;
         }
         self.time += 1;
         Ok(())
+    }
+
+    /// The processor bitmap of message `m`.
+    #[inline]
+    fn hold_row_mut(&mut self, m: usize) -> &mut [u64] {
+        &mut self.hold[m * self.row_words..(m + 1) * self.row_words]
     }
 
     /// Runs a whole flat schedule with full validation — the kernel-side
@@ -618,7 +617,6 @@ impl<'g> SimKernel<'g> {
             } else {
                 None
             };
-            let (w, b) = (m / 64, 1u64 << (m % 64));
             for &d32 in flat.dests_of(i) {
                 let d = d32 as usize;
                 let cause = whole_tx_cause.or_else(|| {
@@ -641,10 +639,8 @@ impl<'g> SimKernel<'g> {
                         cause,
                     }),
                     None => {
-                        let slot = d * self.hold_words + w;
-                        let newly = self.hold[slot] & b == 0;
-                        self.hold[slot] |= b;
-                        self.known_pairs += newly as usize;
+                        let newly = set_bit(self.hold_row_mut(m), d);
+                        self.known_pairs += newly;
                         delivered += 1;
                     }
                 }
@@ -765,19 +761,22 @@ impl<'g> SimKernel<'g> {
 
     /// The missing (message, vertex) pairs among processors still alive at
     /// the current time, in the oracle's (vertex-major, message-ascending)
-    /// order — extracted by a word-level complement walk instead of a
-    /// per-pair probe.
+    /// order — extracted by a word-level complement walk over the
+    /// processor-major transpose instead of a per-pair probe.
     pub fn residual(&self, plan: &FaultPlan) -> Vec<(u32, usize)> {
         let alive = plan.alive_at(self.n, self.time);
+        let msg_words = self.n_msgs.div_ceil(64);
         let tail = self.n_msgs % 64;
+        let by_proc = self.processor_major();
         let mut out = Vec::new();
         for (v, &v_alive) in alive.iter().enumerate() {
             if !v_alive {
                 continue;
             }
-            for (wi, &word) in self.hold_row(v).iter().enumerate() {
+            let row = &by_proc[v * msg_words..(v + 1) * msg_words];
+            for (wi, &word) in row.iter().enumerate() {
                 let mut missing = !word;
-                if tail != 0 && wi == self.hold_words - 1 {
+                if tail != 0 && wi == msg_words - 1 {
                     missing &= (1u64 << tail) - 1;
                 }
                 while missing != 0 {
@@ -791,20 +790,77 @@ impl<'g> SimKernel<'g> {
     }
 
     /// Number of missing (message, vertex) pairs among alive processors —
-    /// popcount only, no materialization.
+    /// popcount of every message row under the alive mask, no
+    /// materialization.
     pub fn residual_count(&self, plan: &FaultPlan) -> usize {
         let alive = plan.alive_at(self.n, self.time);
-        (0..self.n)
-            .filter(|&v| alive[v])
-            .map(|v| {
-                let held: usize = self
-                    .hold_row(v)
-                    .iter()
-                    .map(|w| w.count_ones() as usize)
-                    .sum();
-                self.n_msgs - held
-            })
-            .sum()
+        let mut mask = vec![0u64; self.row_words];
+        let mut alive_count = 0;
+        for (v, _) in alive.iter().enumerate().filter(|(_, &a)| a) {
+            alive_count += set_bit(&mut mask, v);
+        }
+        let held: usize = self
+            .hold
+            .iter()
+            .zip(mask.iter().cycle())
+            .map(|(w, a)| (w & a).count_ones() as usize)
+            .sum();
+        alive_count * self.n_msgs - held
+    }
+}
+
+/// Sets bit `i` of `words`; returns 1 if it was newly set, else 0.
+#[inline]
+fn set_bit(words: &mut [u64], i: usize) -> usize {
+    let (w, b) = (i / 64, 1u64 << (i % 64));
+    let newly = words[w] & b == 0;
+    words[w] |= b;
+    newly as usize
+}
+
+/// Transposes a `rows × cols` bit matrix stored as rows of
+/// `ceil(cols / 64)` words (bit `c` of row `r` is bit `c % 64` of word
+/// `r * ceil(cols / 64) + c / 64`) into the same layout for the
+/// `cols × rows` transpose, one 64×64 block at a time.
+fn transpose_bits(src: &[u64], rows: usize, cols: usize) -> Vec<u64> {
+    let (src_words, dst_words) = (cols.div_ceil(64), rows.div_ceil(64));
+    let mut dst = vec![0u64; cols * dst_words];
+    let mut block = [0u64; 64];
+    for rb in 0..dst_words {
+        let block_rows = (rows - rb * 64).min(64);
+        for cb in 0..src_words {
+            for (i, word) in block.iter_mut().enumerate() {
+                *word = if i < block_rows {
+                    src[(rb * 64 + i) * src_words + cb]
+                } else {
+                    0
+                };
+            }
+            transpose_block(&mut block);
+            let block_cols = (cols - cb * 64).min(64);
+            for (j, &word) in block[..block_cols].iter().enumerate() {
+                dst[(cb * 64 + j) * dst_words + rb] = word;
+            }
+        }
+    }
+    dst
+}
+
+/// In-place transpose of a 64×64 bit block (`a[i]` bit `j` ↔ `a[j]` bit
+/// `i`): at each width `w` = 32, 16, …, 1 the off-diagonal `w × w`
+/// sub-blocks of every `2w × 2w` diagonal block swap with one masked
+/// exchange per row pair.
+fn transpose_block(a: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut mask: u64 = 0x0000_0000_ffff_ffff;
+    while width != 0 {
+        for k in (0..64).filter(|k| k & width == 0) {
+            let t = ((a[k] >> width) ^ a[k + width]) & mask;
+            a[k] ^= t << width;
+            a[k + width] ^= t;
+        }
+        width >>= 1;
+        mask ^= mask << width;
     }
 }
 
@@ -1038,5 +1094,69 @@ mod tests {
             k.residual(&FaultPlan::none()),
             oracle.residual(&FaultPlan::none())
         );
+        for v in 0..3 {
+            assert_eq!(k.hold_bitset(v), oracle.holds(v).clone());
+        }
+        // The processor-major views survive a round trip through with_holds.
+        let holds = k.hold_bitsets();
+        let resumed = SimKernel::with_holds(&g, CommModel::Multicast, &holds).unwrap();
+        assert_eq!(resumed.hold_bitsets(), holds);
+        assert_eq!(resumed.known_pairs(), k.known_pairs());
+    }
+
+    #[test]
+    fn transpose_matches_the_bitwise_definition() {
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Shapes straddling the 64-bit block edges in both dimensions.
+        for (rows, cols) in [
+            (0usize, 5usize),
+            (5, 0),
+            (1, 1),
+            (3, 130),
+            (64, 64),
+            (65, 63),
+            (130, 3),
+            (192, 192),
+            (200, 70),
+        ] {
+            let (src_words, dst_words) = (cols.div_ceil(64), rows.div_ceil(64));
+            let mut src = vec![0u64; rows * src_words];
+            for r in 0..rows {
+                for c in 0..cols {
+                    if next() & 1 == 1 {
+                        src[r * src_words + c / 64] |= 1 << (c % 64);
+                    }
+                }
+            }
+            let dst = transpose_bits(&src, rows, cols);
+            assert_eq!(dst.len(), cols * dst_words);
+            for r in 0..rows {
+                for c in 0..cols {
+                    let a = src[r * src_words + c / 64] >> (c % 64) & 1;
+                    let b = dst[c * dst_words + r / 64] >> (r % 64) & 1;
+                    assert_eq!(a, b, "{rows}x{cols} at ({r}, {c})");
+                }
+            }
+            assert_eq!(transpose_bits(&dst, cols, rows), src, "{rows}x{cols}");
+        }
+    }
+
+    #[test]
+    fn residual_count_respects_crashes() {
+        let n = 8;
+        let g = ring(n);
+        let flat = FlatSchedule::from_schedule(&ring_schedule(n));
+        let plan = FaultPlan::new(5).with_loss_rate(0.4).with_crash(6, 2);
+        let mut k = SimKernel::new(&g, CommModel::Multicast, &identity(n)).unwrap();
+        k.run_lossy(&flat, &plan, &mut Vec::new()).unwrap();
+        assert!(!plan.alive_at(n, k.time())[6]);
+        assert_eq!(k.residual_count(&plan), k.residual(&plan).len());
+        assert!(k.residual(&plan).iter().all(|&(_, v)| v != 6));
     }
 }

@@ -206,13 +206,22 @@ impl<'a> Reader<'a> {
         u32::try_from(x).map_err(|_| format!("{what} {x} exceeds u32"))
     }
 
+    /// The next `len` bytes. Lengths come from untrusted input, so the end
+    /// offset is computed with checked arithmetic: a huge length is a
+    /// truncation error, never an overflow.
+    fn take(&mut self, len: u64, what: &str) -> Result<&'a [u8], String> {
+        let bytes = self.bytes;
+        let slice = usize::try_from(len)
+            .ok()
+            .and_then(|len| self.pos.checked_add(len))
+            .and_then(|end| bytes.get(self.pos..end))
+            .ok_or_else(|| format!("truncated {what} at byte {}", self.pos))?;
+        self.pos += slice.len();
+        Ok(slice)
+    }
+
     fn u64_le(&mut self) -> Result<u64, String> {
-        let end = self.pos + 8;
-        let slice = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or_else(|| format!("truncated u64 at byte {}", self.pos))?;
-        self.pos = end;
+        let slice = self.take(8, "u64")?;
         Ok(u64::from_le_bytes(slice.try_into().expect("8 bytes")))
     }
 
@@ -233,6 +242,21 @@ impl<'a> Reader<'a> {
 #[derive(Debug, Clone)]
 pub struct Digest(u64);
 
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// `FNV_PRIME^k` for `k` in `0..=8`. Absorbing a zero byte is a bare
+/// multiply by the prime (xor with 0 is the identity), so a byte followed
+/// by `k` zero bytes is one xor and one multiply by `FNV_PRIME_POW[k + 1]`.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
 impl Default for Digest {
     fn default() -> Self {
         Digest::new()
@@ -249,13 +273,24 @@ impl Digest {
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
     }
 
-    /// Absorbs one `u64` (little-endian byte order).
+    /// Absorbs one `u64` (little-endian byte order). The word's high zero
+    /// bytes fold into the multiply of its last significant byte, so the
+    /// value equals byte-at-a-time FNV-1a over `x.to_le_bytes()` at a
+    /// fraction of the cost for the small ids and offsets that make up
+    /// schedules.
     pub fn write_u64(&mut self, x: u64) {
-        self.write_bytes(&x.to_le_bytes());
+        // Significant bytes, counting a zero word as one zero byte.
+        let len = (8 - x.leading_zeros() as usize / 8).max(1);
+        let bytes = x.to_le_bytes();
+        let mut h = self.0;
+        for &b in &bytes[..len - 1] {
+            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        self.0 = (h ^ u64::from(bytes[len - 1])).wrapping_mul(FNV_PRIME_POW[9 - len]);
     }
 
     /// The digest of everything absorbed so far.
@@ -325,12 +360,8 @@ impl FlightHeader {
         let n = r.u32_varint("n")?;
         let n_msgs = r.u32_varint("n_msgs")?;
         let radius = r.u32_varint("radius")?;
-        let engine_len = r.varint()? as usize;
-        let engine_bytes = r
-            .bytes
-            .get(r.pos..r.pos + engine_len)
-            .ok_or_else(|| "truncated engine label".to_string())?;
-        r.pos += engine_len;
+        let engine_len = r.varint()?;
+        let engine_bytes = r.take(engine_len, "engine label")?;
         let engine = std::str::from_utf8(engine_bytes)
             .map_err(|_| "engine label is not UTF-8".to_string())?
             .to_string();
@@ -1303,6 +1334,93 @@ mod tests {
         // Pin the FNV-1a basis so digests stay stable across builds (they
         // are part of the on-disk format).
         assert_eq!(Digest::new().finish(), 0xcbf2_9ce4_8422_2325);
+    }
+
+    /// Textbook FNV-1a 64, one byte at a time: the reference the folded
+    /// `write_u64` must reproduce.
+    fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(state, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    fn assert_write_u64_is_bytewise(prefix: u64, x: u64) {
+        let mut d = Digest::new();
+        d.write_u64(prefix);
+        d.write_u64(x);
+        let basis = Digest::new().finish();
+        let want = fnv1a(fnv1a(basis, &prefix.to_le_bytes()), &x.to_le_bytes());
+        assert_eq!(d.finish(), want, "prefix {prefix:#x}, x {x:#x}");
+    }
+
+    #[test]
+    fn write_u64_matches_bytewise_fnv1a_at_byte_boundaries() {
+        for x in [
+            0u64,
+            0xff,
+            0x100,
+            0xffff,
+            u64::from(u32::MAX),
+            1 << 56,
+            u64::MAX,
+        ] {
+            assert_write_u64_is_bytewise(0, x);
+            assert_write_u64_is_bytewise(x, x);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Random words of every significant-byte length (`bits` picks the
+        /// length, `raw` the bits), absorbed after a random prefix word.
+        #[test]
+        fn write_u64_matches_bytewise_fnv1a(
+            (bits, raw, prefix) in (0u32..=64, 0u64..u64::MAX, 0u64..u64::MAX)
+        ) {
+            let x = if bits == 0 { 0 } else { raw >> (64 - bits) };
+            assert_write_u64_is_bytewise(prefix, x);
+        }
+    }
+
+    #[test]
+    fn huge_engine_label_length_is_a_typed_error() {
+        // Magic, schema 1, n = n_msgs = radius = 0, then an engine-label
+        // length varint near 2^64 and two stray bytes: 20 bytes on which
+        // `pos + len` used to overflow.
+        for len in [u64::MAX, u64::MAX - 17, 1 << 63] {
+            let mut bytes = b"GFR1".to_vec();
+            bytes.extend_from_slice(&[1, 0, 0, 0]);
+            push_varint(&mut bytes, len);
+            bytes.resize(20, 0);
+            let err = FlightLog::decode(&bytes).unwrap_err();
+            assert!(err.contains("engine label"), "{err}");
+        }
+    }
+
+    #[test]
+    fn truncated_and_corrupted_captures_never_panic() {
+        let rec = FlightRecorder::new(header());
+        rec.transmission(0, 0, 0, &[1, 2]);
+        rec.event(
+            "round_end",
+            &[
+                ("round", Value::from_u64(0)),
+                ("known_pairs", Value::from_u64(6)),
+            ],
+        );
+        let good = rec.finish();
+        for cut in 0..good.len() {
+            assert!(FlightLog::decode(&good[..cut]).is_err(), "cut at {cut}");
+        }
+        for i in 0..good.len() {
+            for byte in [0x00, 0x7f, 0x80, 0xff] {
+                let mut bad = good.clone();
+                bad[i] = byte;
+                // Ok or Err are both fine; a panic fails the test.
+                let _ = FlightLog::decode(&bad);
+            }
+        }
     }
 
     #[test]
