@@ -1,14 +1,14 @@
 //! E15a — the paper's §4 complexity claims, timed:
 //!
 //! - minimum-depth spanning tree construction is the O(mn) bottleneck
-//!   (sequential vs rayon-parallel sweep);
+//!   (the n-root sweep, 64 roots per bitset BFS);
 //! - "all the other steps of the algorithm to construct the schedule take
 //!   O(n) time" — schedule generation scales linearly in total schedule
 //!   size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gossip_core::concurrent_updown;
-use gossip_graph::{min_depth_spanning_tree, min_depth_spanning_tree_parallel, ChildOrder};
+use gossip_graph::{min_depth_spanning_tree, ChildOrder};
 use gossip_workloads::{random_connected, Family};
 use std::hint::black_box;
 
@@ -19,9 +19,6 @@ fn bench_spanning_tree(c: &mut Criterion) {
         group.throughput(Throughput::Elements((g.n() * g.m()) as u64));
         group.bench_with_input(BenchmarkId::new("sequential", n), &g, |b, g| {
             b.iter(|| min_depth_spanning_tree(black_box(g), ChildOrder::ById).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", n), &g, |b, g| {
-            b.iter(|| min_depth_spanning_tree_parallel(black_box(g), ChildOrder::ById).unwrap())
         });
     }
     group.finish();

@@ -26,9 +26,7 @@
 //! only the tail of its own mode.
 
 use crate::table::TextTable;
-use gossip_graph::{
-    min_depth_spanning_tree_fast_recorded, min_depth_spanning_tree_parallel, ChildOrder,
-};
+use gossip_graph::{min_depth_spanning_tree_fast_recorded, ChildOrder};
 use gossip_model::{CommModel, FlatSchedule, SimKernel};
 use gossip_workloads::random_connected;
 use std::time::Instant;
@@ -177,7 +175,6 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
         "m",
         "mode",
         "tree (seq) ms",
-        "tree (par) ms",
         "schedule ms",
         "simulate ms",
         "kernel ms",
@@ -252,10 +249,6 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
                     gossip_graph::min_depth_spanning_tree_recorded(&g, ChildOrder::ById, &recorder)
                         .unwrap();
                 let seq = t0.elapsed();
-                let t1 = Instant::now();
-                let tree_p = min_depth_spanning_tree_parallel(&g, ChildOrder::ById).unwrap();
-                let par = t1.elapsed();
-                assert_eq!(tree, tree_p);
                 let t2 = Instant::now();
                 let schedule = gossip_core::concurrent_updown_recorded(&tree, &recorder);
                 let gen = t2.elapsed();
@@ -298,7 +291,6 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
                 }
                 cells.extend([
                     ms(seq),
-                    ms(par),
                     ms(gen),
                     ms(simt),
                     ms(kernelt),
@@ -307,7 +299,6 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
                 ]);
                 fields.extend([
                     ("tree_seq_ms", Value::from_f64(seq.as_secs_f64() * 1e3)),
-                    ("tree_par_ms", Value::from_f64(par.as_secs_f64() * 1e3)),
                     ("schedule_ms", Value::from_f64(gen.as_secs_f64() * 1e3)),
                     ("simulate_ms", Value::from_f64(simt.as_secs_f64() * 1e3)),
                     (
@@ -340,7 +331,6 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
                     "—".into(),
                     "—".into(),
                     "—".into(),
-                    "—".into(),
                     ms(kernelt),
                     ms(fast),
                     flat.deliveries().to_string(),
@@ -367,7 +357,6 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
                     "destination arena alone exceeds sweep memory budget"
                 };
                 cells.extend([
-                    "—".into(),
                     "—".into(),
                     "—".into(),
                     "—".into(),

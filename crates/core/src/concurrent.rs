@@ -29,27 +29,16 @@
 //! `{parent} ∪ children` — the observation the paper's Theorem 1 proof
 //! hinges on.
 
-use crate::labeling::LabelView;
+use crate::fast_planner::{walk, Down, FlatLabels};
 use gossip_graph::RootedTree;
-use gossip_model::{Schedule, Transmission};
+use gossip_model::{CommRound, Schedule, Transmission};
 use gossip_telemetry::{NoopRecorder, Recorder, RecorderExt};
-use std::collections::BTreeMap;
-
-/// A pending multicast by one vertex at one time, accumulated while the two
-/// protocols are overlaid.
-#[derive(Debug, Clone)]
-struct PendingSend {
-    msg: u32,
-    to_parent: bool,
-    /// Destination children, as labels.
-    child_dests: Vec<u32>,
-}
 
 /// Builds the ConcurrentUpDown schedule for `tree`.
 ///
 /// The returned schedule is in *vertex space* (transmissions name original
 /// vertex ids); message `m` is the one originating at the vertex with DFS
-/// label `m`, i.e. the origin table is [`LabelView::origins`] /
+/// label `m`, i.e. the origin table is [`crate::LabelView::origins`] /
 /// [`tree_origins`].
 ///
 /// The makespan is exactly `n + r` for `n >= 2` (and 0 for `n = 1`), where
@@ -76,14 +65,25 @@ pub fn concurrent_updown(tree: &RootedTree) -> Schedule {
 /// [`concurrent_updown`] with telemetry: a `concurrent_updown` span with
 /// `labeling` / `overlay` child spans, and `generate/*` counters for the
 /// transmissions, deliveries, and merged U4+D3 multicasts scheduled.
+///
+/// The overlay is the fast planner's per-vertex event walk over
+/// [`FlatLabels`], so this schedule and
+/// [`concurrent_updown_flat`](crate::concurrent_updown_flat)'s CSR are one
+/// event sequence in two representations.
+///
+/// # Panics
+///
+/// Panics if the overlay schedules a vertex to send two messages at one
+/// time (Theorem 1 rules this out).
 pub fn concurrent_updown_recorded(tree: &RootedTree, recorder: &dyn Recorder) -> Schedule {
     let _span = recorder.span("concurrent_updown");
     let _phase = gossip_telemetry::profile::phase("generate");
-    let lv = {
+    let fl = {
         let _s = recorder.span("labeling");
-        LabelView::new(tree)
+        let _p = gossip_telemetry::profile::phase("label");
+        FlatLabels::build(tree)
     };
-    let n = lv.n();
+    let n = fl.n();
     let mut schedule = Schedule::new(n);
     if n <= 1 {
         return schedule;
@@ -91,101 +91,34 @@ pub fn concurrent_updown_recorded(tree: &RootedTree, recorder: &dyn Recorder) ->
     let _overlay = recorder.span("overlay");
     let _overlay_phase = gossip_telemetry::profile::phase("overlay");
     let mut merged_multicasts = 0u64;
-
-    // recv_from_parent[label] = (arrival time, message) pairs, filled while
-    // the parent (smaller label: DFS preorder) is processed.
-    let mut recv_from_parent: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-
-    for label in lv.labels() {
-        let p = lv.params(label);
-        let (i, j, k) = (p.i as usize, p.j as usize, p.k as usize);
-        let mut sends: BTreeMap<usize, PendingSend> = BTreeMap::new();
-
-        let mut add = |t: usize, msg: u32, to_parent: bool, child_dests: Vec<u32>| {
-            sends
-                .entry(t)
-                .and_modify(|e| {
-                    assert_eq!(
-                        e.msg, msg,
-                        "vertex {label} scheduled two messages at time {t}"
-                    );
-                    e.to_parent |= to_parent;
-                    e.child_dests.extend_from_slice(&child_dests);
-                })
-                .or_insert(PendingSend {
-                    msg,
-                    to_parent,
-                    child_dests,
-                });
-        };
-
-        if !p.is_root() {
-            // (U3): the lip-message goes up at time 0.
-            if p.has_lip() {
-                add(0, p.i, true, Vec::new());
-            }
-            // (U4): rip-messages go up at time m - k.
-            for m in p.rip_start()..=p.j {
-                add(m as usize - k, m, true, Vec::new());
-            }
+    // The makespan is n + height (Theorem 1); two slack rounds, trimmed
+    // below, keep `add_transmission` from ever growing the round list.
+    schedule
+        .rounds
+        .resize_with(n + fl.height() as usize + 2, CommRound::new);
+    walk(&fl, &mut |label, t, msg, to_parent, down| {
+        let kids = fl.children(label);
+        let mut dests: Vec<usize> = Vec::with_capacity(to_parent as usize + kids.len());
+        if to_parent {
+            dests.push(fl.vertex(fl.parent(label)) as usize);
         }
-
-        if !p.is_leaf() {
-            // (D3): own-subtree messages go down at time m - k, skipping the
-            // child that already has them; the i = k exception defers the own
-            // message to time j - k + 1.
-            for m in i as u32..=j as u32 {
-                let t = if m as usize == i && i == k {
-                    j - k + 1
-                } else {
-                    m as usize - k
-                };
-                let dests: Vec<u32> = lv
-                    .children(label)
-                    .iter()
-                    .copied()
-                    .filter(|&c| lv.child_containing(label, m) != Some(c))
-                    .collect();
-                if !dests.is_empty() {
-                    add(t, m, false, dests);
-                }
-            }
-            // (D2): forward o-messages from the parent on arrival, with the
-            // two deferred slots.
-            for &(t_arrive, m) in &recv_from_parent[label as usize] {
-                debug_assert!(
-                    (m as usize) < i || (m as usize) > j,
-                    "vertex {label} received own-subtree message {m} from its parent"
-                );
-                let t_send = if t_arrive == i - k {
-                    j - k + 1
-                } else if t_arrive == i - k + 1 {
-                    j - k + 2
-                } else {
-                    t_arrive
-                };
-                add(t_send, m, false, lv.children(label).to_vec());
-            }
+        match down {
+            Down::No => {}
+            Down::All => dests.extend(kids.iter().map(|&c| fl.vertex(c) as usize)),
+            Down::Except(skip) => dests.extend(
+                kids.iter()
+                    .filter(|&&c| c != skip)
+                    .map(|&c| fl.vertex(c) as usize),
+            ),
         }
-
-        // Emit this vertex's transmissions and propagate arrivals downward.
-        let vertex = lv.vertex(label);
-        for (t, ev) in sends {
-            let mut dests: Vec<usize> = Vec::with_capacity(ev.child_dests.len() + 1);
-            if ev.to_parent {
-                if !ev.child_dests.is_empty() {
-                    merged_multicasts += 1;
-                }
-                let parent_label = p.parent_i;
-                dests.push(lv.vertex(parent_label));
-            }
-            for &c in &ev.child_dests {
-                recv_from_parent[c as usize].push((t + 1, ev.msg));
-                dests.push(lv.vertex(c));
-            }
-            schedule.add_transmission(t, Transmission::new(ev.msg, vertex, dests));
+        if to_parent && dests.len() > 1 {
+            merged_multicasts += 1;
         }
-    }
+        schedule.add_transmission(
+            t as usize,
+            Transmission::new(msg, fl.vertex(label) as usize, dests),
+        );
+    });
 
     schedule.trim();
     if recorder.enabled() || gossip_telemetry::profile::active() {

@@ -2,22 +2,21 @@
 //!
 //! [`concurrent_updown`](crate::concurrent_updown) materializes a
 //! `Vec`-of-`Vec` [`Schedule`](gossip_model::Schedule) (one allocation per
-//! transmission plus a `BTreeMap` per vertex) and then flattens it; at
-//! n = 10⁵ that intermediate representation is the dominant cost of
-//! planning. This module emits the *same* schedule straight into
-//! [`FlatSchedule`] CSR arenas:
+//! transmission) that the reference pipeline then flattens; at n = 10⁵ that
+//! intermediate representation is the dominant cost of planning. This
+//! module emits the *same* schedule straight into [`FlatSchedule`] CSR
+//! arenas. Both generators share one event walk ([`walk`]):
 //!
 //! - [`FlatLabels`] packs the per-label parameters (`j`, `k`, parent, child
 //!   lists) into flat arrays — the arena-backed replacement for
 //!   [`LabelView`](crate::LabelView)'s `Vec<Vec<u32>>` children;
 //! - the per-vertex Propagate-Up (U3/U4) and Propagate-Down (D3/D2) event
 //!   sequences are each generated *in nondecreasing time order* by O(1)
-//!   state machines, so a three-way merge replaces the reference's
+//!   state machines, so a three-way merge replaces a per-vertex
 //!   `BTreeMap` overlay;
 //! - arrivals flow down a DFS stack of *streams* (the down-multicasts of
 //!   each ancestor still on the stack), bounding live memory by
-//!   O(n · height) instead of the reference's Θ(n²) `recv_from_parent`
-//!   table;
+//!   O(n · height) instead of a Θ(n²) table of every vertex's arrivals;
 //! - a **count pass** sizes every CSR array exactly (per-round transmission
 //!   and delivery totals → prefix sums), then an **emit pass** writes each
 //!   transmission into its final slot via per-round cursors. No
@@ -28,8 +27,8 @@
 //! in ascending sender label — exactly the order
 //! [`FlatSchedule::from_schedule`] produces from the reference generator.
 //! On the same tree the two pipelines are **byte-identical** (same
-//! [`digest`](FlatSchedule::digest)); the equivalence tests below and the
-//! `planner_equivalence` suite pin that down.
+//! [`digest`](FlatSchedule::digest)); the `planner_equivalence` suite pins
+//! both against an independent `BTreeMap` overlay of the paper's rules.
 
 use crate::concurrent::tree_origins;
 use gossip_graph::{RootedTree, NO_PARENT};
@@ -46,7 +45,7 @@ struct Ev {
 
 /// Destination set of a down event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Down {
+pub(crate) enum Down {
     /// Pure Propagate-Up send: no child destinations.
     No,
     /// All children: D2 forwards and the own-message D3.
@@ -81,6 +80,12 @@ impl FlatLabels {
     /// `label_flat` phase).
     pub fn new(tree: &RootedTree) -> Self {
         let _phase = gossip_telemetry::profile::phase("label_flat");
+        Self::build(tree)
+    }
+
+    /// [`FlatLabels::new`] without a profiler phase of its own, for callers
+    /// that attribute the packing to theirs.
+    pub(crate) fn build(tree: &RootedTree) -> Self {
         let n = tree.n();
         let mut j = Vec::with_capacity(n);
         let mut k = Vec::with_capacity(n);
@@ -148,19 +153,19 @@ impl FlatLabels {
 
     /// Parent label of `label` ([`NO_PARENT`] for the root).
     #[inline]
-    fn parent(&self, label: u32) -> u32 {
+    pub(crate) fn parent(&self, label: u32) -> u32 {
         self.parent[label as usize]
     }
 
     /// Original vertex id of `label`.
     #[inline]
-    fn vertex(&self, label: u32) -> u32 {
+    pub(crate) fn vertex(&self, label: u32) -> u32 {
         self.vertex[label as usize]
     }
 
     /// Children of `label` as labels, ascending.
     #[inline]
-    fn children(&self, label: u32) -> &[u32] {
+    pub(crate) fn children(&self, label: u32) -> &[u32] {
         let lo = self.child_offsets[label as usize] as usize;
         let hi = self.child_offsets[label as usize + 1] as usize;
         &self.child_labels[lo..hi]
@@ -250,7 +255,7 @@ impl OwnSeq {
 /// `j - k + 1` / `j - k + 2`. The parent stream is time-sorted and — by the
 /// schedule's correctness — has no arrivals inside the busy window
 /// `(i - k + 1, j - k + 1)`, so the deferral keeps the output sorted; the
-/// merge in [`walk`] `debug_assert`s that.
+/// merge in [`walk`] asserts that.
 struct FwdSeq<'a> {
     parent_stream: &'a [Ev],
     idx: usize,
@@ -287,9 +292,17 @@ impl FwdSeq<'_> {
 
 /// Walks every vertex in label order and fires `on_tx(label, t, msg,
 /// to_parent, down)` once per scheduled transmission, in increasing `t`
-/// within each vertex. Both generator passes share this walk, so their
-/// event sequences are identical by construction.
-fn walk<F: FnMut(u32, u32, u32, bool, Down)>(fl: &FlatLabels, on_tx: &mut F) {
+/// within each vertex. Both CSR passes and the `Schedule` generator
+/// ([`concurrent_updown`](crate::concurrent_updown)) share this walk, so
+/// their event sequences are identical by construction.
+///
+/// # Panics
+///
+/// Panics when the overlay conflicts: a vertex with two sends at one time,
+/// a forward colliding with another send, or U4 and D3 carrying different
+/// messages. Theorem 1 says none occurs; the checks stay on in release
+/// builds because every production schedule comes from this walk.
+pub(crate) fn walk<F: FnMut(u32, u32, u32, bool, Down)>(fl: &FlatLabels, on_tx: &mut F) {
     let n = fl.n();
     if n <= 1 {
         return;
@@ -358,22 +371,32 @@ fn walk<F: FnMut(u32, u32, u32, bool, Down)>(fl: &FlatLabels, on_tx: &mut F) {
             // Containing-child cursor: D3 messages `m > i` ascend, and the
             // child subtree ranges partition `(i, j]`, so it only advances.
             let mut child_idx = 0usize;
-            let mut last_t: Option<u32> = None;
+            // The earliest time this vertex may send next.
+            let mut next_free = 0u32;
 
-            while let Some(t) = [up_ev, own_ev, fwd_ev].iter().flatten().map(|e| e.t).min() {
-                debug_assert!(
-                    last_t.is_none_or(|lt| t > lt),
-                    "vertex {i} scheduled two transmissions at time {t}"
+            loop {
+                // Exhausted sequences read as `u32::MAX`, a time no event
+                // reaches (every send is before n + r).
+                let t_up = up_ev.map_or(u32::MAX, |e| e.t);
+                let t_own = own_ev.map_or(u32::MAX, |e| e.t);
+                let t_fwd = fwd_ev.map_or(u32::MAX, |e| e.t);
+                let t_up_own = t_up.min(t_own);
+                let t = t_up_own.min(t_fwd);
+                if t == u32::MAX {
+                    break;
+                }
+                assert!(
+                    t >= next_free,
+                    "vertex {i} scheduled two messages at time {t}"
                 );
-                last_t = Some(t);
-                let from_up = up_ev.is_some_and(|e| e.t == t);
-                let from_own = own_ev.is_some_and(|e| e.t == t);
-                let from_fwd = fwd_ev.is_some_and(|e| e.t == t);
-                debug_assert!(
-                    !(from_fwd && (from_up || from_own)),
+                next_free = t + 1;
+                assert!(
+                    t_fwd != t_up_own,
                     "vertex {i} scheduled a forward and another message at time {t}"
                 );
-                if from_fwd {
+                let from_up = t_up == t;
+                let from_own = t_own == t;
+                if t_fwd == t {
                     let e = fwd_ev.expect("fwd event");
                     on_tx(i, t, e.msg, false, Down::All);
                     stream.push(e);
@@ -401,7 +424,7 @@ fn walk<F: FnMut(u32, u32, u32, bool, Down)>(fl: &FlatLabels, on_tx: &mut F) {
                     let e = up_ev.expect("up event");
                     if let Some((m_down, d)) = down {
                         // U4 + D3 merge: both carry the same message.
-                        debug_assert_eq!(e.msg, m_down, "U4/D3 disagree at vertex {i} time {t}");
+                        assert_eq!(e.msg, m_down, "U4/D3 disagree at vertex {i} time {t}");
                         on_tx(i, t, e.msg, true, d);
                     } else {
                         on_tx(i, t, e.msg, true, Down::No);

@@ -7,8 +7,8 @@ use crate::simple::simple_gossip_recorded;
 use crate::telephone::telephone_tree_gossip;
 use crate::updown::updown_gossip_recorded;
 use gossip_graph::{
-    is_connected, min_depth_spanning_tree_fast_recorded, min_depth_spanning_tree_parallel_recorded,
-    min_depth_spanning_tree_recorded, ChildOrder, Graph, GraphError, RootedTree,
+    is_connected, min_depth_spanning_tree_fast_recorded, min_depth_spanning_tree_recorded,
+    ChildOrder, Graph, GraphError, RootedTree,
 };
 use gossip_model::Schedule;
 use gossip_telemetry::{NoopRecorder, Recorder, RecorderExt};
@@ -120,7 +120,6 @@ pub struct GossipPlanner<'g> {
     g: &'g Graph,
     algorithm: Algorithm,
     child_order: ChildOrder,
-    parallel_tree: bool,
     recorder: &'g dyn Recorder,
 }
 
@@ -130,7 +129,6 @@ impl std::fmt::Debug for GossipPlanner<'_> {
             .field("g", &self.g)
             .field("algorithm", &self.algorithm)
             .field("child_order", &self.child_order)
-            .field("parallel_tree", &self.parallel_tree)
             .field("recorder_enabled", &self.recorder.enabled())
             .finish()
     }
@@ -150,7 +148,6 @@ impl<'g> GossipPlanner<'g> {
             g,
             algorithm: Algorithm::default(),
             child_order: ChildOrder::default(),
-            parallel_tree: false,
             recorder: &NoopRecorder,
         })
     }
@@ -167,13 +164,6 @@ impl<'g> GossipPlanner<'g> {
         self
     }
 
-    /// Uses the rayon-parallel n-source BFS sweep for the spanning tree
-    /// (identical output, faster on large dense graphs).
-    pub fn parallel_tree_construction(mut self, yes: bool) -> Self {
-        self.parallel_tree = yes;
-        self
-    }
-
     /// Attaches a telemetry recorder; all planning stages report spans,
     /// counters, and gauges to it (default: [`NoopRecorder`], which costs
     /// nothing).
@@ -186,11 +176,7 @@ impl<'g> GossipPlanner<'g> {
     pub fn plan(&self) -> Result<GossipPlan, GraphError> {
         let _span = self.recorder.span("plan");
         let _phase = gossip_telemetry::profile::phase("plan");
-        let tree = if self.parallel_tree {
-            min_depth_spanning_tree_parallel_recorded(self.g, self.child_order, self.recorder)?
-        } else {
-            min_depth_spanning_tree_recorded(self.g, self.child_order, self.recorder)?
-        };
+        let tree = min_depth_spanning_tree_recorded(self.g, self.child_order, self.recorder)?;
         Ok(self.plan_on_tree(tree))
     }
 
@@ -283,19 +269,6 @@ mod tests {
             let o = simulate_gossip(&g, &plan.schedule, &plan.origin_of_message).unwrap();
             assert!(o.complete, "{}", a.name());
         }
-    }
-
-    #[test]
-    fn parallel_tree_gives_same_plan() {
-        let g = ring(10);
-        let a = GossipPlanner::new(&g).unwrap().plan().unwrap();
-        let b = GossipPlanner::new(&g)
-            .unwrap()
-            .parallel_tree_construction(true)
-            .plan()
-            .unwrap();
-        assert_eq!(a.schedule, b.schedule);
-        assert_eq!(a.tree, b.tree);
     }
 
     #[test]

@@ -1,13 +1,183 @@
-//! Fast-vs-reference planner equivalence: on the same tree the CSR-direct
-//! generator must be byte-identical to flattening the reference generator,
-//! and through the full pipeline (fast tree sweep included) the fast plan
-//! must validate with the same `n + r` makespan.
+//! Planner equivalence. Both ConcurrentUpDown generators run one event
+//! walk, so each is checked against an independent oracle: the paper's
+//! rules overlaid per vertex in a `BTreeMap`, built from the public
+//! [`LabelView`] alone. On the same tree both generators must equal it
+//! (`Schedule` `==` and flattened digest), and through the full pipeline
+//! (fast tree sweep included) the fast plan must validate with the same
+//! `n + r` makespan.
 
-use gossip_core::{concurrent_updown, concurrent_updown_flat, GossipPlanner};
-use gossip_graph::{min_depth_spanning_tree, ChildOrder, Graph};
-use gossip_model::{CommModel, FlatSchedule, SimKernel};
-use gossip_workloads::random_connected;
+use gossip_core::{concurrent_updown, concurrent_updown_flat, GossipPlanner, LabelView};
+use gossip_graph::{min_depth_spanning_tree, ChildOrder, Graph, RootedTree, NO_PARENT};
+use gossip_model::{CommModel, FlatSchedule, Schedule, SimKernel, Transmission};
+use gossip_workloads::{fig5_tree, random_connected};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// A pending multicast by one vertex at one time, accumulated while the two
+/// protocols are overlaid.
+struct PendingSend {
+    msg: u32,
+    to_parent: bool,
+    /// Destination children, as labels.
+    child_dests: Vec<u32>,
+}
+
+/// The ConcurrentUpDown overlay written straight from the paper's rules
+/// (U3/U4 up, D3/D2 down, the `i = k` and busy-window deferrals), one
+/// `BTreeMap` of sends per vertex and a full table of parent arrivals.
+fn overlay_oracle(tree: &RootedTree) -> Schedule {
+    let lv = LabelView::new(tree);
+    let n = lv.n();
+    let mut schedule = Schedule::new(n);
+    if n <= 1 {
+        return schedule;
+    }
+    // recv_from_parent[label] = (arrival time, message) pairs, filled while
+    // the parent (smaller label: DFS preorder) is processed.
+    let mut recv_from_parent: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
+    for label in lv.labels() {
+        let p = lv.params(label);
+        let (i, j, k) = (p.i as usize, p.j as usize, p.k as usize);
+        let mut sends: BTreeMap<usize, PendingSend> = BTreeMap::new();
+        let mut add = |t: usize, msg: u32, to_parent: bool, child_dests: Vec<u32>| {
+            sends
+                .entry(t)
+                .and_modify(|e| {
+                    assert_eq!(
+                        e.msg, msg,
+                        "vertex {label} scheduled two messages at time {t}"
+                    );
+                    e.to_parent |= to_parent;
+                    e.child_dests.extend_from_slice(&child_dests);
+                })
+                .or_insert(PendingSend {
+                    msg,
+                    to_parent,
+                    child_dests,
+                });
+        };
+        if !p.is_root() {
+            // (U3): the lip-message goes up at time 0.
+            if p.has_lip() {
+                add(0, p.i, true, Vec::new());
+            }
+            // (U4): rip-messages go up at time m - k.
+            for m in p.rip_start()..=p.j {
+                add(m as usize - k, m, true, Vec::new());
+            }
+        }
+        if !p.is_leaf() {
+            // (D3): own-subtree messages go down at time m - k, skipping the
+            // child that already has them; the i = k exception defers the own
+            // message to time j - k + 1.
+            for m in i as u32..=j as u32 {
+                let t = if m as usize == i && i == k {
+                    j - k + 1
+                } else {
+                    m as usize - k
+                };
+                let dests: Vec<u32> = lv
+                    .children(label)
+                    .iter()
+                    .copied()
+                    .filter(|&c| lv.child_containing(label, m) != Some(c))
+                    .collect();
+                if !dests.is_empty() {
+                    add(t, m, false, dests);
+                }
+            }
+            // (D2): forward o-messages from the parent on arrival, with the
+            // two deferred slots.
+            for &(t_arrive, m) in &recv_from_parent[label as usize] {
+                assert!(
+                    (m as usize) < i || (m as usize) > j,
+                    "vertex {label} received own-subtree message {m} from its parent"
+                );
+                let t_send = if t_arrive == i - k {
+                    j - k + 1
+                } else if t_arrive == i - k + 1 {
+                    j - k + 2
+                } else {
+                    t_arrive
+                };
+                add(t_send, m, false, lv.children(label).to_vec());
+            }
+        }
+        let vertex = lv.vertex(label);
+        for (t, ev) in sends {
+            let mut dests: Vec<usize> = Vec::with_capacity(ev.child_dests.len() + 1);
+            if ev.to_parent {
+                dests.push(lv.vertex(p.parent_i));
+            }
+            for &c in &ev.child_dests {
+                recv_from_parent[c as usize].push((t + 1, ev.msg));
+                dests.push(lv.vertex(c));
+            }
+            schedule.add_transmission(t, Transmission::new(ev.msg, vertex, dests));
+        }
+    }
+    schedule.trim();
+    schedule
+}
+
+/// Both generators against [`overlay_oracle`] on `tree`: `Schedule` `==`
+/// for the reference generator, CSR `==` and equal digests for both
+/// flattened forms.
+fn assert_generators_match_oracle(tree: &RootedTree) {
+    let oracle = overlay_oracle(tree);
+    let reference = concurrent_updown(tree);
+    assert_eq!(reference, oracle, "Schedule mismatch on {tree:?}");
+    let oracle_flat = FlatSchedule::from_schedule(&oracle);
+    let fast = concurrent_updown_flat(tree);
+    if let Some(d) = diff_flat(&fast, &oracle_flat) {
+        panic!("CSR mismatch on n = {}: {d}", tree.n());
+    }
+    assert_eq!(
+        FlatSchedule::from_schedule(&reference).digest(),
+        oracle_flat.digest()
+    );
+    assert_eq!(fast.digest(), oracle_flat.digest());
+}
+
+#[test]
+fn generators_match_overlay_oracle_on_structured_trees() {
+    assert_generators_match_oracle(&fig5_tree());
+    for n in [1usize, 2, 3, 7, 16, 65] {
+        // Path rooted at an end (the i = k exception at every level) and
+        // at its center.
+        let end: Vec<u32> = (0..n as u32).map(|v| v.wrapping_sub(1)).collect();
+        assert_generators_match_oracle(&RootedTree::from_parents(0, &end).unwrap());
+        let c = (n / 2) as u32;
+        let center: Vec<u32> = (0..n as u32)
+            .map(|v| match v.cmp(&c) {
+                std::cmp::Ordering::Less => v + 1,
+                std::cmp::Ordering::Equal => NO_PARENT,
+                std::cmp::Ordering::Greater => v - 1,
+            })
+            .collect();
+        assert_generators_match_oracle(&RootedTree::from_parents(c as usize, &center).unwrap());
+        // Star: every non-root a leaf; the root multicasts everything.
+        let mut star = vec![0u32; n];
+        star[0] = NO_PARENT;
+        assert_generators_match_oracle(&RootedTree::from_parents(0, &star).unwrap());
+        // Caterpillar: a spine 0..n/2 with one leaf per spine vertex.
+        let spine = n.div_ceil(2);
+        let cat: Vec<u32> = (0..n)
+            .map(|v| match v {
+                0 => NO_PARENT,
+                v if v < spine => (v - 1) as u32,
+                v => (v - spine) as u32,
+            })
+            .collect();
+        assert_generators_match_oracle(&RootedTree::from_parents(0, &cat).unwrap());
+        // Complete binary tree (heap order).
+        let mut heap: Vec<u32> = (0..n).map(|v| (v.saturating_sub(1) / 2) as u32).collect();
+        heap[0] = NO_PARENT;
+        assert_generators_match_oracle(&RootedTree::from_parents(0, &heap).unwrap());
+    }
+    // Permuted vertex ids: label space != vertex space.
+    assert_generators_match_oracle(&RootedTree::from_parents(2, &[2, 0, NO_PARENT, 2, 3]).unwrap());
+}
 
 fn diff_flat(fast: &FlatSchedule, reference: &FlatSchedule) -> Option<String> {
     if fast == reference {
@@ -50,13 +220,7 @@ fn diff_flat(fast: &FlatSchedule, reference: &FlatSchedule) -> Option<String> {
 }
 
 fn assert_equivalent_on(g: &Graph) {
-    let tree = min_depth_spanning_tree(g, ChildOrder::ById).unwrap();
-    let fast = concurrent_updown_flat(&tree);
-    let reference = FlatSchedule::from_schedule(&concurrent_updown(&tree));
-    if let Some(d) = diff_flat(&fast, &reference) {
-        panic!("CSR mismatch on n = {}: {d}", g.n());
-    }
-    assert_eq!(fast.digest(), reference.digest());
+    assert_generators_match_oracle(&min_depth_spanning_tree(g, ChildOrder::ById).unwrap());
 }
 
 #[test]
@@ -102,10 +266,11 @@ proptest! {
     // the global PROPTEST_CASES override (see vendor/proptest).
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// On arbitrary seeded connected G(n, p): the fast plan validates,
-    /// meets the reference's exact makespan (n + r by Theorem 1), and —
-    /// whenever the root tie-break picked the same tree — is
-    /// byte-identical to the reference flatten.
+    /// On arbitrary seeded connected G(n, p): both plans equal the overlay
+    /// oracle on their own trees, the fast plan validates, meets the
+    /// reference's exact makespan (n + r by Theorem 1), and — whenever the
+    /// root tie-break picked the same tree — is byte-identical to the
+    /// reference flatten.
     fn fast_and_reference_agree_on_random_connected(
         n in 4usize..72,
         p_mille in 20u64..250,
@@ -115,6 +280,11 @@ proptest! {
         let planner = GossipPlanner::new(&g).unwrap();
         let reference = planner.plan().unwrap();
         let fast = planner.plan_fast().unwrap();
+        prop_assert_eq!(&reference.schedule, &overlay_oracle(&reference.tree));
+        prop_assert_eq!(
+            &fast.schedule,
+            &FlatSchedule::from_schedule(&overlay_oracle(&fast.tree))
+        );
         prop_assert_eq!(fast.radius, reference.radius);
         prop_assert_eq!(fast.makespan(), reference.makespan());
         prop_assert!(fast.makespan() <= fast.guarantee());

@@ -100,10 +100,10 @@ pub fn bfs(g: &Graph, source: usize) -> BfsResult {
 
 /// Runs BFS from `source`, reusing the buffers inside `out`.
 ///
-/// This is the allocation-free kernel used by the n-source sweep in
-/// [`crate::spanning`]: buffers are cleared and refilled rather than
-/// reallocated, per the "reuse workhorse collections" guidance for hot
-/// loops.
+/// The allocation-free kernel behind every scalar sweep, such as the
+/// winner's tree in [`crate::spanning`]: buffers are cleared and refilled
+/// rather than reallocated, per the "reuse workhorse collections" guidance
+/// for hot loops.
 pub fn bfs_into(g: &Graph, source: usize, out: &mut BfsResult) {
     let n = g.n();
     out.source = source;

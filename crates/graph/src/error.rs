@@ -37,6 +37,18 @@ pub enum GraphError {
         /// Human-readable description of the violation.
         reason: String,
     },
+    /// A vertex count above [`crate::MAX_VERTICES`]: the ids would not fit
+    /// the CSR's `u32`s.
+    TooManyVertices {
+        /// The requested vertex count.
+        n: usize,
+    },
+    /// A decoded CSR layout is inconsistent (offsets, target order or
+    /// symmetry, edge count).
+    InvalidCsr {
+        /// Human-readable description of the violation.
+        reason: String,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -53,6 +65,12 @@ impl fmt::Display for GraphError {
             GraphError::Disconnected => write!(f, "graph is not connected"),
             GraphError::EmptyGraph => write!(f, "graph has no vertices"),
             GraphError::NotATree { reason } => write!(f, "not a tree: {reason}"),
+            GraphError::TooManyVertices { n } => write!(
+                f,
+                "{n} vertices exceed the limit of {}",
+                crate::MAX_VERTICES
+            ),
+            GraphError::InvalidCsr { reason } => write!(f, "invalid CSR graph: {reason}"),
         }
     }
 }

@@ -8,7 +8,13 @@
 //! `2m`, which keeps every neighbourhood contiguous in memory.
 
 use crate::error::GraphError;
+use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
+
+/// The most vertices a [`Graph`] holds. CSR ids are `u32`, and `u32::MAX`
+/// is reserved for the `NO_PARENT` / `UNREACHABLE` sentinels, so ids run
+/// `0..u32::MAX`.
+pub const MAX_VERTICES: usize = u32::MAX as usize;
 
 /// An immutable simple undirected graph in CSR form.
 ///
@@ -28,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(g.has_edge(0, 1));
 /// assert!(!g.has_edge(0, 3));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Graph {
     n: usize,
     /// `offsets[v]..offsets[v + 1]` indexes `targets` for `v`'s neighbours.
@@ -50,6 +56,66 @@ impl Graph {
             b.add_edge(u, v)?;
         }
         Ok(b.build())
+    }
+
+    /// Checks the CSR invariants every query relies on: at most
+    /// [`MAX_VERTICES`] vertices; `n + 1` monotone offsets from 0 to
+    /// `targets.len()`; sorted, loop-free, duplicate-free, symmetric
+    /// neighbour lists of in-range ids; and `m = targets.len() / 2`.
+    /// Allocates nothing, so it is safe on untrusted input.
+    fn check_csr(&self) -> Result<(), GraphError> {
+        let invalid = |reason: String| Err(GraphError::InvalidCsr { reason });
+        let n = self.n;
+        if n > MAX_VERTICES {
+            return Err(GraphError::TooManyVertices { n });
+        }
+        if self.offsets.len() != n + 1 || self.offsets[0] != 0 {
+            return invalid(format!(
+                "{} offsets for {n} vertices (need n + 1, starting at 0)",
+                self.offsets.len()
+            ));
+        }
+        if let Some(v) = self.offsets.windows(2).position(|w| w[0] > w[1]) {
+            return invalid(format!("offsets decrease after vertex {v}"));
+        }
+        if self.offsets[n] as usize != self.targets.len() {
+            return invalid(format!(
+                "offsets end at {} but there are {} targets",
+                self.offsets[n],
+                self.targets.len()
+            ));
+        }
+        if self.m.checked_mul(2) != Some(self.targets.len()) {
+            return invalid(format!(
+                "m = {} but there are {} targets",
+                self.m,
+                self.targets.len()
+            ));
+        }
+        for u in 0..n {
+            let list = self.neighbors_raw(u);
+            for (idx, &w) in list.iter().enumerate() {
+                let v = w as usize;
+                if v >= n {
+                    return Err(GraphError::VertexOutOfRange { vertex: v, n });
+                }
+                if v == u {
+                    return Err(GraphError::SelfLoop { vertex: u });
+                }
+                if idx > 0 && list[idx - 1] == w {
+                    return Err(GraphError::DuplicateEdge { u, v });
+                }
+                if idx > 0 && list[idx - 1] > w {
+                    return invalid(format!("neighbours of {u} are not sorted"));
+                }
+                // `Ok` only if `u` is really there, even in a list not yet
+                // checked for order; a missed match there fails that list.
+                if self.neighbors_raw(v).binary_search(&(u as u32)).is_err() {
+                    return invalid(format!("edge ({u}, {v}) has no reverse entry"));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Number of vertices.
@@ -226,6 +292,29 @@ impl Graph {
     }
 }
 
+/// Decodes the derive-shaped object `{n, offsets, targets, m}`, then
+/// [`Graph::check_csr`]s it: no decoded graph can panic a later query.
+impl Deserialize for Graph {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| DeError::new("expected object for Graph"))?;
+        let field = |name: &str| {
+            obj.iter()
+                .find(|(k, _)| k == name)
+                .map_or(&Value::Null, |(_, v)| v)
+        };
+        let g = Graph {
+            n: Deserialize::from_value(field("n")).map_err(|e| e.context("n"))?,
+            offsets: Deserialize::from_value(field("offsets")).map_err(|e| e.context("offsets"))?,
+            targets: Deserialize::from_value(field("targets")).map_err(|e| e.context("targets"))?,
+            m: Deserialize::from_value(field("m")).map_err(|e| e.context("m"))?,
+        };
+        g.check_csr().map_err(|e| DeError::new(&e.to_string()))?;
+        Ok(g)
+    }
+}
+
 /// Incremental builder for [`Graph`].
 ///
 /// Collects edges with validation, then lays them out in CSR form on
@@ -298,13 +387,16 @@ impl GraphBuilder {
     }
 
     fn validate_endpoints(&self, u: usize, v: usize) -> Result<(), GraphError> {
-        if u >= self.n {
+        // Ids at or past `MAX_VERTICES` do not fit the CSR's `u32`s, even
+        // when the builder was (wrongly) sized for them.
+        let limit = self.n.min(MAX_VERTICES);
+        if u >= limit {
             return Err(GraphError::VertexOutOfRange {
                 vertex: u,
                 n: self.n,
             });
         }
-        if v >= self.n {
+        if v >= limit {
             return Err(GraphError::VertexOutOfRange {
                 vertex: v,
                 n: self.n,

@@ -6,7 +6,7 @@
 //! ingest graphs from any external tool without a JSON round trip.
 
 use crate::error::GraphError;
-use crate::graph::{Graph, GraphBuilder};
+use crate::graph::{Graph, GraphBuilder, MAX_VERTICES};
 use std::fmt;
 
 /// Errors from parsing the edge-list text format.
@@ -84,7 +84,17 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, ParseError> {
         max_id = max_id.max(u).max(v);
         edges.push((u, v));
     }
-    let n = declared_n.unwrap_or(if edges.is_empty() { 0 } else { max_id + 1 });
+    let n = match declared_n {
+        Some(n) => n,
+        None if edges.is_empty() => 0,
+        None => max_id
+            .checked_add(1)
+            .ok_or(GraphError::TooManyVertices { n: max_id })?,
+    };
+    // Reject before the builder sizes anything by `n`.
+    if n > MAX_VERTICES {
+        return Err(GraphError::TooManyVertices { n }.into());
+    }
     let mut b = GraphBuilder::with_capacity(n, edges.len());
     for (u, v) in edges {
         b.add_edge(u, v)?;

@@ -11,7 +11,7 @@
 //!   and subtree ranges `[i, j]` — the exact quantities the scheduling
 //!   algorithms consume;
 //! - [`min_depth_spanning_tree`]: the paper's §3.1 construction (n BFS
-//!   sweeps, keep the shallowest; sequential and rayon-parallel);
+//!   sweeps, keep the shallowest; evaluated 64 roots per bitset BFS);
 //! - [`min_depth_spanning_tree_fast`]: the pruned multi-source bitset sweep
 //!   (double-sweep eccentricity bounds + 64-source `u64` frontiers) that
 //!   reaches the same radius with far fewer than n sweeps;
@@ -49,7 +49,7 @@ pub use bfs::{bfs, bfs_into, distance, BfsResult, UNREACHABLE};
 pub use bipartite::{bipartiteness, is_bipartite, Bipartiteness};
 pub use connectivity::{components, is_connected, reachable_count};
 pub use error::GraphError;
-pub use graph::{Graph, GraphBuilder};
+pub use graph::{Graph, GraphBuilder, MAX_VERTICES};
 pub use hamiltonian::{find_hamiltonian_circuit, is_hamiltonian, verify_circuit};
 pub use io::{parse_edge_list, write_edge_list};
 pub use metrics::{
@@ -59,7 +59,6 @@ pub use metrics::{
 pub use render::render_tree;
 pub use spanning::fast::{min_depth_spanning_tree_fast, min_depth_spanning_tree_fast_recorded};
 pub use spanning::{
-    bfs_tree, min_depth_spanning_tree, min_depth_spanning_tree_parallel,
-    min_depth_spanning_tree_parallel_recorded, min_depth_spanning_tree_recorded, ChildOrder,
+    bfs_tree, min_depth_spanning_tree, min_depth_spanning_tree_recorded, ChildOrder,
 };
 pub use tree::{RootedTree, NO_PARENT};

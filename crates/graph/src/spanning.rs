@@ -7,17 +7,15 @@
 //!
 //! The height of the winning tree equals the graph radius `r`, and its root
 //! is a center vertex: the BFS tree from `v` has height = eccentricity(`v`),
-//! minimized over center vertices. Both a sequential sweep and a
-//! rayon-parallel sweep (one independent BFS per task) are provided; they
-//! return identical trees because ties are broken by the smallest root id in
-//! both.
+//! minimized over center vertices; ties go to the smallest root id. The
+//! sweep evaluates 64 roots per bitset BFS ([`fast::eval_batch`]) with the
+//! scalar decision rule, and [`fast`] adds a pruned variant for large n.
 
 use crate::bfs::{bfs, bfs_into};
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::tree::{RootedTree, NO_PARENT};
 use gossip_telemetry::{NoopRecorder, Recorder, RecorderExt};
-use rayon::prelude::*;
 use std::time::Instant;
 
 pub mod fast;
@@ -53,8 +51,9 @@ pub fn bfs_tree(g: &Graph, root: usize, order: ChildOrder) -> Result<RootedTree,
     parents_to_tree(root, &r.parent, order)
 }
 
-/// Finds a spanning tree of minimum possible height: one BFS per vertex,
-/// keep the shallowest (ties to the smallest root id). Sequential sweep.
+/// Finds a spanning tree of minimum possible height: the eccentricity of
+/// every vertex up to an early exit, keep the shallowest (ties to the
+/// smallest root id).
 ///
 /// The returned tree's height equals the radius of `g`.
 pub fn min_depth_spanning_tree(g: &Graph, order: ChildOrder) -> Result<RootedTree, GraphError> {
@@ -62,8 +61,18 @@ pub fn min_depth_spanning_tree(g: &Graph, order: ChildOrder) -> Result<RootedTre
 }
 
 /// [`min_depth_spanning_tree`] with telemetry: one `spanning_tree` span,
-/// a `spanning/bfs_sweep_ns` histogram sample per BFS sweep, sweep /
+/// a `spanning/bfs_sweep_ns` histogram sample per examined root, sweep /
 /// early-exit counters, and a `spanning/radius` gauge.
+///
+/// The paper's n traversals run as 64-source bitset batches
+/// ([`fast::eval_batch`]) in ascending root order, one `bfs_sweep` profiler
+/// phase per batch. The decision is the scalar sweep's: the first root
+/// strictly below the incumbent eccentricity wins, and the sweep stops at
+/// the first root that reaches `ceil(ecc(0) / 2)`. Unlike
+/// [`fast::min_depth_spanning_tree_fast`] nothing is pruned, so the root is
+/// always the smallest-id center. Counters and samples cover the roots up
+/// to that decision (n, or the early-exit root's id + 1); each sample is
+/// its batch's time divided by the batch size.
 pub fn min_depth_spanning_tree_recorded(
     g: &Graph,
     order: ChildOrder,
@@ -74,38 +83,44 @@ pub fn min_depth_spanning_tree_recorded(
     }
     let _span = recorder.span("spanning_tree");
     let _phase = gossip_telemetry::profile::phase("tree");
-    let radius_floor = {
+    // A cheap lower bound for early exit: any eccentricity lower-bounds the
+    // diameter, and `r >= ceil(d / 2)`. Its BFS is also the connectivity
+    // check the batches assume.
+    let (mut scratch, radius_floor) = {
         let _p = gossip_telemetry::profile::phase("radius_bound");
-        lower_radius_bound(g)
+        let r0 = bfs(g, 0);
+        let ecc0 = r0.eccentricity().ok_or(GraphError::Disconnected)?;
+        (r0, ecc0.div_ceil(2))
     };
-    let mut scratch = bfs(g, 0);
-    let mut best: Option<(u32, usize, Vec<u32>)> = None;
+    let n = g.n();
+    let mut best: Option<(u32, usize)> = None;
     let mut sweeps = 0u64;
-    for v in 0..g.n() {
+    let mut sources: Vec<u32> = Vec::with_capacity(fast::BATCH);
+    'sweep: for start in (0..n).step_by(fast::BATCH) {
+        sources.clear();
+        sources.extend(start as u32..(start + fast::BATCH).min(n) as u32);
         let t0 = recorder.enabled().then(Instant::now);
-        {
+        let eccs = {
             let _sweep = gossip_telemetry::profile::phase("bfs_sweep");
-            bfs_into(g, v, &mut scratch);
-        }
-        if let Some(t0) = t0 {
-            recorder.observe("spanning/bfs_sweep_ns", t0.elapsed().as_nanos() as f64);
-        }
-        sweeps += 1;
-        let ecc = scratch.eccentricity().ok_or(GraphError::Disconnected)?;
-        let better = match &best {
-            None => true,
-            Some((best_ecc, _, _)) => ecc < *best_ecc,
+            fast::eval_batch(g, &sources)
         };
-        if better {
-            best = Some((ecc, v, scratch.parent.clone()));
-            if ecc == radius_floor {
-                // Cannot do better than a known lower bound; stop early.
-                recorder.counter("spanning/early_exit", 1);
-                break;
+        let per_root_ns = t0.map(|t0| t0.elapsed().as_nanos() as f64 / sources.len() as f64);
+        for (ecc, v) in eccs {
+            if let Some(ns) = per_root_ns {
+                recorder.observe("spanning/bfs_sweep_ns", ns);
+            }
+            sweeps += 1;
+            if best.is_none_or(|(best_ecc, _)| ecc < best_ecc) {
+                best = Some((ecc, v as usize));
+                if ecc == radius_floor {
+                    // Cannot do better than a known lower bound; stop early.
+                    recorder.counter("spanning/early_exit", 1);
+                    break 'sweep;
+                }
             }
         }
     }
-    let (radius, root, parent) = best.expect("n > 0");
+    let (radius, root) = best.expect("n > 0");
     gossip_telemetry::profile::count("bfs_sweeps", sweeps);
     if recorder.enabled() {
         recorder.counter("spanning/sweeps", sweeps);
@@ -126,85 +141,11 @@ pub fn min_depth_spanning_tree_recorded(
             ],
         );
     }
-    parents_to_tree(root, &parent, order)
-}
-
-/// Rayon-parallel variant of [`min_depth_spanning_tree`]: one independent
-/// BFS per task, reduced by `(eccentricity, root id)`.
-///
-/// Produces the identical tree to the sequential sweep.
-pub fn min_depth_spanning_tree_parallel(
-    g: &Graph,
-    order: ChildOrder,
-) -> Result<RootedTree, GraphError> {
-    min_depth_spanning_tree_parallel_recorded(g, order, &NoopRecorder)
-}
-
-/// [`min_depth_spanning_tree_parallel`] with telemetry. Per-sweep timings
-/// land in the same `spanning/bfs_sweep_ns` histogram as the sequential
-/// sweep (recorded from worker threads; the span covers the whole sweep).
-pub fn min_depth_spanning_tree_parallel_recorded(
-    g: &Graph,
-    order: ChildOrder,
-    recorder: &dyn Recorder,
-) -> Result<RootedTree, GraphError> {
-    if g.n() == 0 {
-        return Err(GraphError::EmptyGraph);
-    }
-    let _span = recorder.span("spanning_tree_parallel");
-    // Distinct phase name from the sequential sweep: the per-sweep work
-    // happens on rayon workers, which the thread-local profiler cannot
-    // see, so only the calling thread's wall-clock wait is attributed.
-    let _phase = gossip_telemetry::profile::phase("tree_par");
-    let best = (0..g.n())
-        .into_par_iter()
-        .map(|v| {
-            let t0 = recorder.enabled().then(Instant::now);
-            let r = bfs(g, v);
-            if let Some(t0) = t0 {
-                recorder.observe("spanning/bfs_sweep_ns", t0.elapsed().as_nanos() as f64);
-            }
-            r.eccentricity()
-                .map(|ecc| (ecc, v, r.parent))
-                .ok_or(GraphError::Disconnected)
-        })
-        .try_reduce_with(|a, b| {
-            // Smallest (eccentricity, root id) wins, matching sequential
-            // tie-breaking exactly.
-            Ok(if (b.0, b.1) < (a.0, a.1) { b } else { a })
-        })
-        .expect("n > 0")?;
-    if recorder.enabled() {
-        recorder.counter("spanning/sweeps", g.n() as u64);
-        recorder.gauge("spanning/radius", f64::from(best.0));
-        recorder.event(
-            "spanning_tree",
-            &[
-                (
-                    "mode",
-                    gossip_telemetry::Value::String("parallel".to_string()),
-                ),
-                ("sweeps", gossip_telemetry::Value::from_u64(g.n() as u64)),
-                (
-                    "radius",
-                    gossip_telemetry::Value::from_u64(u64::from(best.0)),
-                ),
-                ("root", gossip_telemetry::Value::from_u64(best.1 as u64)),
-            ],
-        );
-    }
-    parents_to_tree(best.1, &best.2, order)
-}
-
-/// A cheap lower bound on the radius used for early exit in the sequential
-/// sweep: `ceil(diameter_lower / 2)` where `diameter_lower` is the
-/// eccentricity of vertex 0 (any eccentricity lower-bounds the diameter,
-/// and `r >= ceil(d / 2)` always).
-fn lower_radius_bound(g: &Graph) -> u32 {
-    match bfs(g, 0).eccentricity() {
-        Some(e) => e.div_ceil(2),
-        None => 0,
-    }
+    // One scalar sweep from the winner gives the parent array: the same BFS
+    // a one-root-at-a-time sweep keeps, so the tree is the same too.
+    bfs_into(g, root, &mut scratch);
+    debug_assert_eq!(scratch.eccentricity(), Some(radius));
+    parents_to_tree(root, &scratch.parent, order)
 }
 
 pub(crate) fn parents_to_tree(
@@ -271,15 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        for g in [path(10), cycle(11)] {
-            let a = min_depth_spanning_tree(&g, ChildOrder::ById).unwrap();
-            let b = min_depth_spanning_tree_parallel(&g, ChildOrder::ById).unwrap();
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn complete_graph_star_tree() {
         let mut edges = Vec::new();
         for u in 0..6 {
@@ -306,10 +238,6 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert_eq!(
             min_depth_spanning_tree(&g, ChildOrder::ById).unwrap_err(),
-            GraphError::Disconnected
-        );
-        assert_eq!(
-            min_depth_spanning_tree_parallel(&g, ChildOrder::ById).unwrap_err(),
             GraphError::Disconnected
         );
         assert_eq!(

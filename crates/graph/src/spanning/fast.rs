@@ -1,9 +1,10 @@
 //! Pruned multi-source minimum-depth spanning tree construction — the fast
 //! planner's replacement for the paper's n-sweep §3.1 procedure.
 //!
-//! The reference sweep runs one scalar BFS per vertex: O(mn), the wall that
-//! sheds every `exp_scaling` size above n = 8192. This module finds the same
-//! minimum depth (= graph radius) with far fewer sweeps, in three steps:
+//! The reference sweep evaluates every root up to its early exit: O(mn), the
+//! wall that sheds every `exp_scaling` size above n = 8192. This module
+//! finds the same minimum depth (= graph radius) with far fewer sweeps, in
+//! three steps:
 //!
 //! 1. **Double sweep**: BFS from vertex 0, from the farthest vertex `a`
 //!    found, and from the farthest vertex `b` from `a`. Each distance array
@@ -38,7 +39,7 @@ use gossip_telemetry::{NoopRecorder, Recorder, RecorderExt};
 use rayon::prelude::*;
 
 /// Sources per multi-source batch: one bit of a `u64` frontier word each.
-const BATCH: usize = 64;
+pub(crate) const BATCH: usize = 64;
 
 /// Finds a spanning tree of minimum possible height using the pruned
 /// multi-source sweep. The returned tree's height equals the radius of `g`;
@@ -213,8 +214,8 @@ fn max_into(lb: &mut [u32], dist: &[u32]) {
 /// frontier/visited word per vertex — at most the work of 64 scalar sweeps,
 /// and one word op per up-to-64 frontiers on low-diameter graphs.
 ///
-/// Assumes `g` is connected (the caller's double sweep verified it).
-fn eval_batch(g: &Graph, sources: &[u32]) -> Vec<(u32, u32)> {
+/// Assumes `g` is connected (each caller's first scalar BFS verified it).
+pub(crate) fn eval_batch(g: &Graph, sources: &[u32]) -> Vec<(u32, u32)> {
     let n = g.n();
     debug_assert!(!sources.is_empty() && sources.len() <= BATCH);
     let mut visited = vec![0u64; n];

@@ -2,11 +2,14 @@
 //! against a brute-force oracle on random graphs.
 
 use gossip_graph::{
-    articulation_points, bfs, components, distance_metrics, distance_metrics_parallel,
-    is_connected, min_depth_spanning_tree, min_depth_spanning_tree_parallel, ChildOrder, Graph,
-    GraphBuilder, RootedTree, NO_PARENT, UNREACHABLE,
+    articulation_points, bfs, bfs_into, bfs_tree, components, distance_metrics,
+    distance_metrics_parallel, is_connected, min_depth_spanning_tree,
+    min_depth_spanning_tree_recorded, ChildOrder, Graph, GraphBuilder, GraphError, RootedTree,
+    NO_PARENT, UNREACHABLE,
 };
+use gossip_telemetry::MetricsRecorder;
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 /// Random graph on up to `max_n` vertices with each edge present w.p. ~p.
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -78,6 +81,188 @@ fn all_pairs_oracle(g: &Graph) -> Vec<Vec<u32>> {
     d
 }
 
+/// The paper's §3.1 sweep one root at a time: a scalar BFS per root in
+/// ascending id order, the first strictly shallower root wins, and the
+/// sweep stops at the first root reaching `ceil(ecc(0) / 2)`. Returns the
+/// tree (children by id), the roots examined, and whether it stopped early.
+fn scalar_sweep_oracle(g: &Graph) -> Result<(RootedTree, u64, bool), GraphError> {
+    if g.n() == 0 {
+        return Err(GraphError::EmptyGraph);
+    }
+    let mut scratch = bfs(g, 0);
+    let floor = scratch.eccentricity().map_or(0, |e| e.div_ceil(2));
+    let mut best: Option<(u32, usize, Vec<u32>)> = None;
+    let mut sweeps = 0u64;
+    let mut early_exit = false;
+    for v in 0..g.n() {
+        bfs_into(g, v, &mut scratch);
+        sweeps += 1;
+        let ecc = scratch.eccentricity().ok_or(GraphError::Disconnected)?;
+        if best.as_ref().is_none_or(|b| ecc < b.0) {
+            best = Some((ecc, v, scratch.parent.clone()));
+            if ecc == floor {
+                early_exit = true;
+                break;
+            }
+        }
+    }
+    let (_, root, mut parent) = best.expect("n > 0");
+    parent[root] = NO_PARENT;
+    Ok((RootedTree::from_parents(root, &parent)?, sweeps, early_exit))
+}
+
+/// The production sweep against [`scalar_sweep_oracle`]: same tree under
+/// both child orders, same error, and the same sweep / early-exit counts
+/// with one `bfs_sweep_ns` sample per examined root.
+fn check_against_scalar_sweep(g: &Graph) -> Result<(), String> {
+    let rec = MetricsRecorder::new();
+    let got = min_depth_spanning_tree_recorded(g, ChildOrder::ById, &rec);
+    let n = g.n();
+    match scalar_sweep_oracle(g) {
+        Err(e) => {
+            if got != Err(e.clone()) {
+                return Err(format!("n = {n}: expected {e:?}, got {got:?}"));
+            }
+        }
+        Ok((tree, sweeps, early_exit)) => {
+            let got = got.map_err(|e| format!("n = {n}: unexpected {e:?}"))?;
+            if got != tree {
+                return Err(format!(
+                    "n = {n}: root {} vs oracle root {}",
+                    got.root(),
+                    tree.root()
+                ));
+            }
+            let samples = rec.snapshot()["histograms"]["spanning/bfs_sweep_ns"]["count"].as_u64();
+            let counts = (
+                rec.counter_value("spanning/sweeps"),
+                rec.counter_value("spanning/early_exit"),
+                samples.unwrap_or(0),
+            );
+            if counts != (sweeps, early_exit as u64, sweeps) {
+                return Err(format!(
+                    "n = {n}: (sweeps, early_exit, samples) {counts:?} vs oracle \
+                     ({sweeps}, {}, {sweeps})",
+                    early_exit as u64
+                ));
+            }
+            let by_size = min_depth_spanning_tree(g, ChildOrder::LargestSubtreeFirst).unwrap();
+            let oracle_by_size = bfs_tree(g, tree.root(), ChildOrder::LargestSubtreeFirst).unwrap();
+            if by_size != oracle_by_size {
+                return Err(format!("n = {n}: LargestSubtreeFirst trees differ"));
+            }
+        }
+    }
+    Ok(())
+}
+
+fn edges_graph(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Graph {
+    let mut b = GraphBuilder::new(n);
+    for (u, v) in edges {
+        b.add_edge_unchecked(u, v).unwrap();
+    }
+    b.build()
+}
+
+fn path(n: usize) -> Graph {
+    edges_graph(n, (1..n).map(|v| (v - 1, v)))
+}
+
+fn cycle(n: usize) -> Graph {
+    edges_graph(n, (0..n).map(|v| (v, (v + 1) % n)))
+}
+
+fn star(n: usize, center: usize) -> Graph {
+    edges_graph(n, (0..n).filter(|&v| v != center).map(|v| (center, v)))
+}
+
+fn complete(n: usize) -> Graph {
+    edges_graph(n, (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v))))
+}
+
+fn grid(rows: usize, cols: usize) -> Graph {
+    let right = (0..rows * cols)
+        .filter(move |v| v % cols + 1 < cols)
+        .map(|v| (v, v + 1));
+    let down = (0..(rows - 1) * cols).map(move |v| (v, v + cols));
+    edges_graph(rows * cols, right.chain(down))
+}
+
+/// Seeded connected G(n, p): a random recursive tree plus extra edges.
+fn random_connected(n: usize, p: f64, seed: u64) -> Graph {
+    let mut rng = TestRng::for_case(seed);
+    let mut b = GraphBuilder::new(n);
+    let mut tree_edge = vec![usize::MAX; n];
+    for (v, parent) in tree_edge.iter_mut().enumerate().skip(1) {
+        *parent = rng.below(0, v as u64) as usize;
+        b.add_edge_unchecked(*parent, v).unwrap();
+    }
+    for u in 0..n {
+        for (v, &parent) in tree_edge.iter().enumerate().skip(u + 1) {
+            if parent != u && rng.bernoulli(p) {
+                b.add_edge_unchecked(u, v).unwrap();
+            }
+        }
+    }
+    b.build()
+}
+
+#[test]
+fn spanning_tree_matches_scalar_sweep_on_batch_edges() {
+    // n on both sides of the 64-root batch boundary; path and star centers
+    // put the early exit mid-batch (path(65) at root 32, path(129) at root
+    // 64, star(129, 100) at root 100), cycles never exit early.
+    for n in [1usize, 2, 63, 64, 65, 128, 129] {
+        let mut graphs = vec![path(n), star(n, n / 2), star(n, n - 1), complete(n.min(40))];
+        if n >= 3 {
+            graphs.push(cycle(n));
+        }
+        if n >= 2 {
+            graphs.push(random_connected(n, 0.05, n as u64));
+        }
+        for g in graphs {
+            check_against_scalar_sweep(&g).unwrap();
+        }
+    }
+    for g in [
+        star(129, 100),
+        grid(5, 7),
+        grid(6, 6),
+        grid(9, 9),
+        grid(3, 50),
+        grid(12, 12),
+    ] {
+        check_against_scalar_sweep(&g).unwrap();
+    }
+}
+
+#[test]
+fn spanning_tree_matches_scalar_sweep_on_random_graphs() {
+    for (n, p, seed) in [
+        (70usize, 0.05, 1u64),
+        (130, 0.03, 2),
+        (200, 0.02, 3),
+        (257, 0.015, 4),
+        (300, 0.01, 5),
+        (150, 0.2, 6),
+    ] {
+        check_against_scalar_sweep(&random_connected(n, p, seed)).unwrap();
+    }
+}
+
+#[test]
+fn spanning_tree_errors_match_scalar_sweep() {
+    // Disconnected at both ends of a batch, and the empty graph.
+    for g in [
+        edges_graph(4, [(0, 1), (2, 3)]),
+        edges_graph(130, (1..129).map(|v| (v - 1, v))),
+        GraphBuilder::new(1).build(),
+        GraphBuilder::new(0).build(),
+    ] {
+        check_against_scalar_sweep(&g).unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -124,10 +309,11 @@ proptest! {
         let t = min_depth_spanning_tree(&g, ChildOrder::ById).unwrap();
         prop_assert_eq!(t.height(), m.radius);
         prop_assert!(t.is_spanning_tree_of(&g));
-        prop_assert_eq!(
-            min_depth_spanning_tree_parallel(&g, ChildOrder::ById).unwrap(),
-            t
-        );
+    }
+
+    #[test]
+    fn spanning_tree_matches_scalar_sweep_oracle(g in arb_graph(12)) {
+        check_against_scalar_sweep(&g)?;
     }
 
     #[test]

@@ -105,3 +105,64 @@ fn c8_capture_decodes_to_the_recorded_transmissions() {
     let records2: Vec<&FlightRecord> = again.records.iter().collect();
     assert_eq!(records, records2);
 }
+
+/// The C_8 capture: a header plus 56 transmissions, 7 round ends and the
+/// End record.
+fn c8_capture() -> Vec<u8> {
+    let g = ring();
+    let rec = FlightRecorder::new(header());
+    let mut sim = Simulator::new(&g, CommModel::Multicast, &identity_origins(N)).unwrap();
+    sim.run_recorded(&rotation_schedule(), &rec).unwrap();
+    rec.finish()
+}
+
+mod hostile_input {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes, with or without the magic, never panic the
+        /// decoder; without the magic they are always rejected.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            magic in proptest::bool::weighted(0.5),
+            bytes in proptest::collection::vec(0u8..=255, 0..256),
+        ) {
+            let mut input = if magic { b"GFR1".to_vec() } else { Vec::new() };
+            input.extend_from_slice(&bytes);
+            let decoded = FlightLog::decode(&input);
+            if !FlightLog::sniff(&input) {
+                prop_assert!(decoded.is_err());
+            }
+        }
+
+        /// Every strict prefix of a multi-record capture is an error.
+        #[test]
+        fn truncated_captures_are_rejected(cut in 0usize..1 << 16) {
+            let good = c8_capture();
+            let cut = cut % good.len();
+            prop_assert!(FlightLog::decode(&good[..cut]).is_err(), "prefix of {} bytes", cut);
+        }
+
+        /// Bit flips anywhere in a capture never panic. The format has no
+        /// checksum, so a flip inside a payload field may still decode;
+        /// what decodes must then re-encode to a capture that decodes to
+        /// the same records.
+        #[test]
+        fn bit_flipped_captures_never_panic(
+            flips in proptest::collection::vec((0usize..1 << 16, 0u8..8), 1..4),
+        ) {
+            let mut bytes = c8_capture();
+            let len = bytes.len();
+            for (at, bit) in flips {
+                bytes[at % len] ^= 1 << bit;
+            }
+            if let Ok(log) = FlightLog::decode(&bytes) {
+                let again = FlightLog::decode(&log.encode()).expect("re-encoded capture decodes");
+                prop_assert_eq!(again.records, log.records);
+            }
+        }
+    }
+}

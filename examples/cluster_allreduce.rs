@@ -26,9 +26,7 @@ fn main() {
 
     // Phase 1 (once per topology change): the O(mn) spanning-tree build.
     let t0 = Instant::now();
-    let planner = GossipPlanner::new(&g)
-        .expect("connected")
-        .parallel_tree_construction(true);
+    let planner = GossipPlanner::new(&g).expect("connected");
     let plan = planner.plan().expect("plan");
     let build_time = t0.elapsed();
 
