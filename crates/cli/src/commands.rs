@@ -559,6 +559,26 @@ fn flight_header(
     })
 }
 
+/// Replays `flat` through the bitset kernel with a [`FlightRecorder`]
+/// attached and writes the clean capture (engine label `kernel`) to
+/// `path` — `gossip plan --flight-out` without fault flags, on either
+/// planner.
+fn capture_clean_kernel(
+    path: &str,
+    g: &Graph,
+    model: CommModel,
+    radius: u32,
+    flat: &gossip_model::FlatSchedule,
+    origins: &[usize],
+    out: Out,
+) -> Result<(), String> {
+    let flight = FlightRecorder::new(flight_header("kernel", g, radius, flat, &None, origins)?);
+    gossip_model::SimKernel::with_origins(g, model, origins)
+        .and_then(|mut sim| sim.run_recorded(flat, &flight))
+        .map_err(|e| e.to_string())?;
+    write_flight(path, &flight, out)
+}
+
 /// Writes a finished flight capture to `path`.
 fn write_flight(path: &str, rec: &FlightRecorder, out: Out) -> Result<(), String> {
     let bytes = rec.finish();
@@ -1007,45 +1027,29 @@ pub fn plan(args: &Args) -> Result<(), String> {
         // clean capture of the same plan.
         let flat = gossip_model::FlatSchedule::from_schedule(&plan.schedule);
         let faults = parse_fault_plan(args, g.n())?;
-        let label = match (&faults, engine) {
-            (Some(_), _) => "lossy",
-            (None, Engine::Oracle) => "oracle",
-            (None, _) => "kernel",
-        };
-        let header = flight_header(
-            label,
-            &g,
-            plan.radius,
-            &flat,
-            &faults,
-            &plan.origin_of_message,
-        )?;
-        let flight = FlightRecorder::new(header);
+        let origins = &plan.origin_of_message;
         match &faults {
             Some(f) => {
-                let mut sim =
-                    gossip_model::SimKernel::with_origins(&g, model, &plan.origin_of_message)
-                        .map_err(|e| e.to_string())?;
+                let header = flight_header("lossy", &g, plan.radius, &flat, &faults, origins)?;
+                let flight = FlightRecorder::new(header);
+                let mut sim = gossip_model::SimKernel::with_origins(&g, model, origins)
+                    .map_err(|e| e.to_string())?;
                 let mut lost = Vec::new();
                 sim.run_lossy_recorded(&flat, f, &mut lost, &flight)
                     .map_err(|e| e.to_string())?;
+                write_flight(&path, &flight, out)?;
             }
             None if engine == Engine::Oracle => {
-                let mut sim =
-                    gossip_model::Simulator::with_origins(&g, model, &plan.origin_of_message)
-                        .map_err(|e| e.to_string())?;
+                let header = flight_header("oracle", &g, plan.radius, &flat, &None, origins)?;
+                let flight = FlightRecorder::new(header);
+                let mut sim = gossip_model::Simulator::with_origins(&g, model, origins)
+                    .map_err(|e| e.to_string())?;
                 sim.run_recorded(&plan.schedule, &flight)
                     .map_err(|e| e.to_string())?;
+                write_flight(&path, &flight, out)?;
             }
-            None => {
-                let mut sim =
-                    gossip_model::SimKernel::with_origins(&g, model, &plan.origin_of_message)
-                        .map_err(|e| e.to_string())?;
-                sim.run_recorded(&flat, &flight)
-                    .map_err(|e| e.to_string())?;
-            }
+            None => capture_clean_kernel(&path, &g, model, plan.radius, &flat, origins, out)?,
         }
-        write_flight(&path, &flight, out)?;
     }
     if let Some(path) = args.options.get("out") {
         let artifact = PlanArtifact {
@@ -1103,16 +1107,16 @@ pub fn plan(args: &Args) -> Result<(), String> {
 /// `gossip plan --planner fast`: the CSR-direct pipeline end to end —
 /// pruned bitset tree sweep, flat label arena, straight-into-CSR
 /// generation — verified by structural validation plus a bitset-kernel
-/// replay. Options that need the reference `Schedule` representation
-/// (trace export, plan artifacts, fault injection, the oracle engine) are
-/// rejected; use `--planner both` to combine them with a fast cross-check.
+/// replay, and captured by `--flight-out` as a clean kernel run. Options
+/// that need the reference `Schedule` representation (trace export, plan
+/// artifacts, fault injection, the oracle engine) are rejected; use
+/// `--planner both` to combine them with a fast cross-check.
 fn plan_fast_only(args: &Args, g: &Graph) -> Result<(), String> {
     const NEEDS_REFERENCE: &[&str] = &[
         "engine",
         "trace-out",
         "wall",
         "out",
-        "flight-out",
         "loss-rate",
         "crash",
         "outage",
@@ -1126,6 +1130,7 @@ fn plan_fast_only(args: &Args, g: &Graph) -> Result<(), String> {
             "--{k} needs the reference schedule; use --planner reference or both"
         ));
     }
+    let flight_out = flight_out_path(args)?;
     let metrics = open_metrics(args)?;
     let out = Out::for_metrics(&metrics);
     let mut planner = GossipPlanner::new(g).map_err(|e| e.to_string())?;
@@ -1199,6 +1204,17 @@ fn plan_fast_only(args: &Args, g: &Graph) -> Result<(), String> {
         out,
         "timings: plan + flatten + validate {plan_ms:.2} ms, kernel replay {kernel_ms:.2} ms"
     );
+    if let Some(path) = flight_out {
+        capture_clean_kernel(
+            &path,
+            g,
+            CommModel::Multicast,
+            plan.radius,
+            &plan.schedule,
+            &plan.origin_of_message,
+            out,
+        )?;
+    }
     if let Some(m) = &metrics {
         write_metrics(m)?;
     }

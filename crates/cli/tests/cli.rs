@@ -736,6 +736,74 @@ fn plan_flight_out_inspect_and_diff_workflow() {
 }
 
 #[test]
+fn fast_planner_flight_capture_is_a_clean_kernel_run() {
+    let dir = temp_dir("flight-fast");
+    let fast = dir.join("fast.gfr");
+    let reference = dir.join("reference.gfr");
+    let (fast, reference) = (fast.to_str().unwrap(), reference.to_str().unwrap());
+    let (ok, stdout, stderr) = gossip(&[
+        "plan",
+        "--graph",
+        "petersen",
+        "--planner",
+        "fast",
+        "--flight-out",
+        fast,
+    ]);
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stdout.contains("wrote flight record"), "{stdout}");
+
+    let log = gossip_telemetry::FlightLog::decode(&std::fs::read(fast).unwrap()).unwrap();
+    assert_eq!(log.header.engine, "kernel");
+    assert_eq!(log.dropped, 0);
+    let plan = gossip_core::GossipPlanner::new(&gossip_workloads::petersen())
+        .unwrap()
+        .plan_fast()
+        .unwrap();
+    assert_eq!(log.header.schedule_digest, plan.schedule.digest());
+    assert_eq!(log.txs().len(), plan.schedule.tx_count());
+    let (ok, stdout, _) = gossip(&["inspect", fast]);
+    assert!(ok, "{stdout}");
+    assert!(stdout.contains("anomalies: none"), "{stdout}");
+
+    // Where both planners pick the same tree, the fast capture is the
+    // reference path's clean kernel capture, byte for byte.
+    for (planner, path) in [("fast", fast), ("reference", reference)] {
+        let (ok, stdout, _) = gossip(&[
+            "plan",
+            "--graph",
+            "gnp:200,0.05",
+            "--seed",
+            "3",
+            "--planner",
+            planner,
+            "--flight-out",
+            path,
+        ]);
+        assert!(ok, "{stdout}");
+    }
+    assert_eq!(
+        std::fs::read(fast).unwrap(),
+        std::fs::read(reference).unwrap()
+    );
+
+    // Fault flags still need the reference schedule.
+    let (ok, _, stderr) = gossip(&[
+        "plan",
+        "--graph",
+        "petersen",
+        "--planner",
+        "fast",
+        "--loss-rate",
+        "0.1",
+        "--flight-out",
+        fast,
+    ]);
+    assert!(!ok);
+    assert!(stderr.contains("needs the reference schedule"), "{stderr}");
+}
+
+#[test]
 fn stats_classifies_flight_artifacts() {
     let dir = temp_dir("flight-stats");
     let run = dir.join("run.gfr");

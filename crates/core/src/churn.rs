@@ -822,9 +822,7 @@ impl<'a> ChurnExecutor<'a> {
             if enabled {
                 rec.event("round_start", &[("round", Value::from_u64(t as u64))]);
                 if wants_tx {
-                    for i in flat.round_range(r) {
-                        rec.transmission(t, flat.msg_of(i), flat.from_of(i), flat.dests_of(i));
-                    }
+                    rec.transmissions(t, flat.round_batch(r));
                 }
             }
             let lost_before = lost_log.len();

@@ -461,11 +461,16 @@ pub(crate) fn walk<F: FnMut(u32, u32, u32, bool, Down)>(fl: &FlatLabels, on_tx: 
 /// Byte-identical to `FlatSchedule::from_schedule(&concurrent_updown(tree))`
 /// on the same tree, in O(output) time and O(output + n·height) memory.
 ///
+/// The emit pass fills contiguous round ranges of the CSR on the rayon
+/// workers ([`FlatSchedule::from_round_fill`]); a schedule below one
+/// [`GRAIN`](gossip_model::GRAIN) of deliveries stays on the calling thread.
+///
 /// # Panics
 ///
 /// Panics when the schedule exceeds `u32` CSR offsets (more than
 /// `u32::MAX - 1` transmissions or deliveries — gossiping delivers exactly
-/// `n(n-1)` messages, so this caps at n = 65536).
+/// `n(n-1)` messages, so this caps at n = 65536), or when the walk finds
+/// an overlay conflict, on whichever worker meets it.
 pub fn concurrent_updown_flat_on(fl: &FlatLabels, recorder: &dyn Recorder) -> FlatSchedule {
     let _span = recorder.span("concurrent_updown_flat");
     let _phase = gossip_telemetry::profile::phase("generate_csr");
@@ -492,14 +497,9 @@ pub fn concurrent_updown_flat_on(fl: &FlatLabels, recorder: &dyn Recorder) -> Fl
     {
         let _count = gossip_telemetry::profile::phase("count_pass");
         walk(fl, &mut |label, t, _msg, to_parent, down| {
-            let nc = fl.children(label).len() as u32;
-            let child_dc = match down {
-                Down::No => 0,
-                Down::All => nc,
-                Down::Except(_) => nc - 1,
-            };
+            let child_dc = child_dests(fl, label, down);
             tx_per_round[t as usize] += 1;
-            deliv_per_round[t as usize] += to_parent as u32 + child_dc;
+            deliv_per_round[t as usize] += to_parent as u32 + child_dc as u32;
             if to_parent && child_dc > 0 {
                 merged_multicasts += 1;
             }
@@ -507,85 +507,78 @@ pub fn concurrent_updown_flat_on(fl: &FlatLabels, recorder: &dyn Recorder) -> Fl
         });
     }
     let rounds = max_t as usize + 1;
-    let tx_total: u64 = tx_per_round[..rounds].iter().map(|&c| c as u64).sum();
-    let deliv_total: u64 = deliv_per_round[..rounds].iter().map(|&c| c as u64).sum();
-    assert!(
-        tx_total < u32::MAX as u64 && deliv_total < u32::MAX as u64,
-        "schedule too large to flatten: {tx_total} transmissions / {deliv_total} \
-         deliveries overflow u32 CSR offsets"
-    );
 
-    // Prefix sums -> round offsets plus per-round write cursors.
-    let mut round_offsets = Vec::with_capacity(rounds + 1);
-    let mut tx_cursor: Vec<usize> = Vec::with_capacity(rounds);
-    let mut dest_cursor: Vec<usize> = Vec::with_capacity(rounds);
-    let mut tx_acc = 0u64;
-    let mut dv_acc = 0u64;
-    round_offsets.push(0u32);
-    for t in 0..rounds {
-        tx_cursor.push(tx_acc as usize);
-        dest_cursor.push(dv_acc as usize);
-        tx_acc += tx_per_round[t] as u64;
-        dv_acc += deliv_per_round[t] as u64;
-        round_offsets.push(tx_acc as u32);
-    }
-
-    // Pass 2: emit straight into the final CSR slots. The walk visits labels
-    // ascending and a vertex sends at most once per round, so the per-round
-    // cursors reproduce the reference flatten's within-round order exactly.
-    let mut tx_msg = vec![0u32; tx_total as usize];
-    let mut tx_from = vec![0u32; tx_total as usize];
-    let mut dest_offsets = vec![0u32; tx_total as usize + 1];
-    let mut dests = vec![0u32; deliv_total as usize];
-    {
+    // Pass 2: emit straight into the final CSR slots, one contiguous round
+    // range per worker. Every worker walks all labels and writes only the
+    // events of its own rounds, at per-round cursors. The walk visits
+    // labels ascending and a vertex sends at most once per round, so each
+    // round's transmissions land in ascending sender label — the
+    // reference flatten's order — however the rounds are cut.
+    let schedule = {
         let _emit = gossip_telemetry::profile::phase("emit_pass");
-        walk(fl, &mut |label, t, msg, to_parent, down| {
-            let t = t as usize;
-            let idx = tx_cursor[t];
-            tx_cursor[t] = idx + 1;
-            tx_msg[idx] = msg;
-            tx_from[idx] = fl.vertex(label);
-            let dc_start = dest_cursor[t];
-            let mut dc = dc_start;
-            if to_parent {
-                dests[dc] = fl.vertex(fl.parent(label));
-                dc += 1;
-            }
-            match down {
-                Down::No => {}
-                Down::All => {
-                    for &c in fl.children(label) {
-                        dests[dc] = fl.vertex(c);
-                        dc += 1;
+        FlatSchedule::from_round_fill(
+            n,
+            &tx_per_round[..rounds],
+            &deliv_per_round[..rounds],
+            |fill| {
+                let mine = fill.rounds();
+                walk(fl, &mut |label, t, msg, to_parent, down| {
+                    let t = t as usize;
+                    if !mine.contains(&t) {
+                        return;
                     }
-                }
-                Down::Except(skip) => {
-                    for &c in fl.children(label) {
-                        if c != skip {
-                            dests[dc] = fl.vertex(c);
-                            dc += 1;
+                    let ndests = usize::from(to_parent) + child_dests(fl, label, down);
+                    let slot = fill.push(t, msg, fl.vertex(label), ndests);
+                    let mut dc = 0;
+                    if to_parent {
+                        slot[0] = fl.vertex(fl.parent(label));
+                        dc = 1;
+                    }
+                    match down {
+                        Down::No => {}
+                        Down::All => {
+                            for &c in fl.children(label) {
+                                slot[dc] = fl.vertex(c);
+                                dc += 1;
+                            }
+                        }
+                        Down::Except(skip) => {
+                            for &c in fl.children(label) {
+                                if c != skip {
+                                    slot[dc] = fl.vertex(c);
+                                    dc += 1;
+                                }
+                            }
                         }
                     }
-                }
-            }
-            // `Transmission::new` normalizes destination sets to ascending
-            // vertex id (the kernel binary-searches them); match it here.
-            dests[dc_start..dc].sort_unstable();
-            dest_cursor[t] = dc;
-            dest_offsets[idx + 1] = dc as u32;
-        });
-    }
-    debug_assert_eq!(tx_cursor.last().copied(), Some(tx_total as usize));
-    debug_assert_eq!(dest_cursor.last().copied(), Some(deliv_total as usize));
+                    // `Transmission::new` normalizes destination sets to
+                    // ascending vertex id (the kernel binary-searches
+                    // them); match it here.
+                    slot.sort_unstable();
+                });
+            },
+        )
+    };
 
-    gossip_telemetry::profile::count("transmissions", tx_total);
+    gossip_telemetry::profile::count("transmissions", schedule.tx_count() as u64);
     if recorder.enabled() {
-        recorder.counter("generate/transmissions", tx_total);
-        recorder.counter("generate/deliveries", deliv_total);
+        recorder.counter("generate/transmissions", schedule.tx_count() as u64);
+        recorder.counter("generate/deliveries", schedule.deliveries() as u64);
         recorder.counter("generate/merged_multicasts", merged_multicasts);
         recorder.gauge("generate/makespan", rounds as f64);
     }
-    FlatSchedule::from_raw_parts(n, round_offsets, tx_msg, tx_from, dest_offsets, dests)
+    schedule
+}
+
+/// Child destinations of a `down` event at `label`.
+#[inline]
+fn child_dests(fl: &FlatLabels, label: u32, down: Down) -> usize {
+    let nc = fl.children(label).len();
+    match down {
+        Down::No => 0,
+        Down::All => nc,
+        Down::Except(_) => nc - 1,
+    }
 }
 
 /// Builds the ConcurrentUpDown schedule for `tree` directly in

@@ -19,16 +19,127 @@
 //! hold-set one (rule 4, execution-state dependent, enforced by the kernel
 //! during replay), so each round is checked on its own core with
 //! word-parallel sender/receiver dedup bitmaps.
+//!
+//! [`FlatSchedule::from_round_fill`] is the matching assembly for
+//! generators that know each transmission's round before they write it:
+//! disjoint round ranges own disjoint slices of the five arrays, so the
+//! ranges are filled on separate workers.
 
 use crate::error::ModelError;
 use crate::models::CommModel;
 use crate::schedule::{Schedule, ScheduleStats};
 use gossip_graph::Graph;
+use gossip_telemetry::TxBatch;
 use rayon::prelude::*;
+use std::ops::Range;
 
 #[inline]
 fn id32(v: usize) -> u32 {
     v.min(u32::MAX as usize) as u32
+}
+
+/// Deliveries per round range of [`FlatSchedule::from_round_fill`]: a
+/// schedule gets at most one range per `GRAIN` deliveries, so one smaller
+/// than this fills on the calling thread without spawning a worker.
+pub const GRAIN: usize = 1 << 18;
+
+/// The cut [`FlatSchedule::from_round_fill`] makes: rounds
+/// `0..tx_per_round.len()` in contiguous, non-empty ranges of about equal
+/// transmissions + deliveries — at most `threads`, at most one per
+/// [`GRAIN`] deliveries, at most one per round, and at least one (`0..0`
+/// when there are no rounds).
+pub fn round_ranges(
+    tx_per_round: &[u32],
+    deliv_per_round: &[u32],
+    threads: usize,
+) -> Vec<Range<usize>> {
+    assert_eq!(
+        tx_per_round.len(),
+        deliv_per_round.len(),
+        "one transmission and one delivery count per round"
+    );
+    let rounds = tx_per_round.len();
+    let deliveries: u64 = deliv_per_round.iter().map(|&d| u64::from(d)).sum();
+    let parts = threads
+        .min((deliveries / GRAIN as u64) as usize)
+        .min(rounds)
+        .max(1);
+    let weight = |t: usize| u64::from(tx_per_round[t]) + u64::from(deliv_per_round[t]);
+    let total: u64 = (0..rounds).map(weight).sum();
+    let mut ranges = Vec::with_capacity(parts);
+    let (mut start, mut acc) = (0, 0u64);
+    for k in 1..parts {
+        let target = total * k as u64 / parts as u64;
+        // Leave at least one round for each range still to come.
+        let max_end = rounds - (parts - k);
+        let mut end = start;
+        loop {
+            acc += weight(end);
+            end += 1;
+            if end >= max_end || acc >= target {
+                break;
+            }
+        }
+        ranges.push(start..end);
+        start = end;
+    }
+    ranges.push(start..rounds);
+    ranges
+}
+
+/// Splits the first `len` elements off `rest`.
+fn split_front<'a>(rest: &mut &'a mut [u32], len: usize) -> &'a mut [u32] {
+    let (front, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    front
+}
+
+/// One worker's share of a [`FlatSchedule::from_round_fill`]: a contiguous
+/// range of rounds and the slices of the CSR arrays they occupy, with a
+/// write cursor per round.
+pub struct RoundFill<'a> {
+    rounds: Range<usize>,
+    /// Next transmission slot of each round, relative to the range.
+    tx_cursor: Vec<usize>,
+    /// Next destination slot of each round, relative to the range.
+    dest_cursor: Vec<usize>,
+    /// Absolute index of the range's first destination.
+    dest_base: usize,
+    tx_msg: &'a mut [u32],
+    tx_from: &'a mut [u32],
+    /// `dest_offsets[i + 1]` of the range's transmissions `i`.
+    dest_ends: &'a mut [u32],
+    dests: &'a mut [u32],
+}
+
+impl RoundFill<'_> {
+    /// The rounds this share owns; [`RoundFill::push`] takes no others.
+    pub fn rounds(&self) -> Range<usize> {
+        self.rounds.clone()
+    }
+
+    /// Appends a transmission of `msg` by `from` to round `t` and returns
+    /// its `ndests` destination slots for the caller to fill. Within a
+    /// round, transmissions keep the order they are pushed in.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `t` lies outside [`RoundFill::rounds`] or the share
+    /// runs out of slots; [`FlatSchedule::from_round_fill`] also panics
+    /// when a round ends up with other counts than it was sized for.
+    #[inline]
+    pub fn push(&mut self, t: usize, msg: u32, from: u32, ndests: usize) -> &mut [u32] {
+        let k = t.wrapping_sub(self.rounds.start);
+        let i = self.tx_cursor[k];
+        self.tx_cursor[k] = i + 1;
+        self.tx_msg[i] = msg;
+        self.tx_from[i] = from;
+        let d0 = self.dest_cursor[k];
+        let d1 = d0 + ndests;
+        self.dest_cursor[k] = d1;
+        self.dest_ends[i] = (self.dest_base + d1) as u32;
+        &mut self.dests[d0..d1]
+    }
 }
 
 /// A [`Schedule`] flattened into round-major CSR arrays.
@@ -179,6 +290,118 @@ impl FlatSchedule {
         out
     }
 
+    /// Assembles a `FlatSchedule` whose rounds are written by `fill`, from
+    /// the exact transmission and delivery count of every round. The five
+    /// arrays are allocated once, rounds `0..tx_per_round.len()` are cut
+    /// into contiguous ranges of about equal transmissions + deliveries
+    /// (at most [`rayon::current_num_threads`], at most one per [`GRAIN`]
+    /// deliveries), and `fill` runs once per range, each on its own
+    /// worker, writing through a [`RoundFill`] that owns the range's
+    /// slices. With one range it runs on the calling thread.
+    ///
+    /// The result depends only on what `fill` pushes into each round, so
+    /// a `fill` that pushes every round's transmissions in a fixed order
+    /// gives the same bytes for every thread count and every cut.
+    /// `max_fanout` and `busiest_round` are derived as in
+    /// [`FlatSchedule::from_raw_parts`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the counts overflow `u32` CSR offsets, when `fill`
+    /// panics (a worker's panic reaches the caller with its message), or
+    /// when `fill` leaves any round with other counts than given.
+    pub fn from_round_fill<F>(
+        n: usize,
+        tx_per_round: &[u32],
+        deliv_per_round: &[u32],
+        fill: F,
+    ) -> FlatSchedule
+    where
+        F: Fn(&mut RoundFill<'_>) + Sync,
+    {
+        let ranges = round_ranges(tx_per_round, deliv_per_round, rayon::current_num_threads());
+        FlatSchedule::fill_ranges(n, tx_per_round, deliv_per_round, ranges, fill)
+    }
+
+    /// [`FlatSchedule::from_round_fill`] over a given cut.
+    fn fill_ranges<F>(
+        n: usize,
+        tx_per_round: &[u32],
+        deliv_per_round: &[u32],
+        ranges: Vec<Range<usize>>,
+        fill: F,
+    ) -> FlatSchedule
+    where
+        F: Fn(&mut RoundFill<'_>) + Sync,
+    {
+        let rounds = tx_per_round.len();
+        let mut round_offsets = Vec::with_capacity(rounds + 1);
+        let mut dest_starts = Vec::with_capacity(rounds + 1);
+        let (mut tx_total, mut deliv_total) = (0u64, 0u64);
+        round_offsets.push(0u32);
+        dest_starts.push(0usize);
+        for t in 0..rounds {
+            tx_total += u64::from(tx_per_round[t]);
+            deliv_total += u64::from(deliv_per_round[t]);
+            round_offsets.push(tx_total as u32);
+            dest_starts.push(deliv_total as usize);
+        }
+        assert!(
+            tx_total < u64::from(u32::MAX) && deliv_total < u64::from(u32::MAX),
+            "schedule too large to flatten: {tx_total} transmissions / {deliv_total} \
+             deliveries overflow u32 CSR offsets"
+        );
+        let mut tx_msg = vec![0u32; tx_total as usize];
+        let mut tx_from = vec![0u32; tx_total as usize];
+        let mut dest_offsets = vec![0u32; tx_total as usize + 1];
+        let mut dests = vec![0u32; deliv_total as usize];
+
+        let mut shares = Vec::with_capacity(ranges.len());
+        let (mut msg_rest, mut from_rest) = (&mut tx_msg[..], &mut tx_from[..]);
+        let (mut ends_rest, mut dests_rest) = (&mut dest_offsets[1..], &mut dests[..]);
+        for range in ranges {
+            let (tx0, d0) = (
+                round_offsets[range.start] as usize,
+                dest_starts[range.start],
+            );
+            let txs = round_offsets[range.end] as usize - tx0;
+            let dvs = dest_starts[range.end] - d0;
+            shares.push(RoundFill {
+                tx_cursor: range
+                    .clone()
+                    .map(|t| round_offsets[t] as usize - tx0)
+                    .collect(),
+                dest_cursor: range.clone().map(|t| dest_starts[t] - d0).collect(),
+                rounds: range,
+                dest_base: d0,
+                tx_msg: split_front(&mut msg_rest, txs),
+                tx_from: split_front(&mut from_rest, txs),
+                dest_ends: split_front(&mut ends_rest, txs),
+                dests: split_front(&mut dests_rest, dvs),
+            });
+        }
+        let run = |mut share: RoundFill<'_>| {
+            fill(&mut share);
+            let (tx0, d0) = (
+                round_offsets[share.rounds.start] as usize,
+                dest_starts[share.rounds.start],
+            );
+            for (k, t) in share.rounds.clone().enumerate() {
+                assert!(
+                    share.tx_cursor[k] == round_offsets[t + 1] as usize - tx0
+                        && share.dest_cursor[k] == dest_starts[t + 1] - d0,
+                    "round {t} was not filled to its counts"
+                );
+            }
+        };
+        if shares.len() == 1 {
+            run(shares.pop().expect("one share"));
+        } else {
+            shares.into_par_iter().map(run).collect::<Vec<()>>();
+        }
+        FlatSchedule::from_raw_parts(n, round_offsets, tx_msg, tx_from, dest_offsets, dests)
+    }
+
     /// Number of processors the source schedule was built for.
     #[inline]
     pub fn n(&self) -> usize {
@@ -226,6 +449,20 @@ impl FlatSchedule {
     #[inline]
     pub fn dests_of(&self, i: usize) -> &[u32] {
         &self.dests[self.dest_offsets[i] as usize..self.dest_offsets[i + 1] as usize]
+    }
+
+    /// Round `t` as a recorder batch: its slices of the CSR arrays, with
+    /// the destination offsets left absolute.
+    #[inline]
+    pub fn round_batch(&self, t: usize) -> TxBatch<'_> {
+        let txs = self.round_range(t);
+        let dest_offsets = &self.dest_offsets[txs.start..=txs.end];
+        TxBatch::new(
+            &self.tx_msg[txs.clone()],
+            &self.tx_from[txs],
+            dest_offsets,
+            &self.dests[dest_offsets[0] as usize..dest_offsets[dest_offsets.len() - 1] as usize],
+        )
     }
 
     /// A stable fingerprint of the flattened schedule — the CSR arrays
@@ -813,6 +1050,144 @@ mod tests {
                 flat.validate(&g, model, n),
                 oracle_validate(&flat, &g, model, n)
             );
+        }
+    }
+
+    /// Per-round transmission and delivery counts of `flat`.
+    fn round_counts(flat: &FlatSchedule) -> (Vec<u32>, Vec<u32>) {
+        (0..flat.rounds())
+            .map(|t| {
+                let batch = flat.round_batch(t);
+                (batch.len() as u32, batch.deliveries() as u32)
+            })
+            .unzip()
+    }
+
+    /// Refills `flat` through `fill_ranges` over `ranges`, pushing every
+    /// round's transmissions in order.
+    fn refill(flat: &FlatSchedule, ranges: &[Range<usize>]) -> FlatSchedule {
+        let (tx, dv) = round_counts(flat);
+        FlatSchedule::fill_ranges(flat.n, &tx, &dv, ranges.to_vec(), |fill| {
+            for t in fill.rounds() {
+                for i in flat.round_range(t) {
+                    let dests = flat.dests_of(i);
+                    fill.push(t, flat.msg_of(i), flat.from_of(i), dests.len())
+                        .copy_from_slice(dests);
+                }
+            }
+        })
+    }
+
+    fn assert_valid_cut(ranges: &[Range<usize>], rounds: usize, threads: usize, deliveries: u64) {
+        assert!(!ranges.is_empty());
+        assert!(
+            ranges.len() <= threads.max(1),
+            "{ranges:?} > {threads} threads"
+        );
+        assert!(
+            ranges.len() as u64 <= (deliveries / GRAIN as u64).max(1),
+            "{ranges:?}: more than one range per GRAIN of {deliveries} deliveries"
+        );
+        assert_eq!(ranges[0].start, 0);
+        assert_eq!(ranges[ranges.len() - 1].end, rounds);
+        for w in ranges.windows(2) {
+            assert_eq!(w[0].end, w[1].start, "{ranges:?} not contiguous");
+        }
+        if rounds > 0 {
+            assert!(ranges.iter().all(|r| !r.is_empty()), "{ranges:?}");
+        }
+    }
+
+    #[test]
+    fn round_ranges_cut_is_contiguous_capped_and_nonempty() {
+        let big = GRAIN as u32;
+        // (tx per round, deliveries per round): uniform, skewed, sparse
+        // with empty rounds, and below one GRAIN.
+        let cases: Vec<(Vec<u32>, Vec<u32>)> = vec![
+            (vec![100; 40], vec![big / 4; 40]),
+            (
+                (0..50).map(|t| t * 3).collect(),
+                (0..50).map(|t| t * big / 20).collect(),
+            ),
+            (
+                (0..30).map(|t| if t % 3 == 0 { 0 } else { 9 }).collect(),
+                (0..30).map(|t| if t % 3 == 0 { 0 } else { big }).collect(),
+            ),
+            (vec![5; 10], vec![1000; 10]),
+            (vec![], vec![]),
+        ];
+        for (tx, dv) in &cases {
+            let deliveries: u64 = dv.iter().map(|&d| u64::from(d)).sum();
+            for threads in [1usize, 2, 3, 7, 64] {
+                let ranges = round_ranges(tx, dv, threads);
+                assert_valid_cut(&ranges, tx.len(), threads, deliveries);
+            }
+        }
+        // More threads than rounds: one range per round at most.
+        let ranges = round_ranges(&[1, 1, 1], &[big, big, big], 16);
+        assert_eq!(ranges, vec![0..1, 1..2, 2..3]);
+        // Below one GRAIN: a single range whatever the thread count.
+        assert_eq!(round_ranges(&[5; 10], &[1000; 10], 8), vec![0..10]);
+        // Balanced by weight: a heavy first half gets the shorter range.
+        let mut dv = vec![big; 10];
+        dv.extend(vec![big / 8; 10]);
+        let ranges = round_ranges(&[1; 20], &dv, 2);
+        assert_eq!(ranges.len(), 2);
+        assert!(ranges[0].len() < ranges[1].len(), "{ranges:?}");
+    }
+
+    #[test]
+    fn round_fill_is_byte_identical_for_every_cut() {
+        for (n, seed) in [(12usize, 1u64), (24, 2), (40, 3)] {
+            let (_, flat, _) = random_case(n, 40, seed);
+            let rounds = flat.rounds();
+            let one = refill(&flat, std::slice::from_ref(&(0..rounds)));
+            assert_eq!(one, flat);
+            assert_eq!(one.digest(), flat.digest());
+            assert_eq!(one.stats(), flat.stats());
+            let per_round: Vec<Range<usize>> = (0..rounds).map(|t| t..t + 1).collect();
+            assert_eq!(refill(&flat, &per_round), flat);
+            if rounds >= 2 {
+                assert_eq!(refill(&flat, &[0..1, 1..rounds]), flat);
+            }
+        }
+        let empty = FlatSchedule::from_schedule(&Schedule::new(3));
+        assert_eq!(refill(&empty, std::slice::from_ref(&(0..0))), empty);
+    }
+
+    #[test]
+    #[should_panic(expected = "was not filled to its counts")]
+    fn round_fill_rejects_an_underfilled_round() {
+        FlatSchedule::fill_ranges(2, &[1, 1], &[1, 1], vec![0..1, 1..2], |fill| {
+            if fill.rounds().start == 0 {
+                fill.push(0, 0, 0, 1)[0] = 1;
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "conflict in round 1")]
+    fn round_fill_worker_panic_keeps_its_message() {
+        FlatSchedule::fill_ranges(2, &[1, 1], &[1, 1], vec![0..1, 1..2], |fill| {
+            let t = fill.rounds().start;
+            assert!(t == 0, "conflict in round {t}");
+            fill.push(t, 0, 0, 1)[0] = 1;
+        });
+    }
+
+    #[test]
+    fn round_batch_slices_one_round() {
+        let flat = FlatSchedule::from_schedule(&ring_schedule(5));
+        for t in 0..flat.rounds() {
+            let batch = flat.round_batch(t);
+            let txs = flat.round_range(t);
+            assert_eq!(batch.len(), txs.len());
+            assert_eq!(batch.msgs(), &flat.tx_msg[txs.clone()]);
+            assert_eq!(batch.senders(), &flat.tx_from[txs.clone()]);
+            for (k, i) in txs.enumerate() {
+                assert_eq!(batch.dests_of(k), flat.dests_of(i));
+            }
+            assert_eq!(batch.deliveries(), 5);
         }
     }
 

@@ -450,8 +450,8 @@ impl<'g> SimKernel<'g> {
     /// `round_end` event pair, `exec/deliveries` counters, and the
     /// knowledge-curve gauges `round_current` / `known_pairs`. Recorders
     /// that opt into `wants_transmissions` (the flight recorder) also get
-    /// every transmission as it executes. With a disabled recorder this is
-    /// exactly [`SimKernel::run`].
+    /// each round's transmissions as one batch before it executes. With a
+    /// disabled recorder this is exactly [`SimKernel::run`].
     pub fn run_recorded(
         &mut self,
         flat: &FlatSchedule,
@@ -476,17 +476,16 @@ impl<'g> SimKernel<'g> {
         let rounds = flat.rounds();
         for r in 0..rounds {
             let t = self.time;
+            let batch = flat.round_batch(r);
             recorder.event("round_start", &[("round", Value::from_u64(t as u64))]);
             if wants_tx {
-                for i in flat.round_range(r) {
-                    recorder.transmission(t, flat.msg_of(i), flat.from_of(i), flat.dests_of(i));
-                }
+                recorder.transmissions(t, batch);
             }
             self.step_inner(flat, r, true)?;
             if completion_time.is_none() && self.gossip_complete() {
                 completion_time = Some(self.time);
             }
-            let delivered: usize = flat.round_range(r).map(|i| flat.dests_of(i).len()).sum();
+            let delivered = batch.deliveries();
             recorder.counter("exec/deliveries", delivered as u64);
             recorder.gauge("round_current", self.time as f64);
             recorder.gauge("known_pairs", self.known_pairs as f64);
@@ -686,8 +685,8 @@ impl<'g> SimKernel<'g> {
     /// `exec/losses` / per-cause `exec/lost/<cause>` counters, and the
     /// knowledge-curve gauges `round_current` / `known_pairs`. Recorders
     /// that opt into `wants_transmissions` (the flight recorder) also get
-    /// every attempted transmission. With a disabled recorder this is
-    /// exactly [`SimKernel::run_lossy`].
+    /// each round's attempted transmissions as one batch. With a disabled
+    /// recorder this is exactly [`SimKernel::run_lossy`].
     pub fn run_lossy_recorded(
         &mut self,
         flat: &FlatSchedule,
@@ -716,9 +715,7 @@ impl<'g> SimKernel<'g> {
                 // Every *attempt* is captured, including transmissions whose
                 // deliveries are all suppressed — the matching `loss` events
                 // record which ones, so replay is txs minus losses.
-                for i in flat.round_range(r) {
-                    recorder.transmission(t, flat.msg_of(i), flat.from_of(i), flat.dests_of(i));
-                }
+                recorder.transmissions(t, flat.round_batch(r));
             }
             let lost_before = lost.len();
             let d = self.step_round_lossy(flat, r, plan, lost)?;

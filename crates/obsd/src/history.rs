@@ -776,7 +776,7 @@ mod tests {
     #[test]
     fn ingests_flight_records_by_magic_and_skips_unknown_bytes() {
         use gossip_telemetry::flight::FlightHeader;
-        use gossip_telemetry::{FlightRecorder, Recorder, Value};
+        use gossip_telemetry::{FlightRecorder, Recorder, RecorderExt, Value};
 
         let rec = FlightRecorder::new(FlightHeader {
             n: 2,

@@ -13,7 +13,7 @@
 //! run ends immediately instead of tacking one useless delay onto every
 //! paced execution.
 
-use gossip_telemetry::{Recorder, Value};
+use gossip_telemetry::{Recorder, TxBatch, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -76,8 +76,8 @@ impl Recorder for Paced<'_> {
         self.inner.wants_transmissions()
     }
 
-    fn transmission(&self, round: usize, msg: u32, from: u32, dests: &[u32]) {
-        self.inner.transmission(round, msg, from, dests);
+    fn transmissions(&self, round: usize, batch: TxBatch<'_>) {
+        self.inner.transmissions(round, batch);
     }
 }
 
@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn forwards_transmissions_to_the_inner_recorder() {
         use gossip_telemetry::flight::FlightHeader;
-        use gossip_telemetry::FlightRecorder;
+        use gossip_telemetry::{FlightRecorder, RecorderExt};
 
         let flight = FlightRecorder::new(FlightHeader {
             n: 2,

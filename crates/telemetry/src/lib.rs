@@ -99,7 +99,7 @@ pub trait Recorder: Send + Sync {
     /// Called by [`SpanGuard`]; not usually called directly.
     fn span_observe(&self, path: &str, nanos: u64);
 
-    /// Whether this recorder wants [`Recorder::transmission`] calls.
+    /// Whether this recorder wants [`Recorder::transmissions`] calls.
     /// Per-transmission capture is too hot for the metrics plane, so
     /// executors check this once per run and skip the emission entirely
     /// for recorders (the default) that don't opt in; the flight recorder
@@ -108,10 +108,110 @@ pub trait Recorder: Send + Sync {
         false
     }
 
-    /// Records one attempted multicast: message `msg` sent by `from` to
-    /// `dests` at absolute round `round`. Only called when
-    /// [`Recorder::wants_transmissions`] is `true`; the default drops it.
-    fn transmission(&self, _round: usize, _msg: u32, _from: u32, _dests: &[u32]) {}
+    /// Records the attempted multicasts of absolute round `round`, in
+    /// execution order. Executors replaying a flat schedule hand over a
+    /// whole round per call, straight from its CSR arrays; one-off senders
+    /// wrap a single multicast with [`RecorderExt::transmission`].
+    /// Only called when [`Recorder::wants_transmissions`] is `true`; the
+    /// default drops the batch.
+    fn transmissions(&self, _round: usize, _batch: TxBatch<'_>) {}
+}
+
+/// Multicasts of one round in CSR form: entry `i` sends message `msgs[i]`
+/// from `senders[i]` to `dest_offsets[i]..dest_offsets[i + 1]` of the
+/// destination arena whose first element is `dests[0]`. The offsets may
+/// start anywhere (a round of a flat schedule keeps its absolute
+/// offsets); only their differences index `dests`.
+#[derive(Debug, Clone, Copy)]
+pub struct TxBatch<'a> {
+    msgs: &'a [u32],
+    senders: &'a [u32],
+    dest_offsets: &'a [u32],
+    dests: &'a [u32],
+}
+
+impl<'a> TxBatch<'a> {
+    /// A batch over the four CSR arrays.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the arrays disagree in shape: `senders` must match
+    /// `msgs` in length, `dest_offsets` must hold one more entry, and its
+    /// last offset must lie `dests.len()` past its first.
+    pub fn new(
+        msgs: &'a [u32],
+        senders: &'a [u32],
+        dest_offsets: &'a [u32],
+        dests: &'a [u32],
+    ) -> TxBatch<'a> {
+        assert_eq!(msgs.len(), senders.len(), "one sender per message");
+        assert_eq!(
+            dest_offsets.len(),
+            msgs.len() + 1,
+            "one destination range per multicast"
+        );
+        assert_eq!(
+            (dest_offsets[msgs.len()] - dest_offsets[0]) as usize,
+            dests.len(),
+            "destination offsets must span the destination arena"
+        );
+        TxBatch {
+            msgs,
+            senders,
+            dest_offsets,
+            dests,
+        }
+    }
+
+    /// Number of multicasts.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.msgs.len()
+    }
+
+    /// Whether the round sent nothing.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.msgs.is_empty()
+    }
+
+    /// Message ids, one per multicast.
+    #[inline]
+    pub fn msgs(&self) -> &'a [u32] {
+        self.msgs
+    }
+
+    /// Senders, one per multicast.
+    #[inline]
+    pub fn senders(&self) -> &'a [u32] {
+        self.senders
+    }
+
+    /// Every destination of the round, multicast by multicast.
+    #[inline]
+    pub fn dests(&self) -> &'a [u32] {
+        self.dests
+    }
+
+    /// The destinations of multicast `i`.
+    #[inline]
+    pub fn dests_of(&self, i: usize) -> &'a [u32] {
+        let base = self.dest_offsets[0];
+        &self.dests
+            [(self.dest_offsets[i] - base) as usize..(self.dest_offsets[i + 1] - base) as usize]
+    }
+
+    /// The number of destinations of each multicast, in order.
+    #[inline]
+    pub fn fanouts(&self) -> impl Iterator<Item = u32> + 'a {
+        self.dest_offsets.windows(2).map(|w| w[1] - w[0])
+    }
+
+    /// Total destinations over the round: its delivery attempts.
+    #[inline]
+    pub fn deliveries(&self) -> usize {
+        self.dests.len()
+    }
 }
 
 thread_local! {
@@ -124,11 +224,30 @@ pub trait RecorderExt {
     /// Opens a named span; the returned guard records its duration under
     /// the `/`-joined path of all open spans on this thread when dropped.
     fn span(&self, name: &str) -> SpanGuard<'_>;
+
+    /// Records one attempted multicast (message `msg` from `from` to
+    /// `dests` at absolute round `round`) as a one-entry
+    /// [`Recorder::transmissions`] batch, for senders that do not hold a
+    /// whole round at once.
+    fn transmission(&self, round: usize, msg: u32, from: u32, dests: &[u32]);
 }
 
 impl<R: Recorder + AsDynRecorder + ?Sized> RecorderExt for R {
     fn span(&self, name: &str) -> SpanGuard<'_> {
         SpanGuard::enter(self.as_dyn(), name)
+    }
+
+    fn transmission(&self, round: usize, msg: u32, from: u32, dests: &[u32]) {
+        let offsets = [0, dests.len() as u32];
+        self.transmissions(
+            round,
+            TxBatch::new(
+                std::slice::from_ref(&msg),
+                std::slice::from_ref(&from),
+                &offsets,
+                dests,
+            ),
+        );
     }
 }
 

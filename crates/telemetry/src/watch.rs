@@ -32,7 +32,7 @@
 //! [`RuleSet::from_value`]); a rule file *replaces* the default set, so a
 //! stall-only file keeps every other judgement out of deterministic runs.
 
-use crate::{check_schema_version, Recorder, Value, SCHEMA_VERSION};
+use crate::{check_schema_version, Recorder, TxBatch, Value, SCHEMA_VERSION};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -928,8 +928,8 @@ impl Recorder for AlertEngine<'_> {
         self.inner.wants_transmissions()
     }
 
-    fn transmission(&self, round: usize, msg: u32, from: u32, dests: &[u32]) {
-        self.inner.transmission(round, msg, from, dests);
+    fn transmissions(&self, round: usize, batch: TxBatch<'_>) {
+        self.inner.transmissions(round, batch);
     }
 }
 
