@@ -353,8 +353,8 @@ impl<'g> Simulator<'g> {
     /// final `sim/completion_time` / `sim/coverage` gauges, all under one
     /// `simulate` span. Recorders that opt into
     /// [`Recorder::wants_transmissions`] (the flight recorder) also get
-    /// every transmission, before that round's event. With a disabled
-    /// recorder this is exactly [`Simulator::run`].
+    /// every transmission as a one-entry batch, before that round's
+    /// event. With a disabled recorder this is exactly [`Simulator::run`].
     pub fn run_recorded(
         &mut self,
         schedule: &Schedule,
