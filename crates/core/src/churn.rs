@@ -500,10 +500,13 @@ impl<'a> ChurnExecutor<'a> {
 
         let n = self.g.n();
         let mut maintainer = Some(TreeMaintainer::new(self.g.clone())?);
-        let plan0 = maintainer.as_ref().expect("just built").plan().clone();
+        let plan0 = maintainer.as_ref().expect("just built").plan();
         let origins = plan0.origin_of_message.clone();
+        let mut pending = plan0.schedule.clone();
+        let mut root = plan0.tree.root();
         let n_msgs = origins.len();
-        let baseline_rounds = plan0.schedule.makespan();
+        let baseline_rounds = pending.makespan();
+        pending.trim();
 
         let mut graph = self.g.clone();
         let mut present = vec![true; n];
@@ -511,12 +514,9 @@ impl<'a> ChurnExecutor<'a> {
         for (m, &p) in origins.iter().enumerate() {
             holds[p].insert(m);
         }
-        let mut pending = plan0.schedule.clone();
-        pending.trim();
         let mut transcript = Schedule::new(n);
         let mut lost_log: Vec<LostDelivery> = Vec::new();
         let mut time = 0usize;
-        let mut root = plan0.tree.root();
 
         // Group the normalized (flap-expanded, round-sorted) events into
         // per-round batches, applied atomically between rounds.
@@ -609,7 +609,7 @@ impl<'a> ChurnExecutor<'a> {
                 for round in pending.rounds.iter_mut().skip(time) {
                     round.transmissions.clear();
                 }
-                pending.merge(&scratch_plan.schedule.shifted(time, 0));
+                pending.merge_at(time, scratch_plan.schedule);
                 full_replans += 1;
                 if !present.iter().all(|&p| p) {
                     root = present.iter().position(|&p| p).unwrap_or(root);
@@ -632,7 +632,7 @@ impl<'a> ChurnExecutor<'a> {
                 let tail = completion.schedule.stats().deliveries;
                 if tail > 0 {
                     let start = pending.makespan().max(time);
-                    pending.merge(&completion.schedule.shifted(start, 0));
+                    pending.merge_at(start, completion.schedule);
                 }
                 incremental_repairs += 1;
                 (RepairDecision::Incremental, tail)
@@ -698,7 +698,7 @@ impl<'a> ChurnExecutor<'a> {
                     round.transmissions.clear();
                 }
                 fallback_entries = remapped.stats().deliveries;
-                pending.merge(&remapped.shifted(time, 0));
+                pending.merge_at(time, remapped);
                 self.recorder
                     .counter("churn/replanned", fallback_entries as u64);
                 bound_fallback = true;
@@ -731,7 +731,7 @@ impl<'a> ChurnExecutor<'a> {
                 break;
             }
             retransmissions += completion.schedule.stats().deliveries;
-            pending.merge(&completion.schedule.shifted(time, 0));
+            pending.merge_at(time, completion.schedule);
             let end = pending.makespan().max(time);
             time = self.advance(
                 &graph,
@@ -862,11 +862,12 @@ impl<'a> ChurnExecutor<'a> {
             }
         }
         *holds = sim.hold_bitsets();
-        for r in from..exec_end {
-            for tx in pending.rounds[r].transmissions.drain(..) {
-                transcript.add_transmission(r, tx);
-            }
-        }
+        let mut executed = Schedule::new(pending.n);
+        executed.rounds = pending.rounds[from..exec_end]
+            .iter_mut()
+            .map(std::mem::take)
+            .collect();
+        transcript.merge_at(from, executed);
         Ok(to)
     }
 

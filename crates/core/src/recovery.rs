@@ -23,8 +23,8 @@
 
 use gossip_graph::Graph;
 use gossip_model::{
-    BitSet, CommModel, FaultPlan, FlatSchedule, LossyOutcome, LostDelivery, ModelError, Schedule,
-    SimKernel, Transmission,
+    missing_pairs, BitSet, CommModel, CommRound, FaultPlan, FlatSchedule, LossyOutcome,
+    LostDelivery, ModelError, Schedule, SimKernel, Transmission,
 };
 use gossip_telemetry::{ChromeTrace, NoopRecorder, Recorder, RecorderExt, Value};
 
@@ -51,82 +51,119 @@ pub struct ResidualPlan {
 /// their missing pairs are not planned for). Each round, every unused
 /// surviving holder picks the held message that reaches the most surviving
 /// not-yet-receiving neighbours still missing it — sender-centric multicast
-/// maximization. Rounds are emitted until no transmission can make
-/// progress; whatever is still missing then is abandoned.
+/// maximization, ties going to the smallest message id. Rounds are emitted
+/// until no transmission can make progress; whatever is still missing then
+/// is abandoned.
+///
+/// A sender's choice is counted from what its free neighbours miss: each
+/// free neighbour `d` adds one to every message of `holds(v) & !holds(d)`,
+/// so a round costs word operations per (sender, free neighbour) pair plus
+/// one step per missing pair it counts, however many messages are held.
+///
+/// # Panics
+///
+/// Panics if `holds` or `alive` has a length other than `g.n()`, or if the
+/// hold sets differ in capacity.
 pub fn plan_completion(g: &Graph, holds: &[BitSet], alive: &[bool]) -> ResidualPlan {
     let n = g.n();
     assert_eq!(holds.len(), n, "hold sets for a different processor count");
     assert_eq!(alive.len(), n, "alive mask for a different processor count");
     let n_msgs = holds.first().map_or(0, BitSet::capacity);
-    let mut work: Vec<BitSet> = holds.to_vec();
-    let missing_pairs = |work: &[BitSet]| -> Vec<(u32, usize)> {
-        let mut out = Vec::new();
-        for (v, h) in work.iter().enumerate() {
-            if !alive[v] {
-                continue;
-            }
-            for m in 0..n_msgs {
-                if !h.contains(m) {
-                    out.push((m as u32, v));
-                }
-            }
-        }
-        out
-    };
-    let initially_missing = missing_pairs(&work);
+    assert!(
+        holds.iter().all(|h| h.capacity() == n_msgs),
+        "hold sets have mixed capacities"
+    );
+    // Processor-major hold words: row v is `holds[v].words()`, whose bits
+    // at or above `n_msgs` are zero, so row differences need no tail mask.
+    let words = n_msgs.div_ceil(64);
+    let mut arena: Vec<u64> = holds.iter().flat_map(BitSet::words).copied().collect();
+    let initially_missing = missing_pairs(&arena, n_msgs, alive);
 
     let mut schedule = Schedule::new(n);
-    let mut recv_used = vec![false; n];
-    let mut t = 0usize;
+    let mut free = vec![false; n];
+    // count[m]: free neighbours of the current sender that miss held m.
+    let mut count = vec![0u32; n_msgs];
+    let mut touched: Vec<usize> = Vec::new();
+    let mut free_nbrs: Vec<usize> = Vec::new();
     loop {
         let mut round_txs: Vec<Transmission> = Vec::new();
-        recv_used.iter_mut().for_each(|r| *r = false);
-        for v in 0..n {
-            if !alive[v] {
+        free.copy_from_slice(alive);
+        for v in (0..n).filter(|&v| alive[v]) {
+            let held = &arena[v * words..(v + 1) * words];
+            free_nbrs.clear();
+            free_nbrs.extend(g.neighbors(v).filter(|&d| free[d]));
+            for &d in &free_nbrs {
+                let theirs = &arena[d * words..(d + 1) * words];
+                for (w, (&a, &b)) in held.iter().zip(theirs).enumerate() {
+                    let mut bits = a & !b;
+                    while bits != 0 {
+                        let m = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        if count[m] == 0 {
+                            touched.push(m);
+                        }
+                        count[m] += 1;
+                    }
+                }
+            }
+            let Some(m) = touched
+                .iter()
+                .copied()
+                .max_by_key(|&m| (count[m], std::cmp::Reverse(m)))
+            else {
                 continue;
+            };
+            touched.drain(..).for_each(|t| count[t] = 0);
+            let (w, bit) = (m / 64, 1u64 << (m % 64));
+            let dests: Vec<usize> = free_nbrs
+                .iter()
+                .copied()
+                .filter(|&d| arena[d * words + w] & bit == 0)
+                .collect();
+            for &d in &dests {
+                free[d] = false;
             }
-            // The best multicast v can make: the held message reaching the
-            // most surviving, still-free neighbours that miss it.
-            let mut best: Option<(usize, Vec<usize>)> = None;
-            for m in work[v].iter() {
-                let dests: Vec<usize> = g
-                    .neighbors(v)
-                    .filter(|&d| alive[d] && !recv_used[d] && !work[d].contains(m))
-                    .collect();
-                if !dests.is_empty() && best.as_ref().is_none_or(|(_, b)| dests.len() > b.len()) {
-                    best = Some((m, dests));
-                }
-            }
-            if let Some((m, dests)) = best {
-                for &d in &dests {
-                    recv_used[d] = true;
-                }
-                round_txs.push(Transmission::new(m as u32, v, dests));
-            }
+            round_txs.push(Transmission::new(m as u32, v, dests));
         }
         if round_txs.is_empty() {
             break;
         }
         // Commit the round: deliveries land before the next round plans.
         for tx in &round_txs {
+            let (w, bit) = (tx.msg as usize / 64, 1u64 << (tx.msg % 64));
             for &d in &tx.to {
-                work[d].insert(tx.msg as usize);
+                arena[d * words + w] |= bit;
             }
-            schedule.add_transmission(t, tx.clone());
         }
-        t += 1;
+        schedule
+            .rounds
+            .push(CommRound::from_transmissions(round_txs));
     }
 
-    let abandoned = missing_pairs(&work);
-    let covered = initially_missing
-        .into_iter()
-        .filter(|p| !abandoned.contains(p))
-        .collect();
+    let abandoned = missing_pairs(&arena, n_msgs, alive);
+    let covered = without_sorted(initially_missing, &abandoned);
     ResidualPlan {
         schedule,
         covered,
         abandoned,
     }
+}
+
+/// `pairs` without the pairs in `remove`, by one ordered merge walk: both
+/// lists are vertex-major with messages ascending, the order
+/// [`missing_pairs`] and [`SimKernel::residual`] produce.
+fn without_sorted(pairs: Vec<(u32, usize)>, remove: &[(u32, usize)]) -> Vec<(u32, usize)> {
+    let key = |&(m, v): &(u32, usize)| (v, m);
+    let mut next = 0;
+    pairs
+        .into_iter()
+        .filter(|p| {
+            while next < remove.len() && key(&remove[next]) < key(p) {
+                next += 1;
+            }
+            remove.get(next) != Some(p)
+        })
+        .collect()
 }
 
 /// What one epoch of execution (the base run, or one repair pass) did.
@@ -400,13 +437,14 @@ impl<'a> ResilientExecutor<'a> {
         let mut retransmissions = 0usize;
         let mut unrecoverable: Vec<(u32, usize)> = Vec::new();
 
-        let base_out = {
+        let (base_attempted, base_out) = {
             let _e = self.recorder.span("epoch");
             self.epoch_start(0, 0);
             let flat = FlatSchedule::from_schedule(self.schedule);
-            sim.run_lossy_recorded(&flat, self.plan, &mut lost_log, self.recorder)?
+            let out = sim.run_lossy_recorded(&flat, self.plan, &mut lost_log, self.recorder)?;
+            (flat.deliveries(), out)
         };
-        self.record_epoch(&mut epochs, 0, 0, self.schedule, &base_out, &sim);
+        self.record_epoch(&mut epochs, 0, 0, base_attempted, &base_out, &sim);
 
         for epoch in 1..=self.max_epochs {
             if sim.residual_count(self.plan) == 0 {
@@ -421,23 +459,19 @@ impl<'a> ResilientExecutor<'a> {
                 break;
             }
             let start = sim.time();
-            let out = {
+            let (attempted, out) = {
                 let _e = self.recorder.span("epoch");
                 self.epoch_start(epoch, start);
                 let flat = FlatSchedule::from_schedule(&completion.schedule);
-                sim.run_lossy_recorded(&flat, self.plan, &mut lost_log, self.recorder)?
+                let out = sim.run_lossy_recorded(&flat, self.plan, &mut lost_log, self.recorder)?;
+                (flat.deliveries(), out)
             };
-            retransmissions += completion.schedule.stats().deliveries;
-            transcript.merge(&completion.schedule.shifted(start, 0));
-            self.record_epoch(&mut epochs, epoch, start, &completion.schedule, &out, &sim);
+            retransmissions += attempted;
+            transcript.merge_at(start, completion.schedule);
+            self.record_epoch(&mut epochs, epoch, start, attempted, &out, &sim);
         }
 
-        let final_residual = sim.residual(self.plan);
-        let unresolved: Vec<(u32, usize)> = final_residual
-            .iter()
-            .filter(|p| !unrecoverable.contains(p))
-            .copied()
-            .collect();
+        let unresolved = without_sorted(sim.residual(self.plan), &unrecoverable);
         let survivors = self
             .plan
             .alive_at(self.g.n(), sim.time())
@@ -486,12 +520,11 @@ impl<'a> ResilientExecutor<'a> {
         epochs: &mut Vec<EpochReport>,
         epoch: usize,
         start_round: usize,
-        schedule: &Schedule,
+        attempted: usize,
         out: &LossyOutcome,
         sim: &SimKernel<'_>,
     ) {
         let residual_after = sim.residual_count(self.plan);
-        let attempted = schedule.stats().deliveries;
         self.recorder.counter("recovery/lost", out.lost as u64);
         self.recorder.counter("recovery/epochs", 1);
         if epoch > 0 {

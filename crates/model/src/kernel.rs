@@ -762,28 +762,7 @@ impl<'g> SimKernel<'g> {
     /// processor-major transpose instead of a per-pair probe.
     pub fn residual(&self, plan: &FaultPlan) -> Vec<(u32, usize)> {
         let alive = plan.alive_at(self.n, self.time);
-        let msg_words = self.n_msgs.div_ceil(64);
-        let tail = self.n_msgs % 64;
-        let by_proc = self.processor_major();
-        let mut out = Vec::new();
-        for (v, &v_alive) in alive.iter().enumerate() {
-            if !v_alive {
-                continue;
-            }
-            let row = &by_proc[v * msg_words..(v + 1) * msg_words];
-            for (wi, &word) in row.iter().enumerate() {
-                let mut missing = !word;
-                if tail != 0 && wi == msg_words - 1 {
-                    missing &= (1u64 << tail) - 1;
-                }
-                while missing != 0 {
-                    let m = wi * 64 + missing.trailing_zeros() as usize;
-                    missing &= missing - 1;
-                    out.push((m as u32, v));
-                }
-            }
-        }
-        out
+        missing_pairs(&self.processor_major(), self.n_msgs, &alive)
     }
 
     /// Number of missing (message, vertex) pairs among alive processors —
@@ -804,6 +783,32 @@ impl<'g> SimKernel<'g> {
             .sum();
         alive_count * self.n_msgs - held
     }
+}
+
+/// The (message, processor) pairs missing at the `alive` processors of a
+/// processor-major hold arena (`alive.len()` rows of `ceil(n_msgs / 64)`
+/// words, bit `m` of row `v` set iff `v` holds `m`, bits at or above
+/// `n_msgs` ignored), vertex-major with messages ascending — the order of
+/// [`SimKernel::residual`].
+pub fn missing_pairs(by_proc: &[u64], n_msgs: usize, alive: &[bool]) -> Vec<(u32, usize)> {
+    let msg_words = n_msgs.div_ceil(64);
+    let tail = n_msgs % 64;
+    let mut out = Vec::new();
+    for v in (0..alive.len()).filter(|&v| alive[v]) {
+        let row = &by_proc[v * msg_words..(v + 1) * msg_words];
+        for (wi, &word) in row.iter().enumerate() {
+            let mut missing = !word;
+            if tail != 0 && wi == msg_words - 1 {
+                missing &= (1u64 << tail) - 1;
+            }
+            while missing != 0 {
+                let m = wi * 64 + missing.trailing_zeros() as usize;
+                missing &= missing - 1;
+                out.push((m as u32, v));
+            }
+        }
+    }
+    out
 }
 
 /// Sets bit `i` of `words`; returns 1 if it was newly set, else 0.

@@ -101,6 +101,29 @@ impl Schedule {
         }
     }
 
+    /// Overlays `other` onto this schedule with its rounds moved `offset`
+    /// rounds later, taking its transmissions by move. Equal to
+    /// `self.merge(&other.shifted(offset, 0))`, round list length
+    /// included, without either copy.
+    pub fn merge_at(&mut self, offset: usize, other: Schedule) {
+        assert_eq!(self.n, other.n, "schedules for different processor counts");
+        for (t, round) in other.rounds.into_iter().enumerate() {
+            if round.is_empty() {
+                continue;
+            }
+            let t = t + offset;
+            if self.rounds.len() <= t {
+                self.rounds.resize_with(t + 1, CommRound::new);
+            }
+            let txs = &mut self.rounds[t].transmissions;
+            if txs.is_empty() {
+                *txs = round.transmissions;
+            } else {
+                txs.extend(round.transmissions);
+            }
+        }
+    }
+
     /// Sorts each round's transmissions by sender id, giving schedules a
     /// canonical form so that independently generated schedules (e.g. the
     /// offline algorithm vs. the online distributed executor) can be
@@ -207,6 +230,42 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.rounds[0].transmissions.len(), 2);
         assert_eq!(a.makespan(), 4);
+    }
+
+    #[test]
+    fn merge_at_equals_merge_of_shifted() {
+        // Base: rounds 0 and 2 busy, round 1 empty, two trailing empties.
+        let mut base = Schedule::new(6);
+        base.add_transmission(0, Transmission::new(0, 0, vec![1, 2]));
+        base.add_transmission(2, Transmission::unicast(3, 3, 4));
+        base.rounds.resize_with(5, CommRound::new);
+        // Other: a leading empty, a busy round, an empty middle, a round
+        // with two transmissions, and a trailing empty.
+        let mut other = Schedule::new(6);
+        other.add_transmission(1, Transmission::unicast(1, 1, 0));
+        other.add_transmission(3, Transmission::new(4, 4, vec![3, 5]));
+        other.add_transmission(3, Transmission::unicast(2, 2, 1));
+        other.rounds.resize_with(5, CommRound::new);
+        let mut blank = Schedule::new(6);
+        blank.rounds.resize_with(3, CommRound::new);
+        for left in [Schedule::new(6), base] {
+            for right in [other.clone(), blank.clone(), Schedule::new(6)] {
+                for offset in [0, 1, 2, 4, 9] {
+                    let mut want = left.clone();
+                    want.merge(&right.shifted(offset, 0));
+                    let mut got = left.clone();
+                    got.merge_at(offset, right.clone());
+                    assert_eq!(got, want, "offset {offset}");
+                    assert_eq!(got.rounds.len(), want.rounds.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different processor counts")]
+    fn merge_at_rejects_mismatched_sizes() {
+        Schedule::new(3).merge_at(0, Schedule::new(4));
     }
 
     #[test]
