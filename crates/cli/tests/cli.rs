@@ -42,27 +42,6 @@ fn plan_reports_guarantee() {
 }
 
 #[test]
-fn plan_engine_oracle_and_both() {
-    let (ok, stdout, _) = gossip(&[
-        "plan", "--family", "ring", "--n", "10", "--engine", "oracle",
-    ]);
-    assert!(ok, "{stdout}");
-    assert!(stdout.contains("verified (oracle simulator): complete"));
-
-    let (ok, stdout, _) = gossip(&["plan", "--family", "ring", "--n", "10", "--engine", "both"]);
-    assert!(ok, "{stdout}");
-    assert!(stdout.contains("verified (oracle + kernel, outcomes identical): complete"));
-    assert!(stdout.contains("engine timings:"));
-}
-
-#[test]
-fn plan_rejects_unknown_engine() {
-    let (ok, _, stderr) = gossip(&["plan", "--family", "ring", "--n", "8", "--engine", "warp"]);
-    assert!(!ok);
-    assert!(stderr.contains("--engine must be oracle, kernel, or both"));
-}
-
-#[test]
 fn plan_rejects_unknown_algorithm() {
     let (ok, _, stderr) = gossip(&[
         "plan",
@@ -1113,5 +1092,230 @@ fn inspect_and_diff_read_flight_records_from_stdin() {
     let (ok, _, stderr) = gossip_stdin_bytes(&["diff", "-", "-"], &bytes);
     assert!(!ok);
     assert!(stderr.contains("stdin"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Like [`gossip`] but run with `dir` as the working directory.
+fn gossip_in(dir: &std::path::Path, args: &[&str]) -> (bool, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_gossip"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("binary runs");
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// Byte length and FNV-1a digest of an artifact `gossip_in` wrote.
+fn artifact(dir: &std::path::Path, name: &str) -> (usize, u64) {
+    let bytes = std::fs::read(dir.join(name)).unwrap();
+    let mut d = gossip_telemetry::flight::Digest::new();
+    d.write_bytes(&bytes);
+    (bytes.len(), d.finish())
+}
+
+/// Every sink of a run at once, pinned to the bytes they held before
+/// the recorder stacks moved behind one builder.
+#[test]
+fn recover_with_every_sink_matches_goldens() {
+    let dir = temp_dir("golden-recover");
+    let (ok, stdout, stderr) = gossip_in(
+        &dir,
+        &[
+            "recover",
+            "--graph",
+            "petersen",
+            "--loss-rate",
+            "0.2",
+            "--crash",
+            "9@3",
+            "--fault-seed",
+            "5",
+            "--out",
+            "R",
+            "--trace-out",
+            "T",
+            "--flight-out",
+            "F",
+            "--metrics",
+            "M",
+            "--alerts",
+            "--alerts-out",
+            "A",
+        ],
+    );
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    assert_eq!(artifact(&dir, "F"), (1508, 0x1c7d_a8c0_ce23_1c5a));
+    assert_eq!(artifact(&dir, "R").1, 0x3e48_300a_937f_e7a1);
+    assert_eq!(artifact(&dir, "A").1, 0x30f9_9ddf_035e_a3ea);
+    let metrics = std::fs::read_to_string(dir.join("M")).unwrap();
+    assert!(
+        metrics.contains("\"alerts/bound/critical\": 1,"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("\"alerts/loss_spike/warn\": 1,"),
+        "{metrics}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn churn_with_every_sink_matches_goldens() {
+    let dir = temp_dir("golden-churn");
+    let (ok, stdout, stderr) = gossip_in(
+        &dir,
+        &[
+            "churn",
+            "--graph",
+            "fig4",
+            "--churn-rate",
+            "0.2",
+            "--churn-seed",
+            "3",
+            "--flight-out",
+            "F",
+            "--metrics",
+            "M",
+            "--alerts",
+            "--alerts-out",
+            "A",
+            "--out",
+            "C",
+            "--churn-out",
+            "P",
+        ],
+    );
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    assert_eq!(artifact(&dir, "F"), (1244, 0x7357_f9fc_6bbf_eb52));
+    assert_eq!(artifact(&dir, "C").1, 0x2a23_f595_6036_3602);
+    assert_eq!(artifact(&dir, "A").1, 0xa4a1_af15_4618_fb69);
+    assert_eq!(artifact(&dir, "P").1, 0x95a9_f70d_222c_7023);
+    let metrics = std::fs::read_to_string(dir.join("M")).unwrap();
+    assert!(
+        metrics.contains("\"alerts/bound/critical\": 1,"),
+        "{metrics}"
+    );
+
+    // Replaying the saved plan fingerprints it in the header's fault slot.
+    let (ok, stdout, stderr) = gossip_in(
+        &dir,
+        &[
+            "churn",
+            "--graph",
+            "fig4",
+            "--churn-plan",
+            "P",
+            "--flight-out",
+            "F2",
+        ],
+    );
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    assert_eq!(artifact(&dir, "F2"), (1224, 0x5204_865a_b6d1_4644));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn serve_with_flight_and_alerts_matches_goldens() {
+    let dir = temp_dir("golden-serve");
+    let (ok, stdout, stderr) = gossip_in(
+        &dir,
+        &[
+            "serve",
+            "--graph",
+            "fig4",
+            "--loss-rate",
+            "0.1",
+            "--fault-seed",
+            "1",
+            "--listen",
+            "127.0.0.1:0",
+            "--flight-out",
+            "F",
+            "--alerts",
+            "--alerts-out",
+            "A",
+        ],
+    );
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    assert_eq!(artifact(&dir, "F"), (2740, 0x9a7b_96ab_c755_f543));
+    assert_eq!(artifact(&dir, "A").1, 0x48a0_3841_7bdd_8207);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn plan_lossy_alerts_and_capture_match_goldens() {
+    let dir = temp_dir("golden-plan");
+    let (ok, stdout, stderr) = gossip_in(
+        &dir,
+        &[
+            "plan",
+            "--graph",
+            "fig4",
+            "--loss-rate",
+            "0.3",
+            "--fault-seed",
+            "1",
+            "--alerts",
+            "--alerts-out",
+            "A",
+            "--flight-out",
+            "F",
+            "--metrics",
+            "M",
+        ],
+    );
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    assert_eq!(artifact(&dir, "F"), (1988, 0xeb37_9a77_4e7f_2a38));
+    assert_eq!(artifact(&dir, "A").1, 0xa486_38e8_01f1_a82d);
+    // The alert pass records into the watchdog alone, not the metrics.
+    let metrics = std::fs::read_to_string(dir.join("M")).unwrap();
+    assert!(!metrics.contains("\"alerts/"), "{metrics}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn value_less_out_is_rejected_before_any_write() {
+    let dir = temp_dir("out-true");
+    for args in [
+        &["plan", "--family", "ring", "--n", "6", "--out"][..],
+        &["generate", "--family", "ring", "--n", "6", "--out"],
+        &["dash", ".", "--out"],
+    ] {
+        let (ok, _, stderr) = gossip_in(&dir, args);
+        assert!(!ok, "{args:?} must exit nonzero");
+        assert!(stderr.contains("--out requires a file path"), "{stderr}");
+        assert!(!dir.join("true").exists(), "{args:?} wrote ./true");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fast_planner_honours_alert_flags() {
+    let dir = temp_dir("fast-alerts");
+    let (ok, stdout, stderr) = gossip_in(
+        &dir,
+        &[
+            "plan",
+            "--graph",
+            "gnp:300,0.05",
+            "--seed",
+            "3",
+            "--planner",
+            "fast",
+            "--alerts",
+            "--alerts-out",
+            "A",
+            "--alerts-fatal",
+        ],
+    );
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stdout.contains("alerts: none fired"), "{stdout}");
+    let text = std::fs::read_to_string(dir.join("A")).unwrap();
+    assert!(text.contains("\"kind\": \"alerts\""), "{text}");
+    assert!(text.contains("\"alerts\": []"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
