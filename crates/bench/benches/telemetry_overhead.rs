@@ -3,17 +3,19 @@
 //! measured on a 1024-vertex torus. Results (criterion display plus our own
 //! wall-clock means) land in `BENCH_telemetry_overhead.json`.
 //!
-//! Four configurations per stage:
-//! - `raw`: the un-instrumented code path (`Simulator::run`);
-//! - `noop`: the recorded path with [`NoopRecorder`] — this is what every
-//!   default caller pays, and what the <5% guard bounds;
-//! - `metrics`: the recorded path with a live [`MetricsRecorder`] (no
+//! The `simulate` stage replays one flat schedule through the bitset
+//! kernel, in five configurations:
+//! - `raw`: the un-instrumented code path (`SimKernel::run`);
+//! - `noop`: the probed path (`SimKernel::run_probed`) with
+//!   [`NoopRecorder`] — this is what every default caller pays, and what
+//!   the <5% guard bounds;
+//! - `metrics`: the probed path with a live [`MetricsRecorder`] (no
 //!   sink), the full-observability cost for context;
-//! - `live`: the recorded path with a [`LiveRegistry`] (no event tap) —
+//! - `live`: the probed path with a [`LiveRegistry`] (no event tap) —
 //!   what `gossip serve` pays while scrapeable; also guarded at <5%;
-//! - `flight`: the recorded path with a [`FlightRecorder`] capturing every
-//!   transmission into the in-memory `.gfr` ring — what `--flight-out`
-//!   pays.
+//! - `flight`: the recorded path (`SimKernel::run_recorded`) with a
+//!   [`FlightRecorder`] capturing every round's transmissions into the
+//!   in-memory `.gfr` ring — what `--flight-out` pays.
 //!
 //! The threaded online executor gets its own noop/live/flight/alerts
 //! quadruple: its cost is barrier-dominated wall clock, so the recorders —
@@ -21,12 +23,11 @@
 //! `gossip serve --alerts` pays (`alerts_guard_ok`) — must disappear into
 //! the noise there. That quadruple carries the <5% flight guard: the
 //! wall-clock executors are where `--flight-out` attaches in `gossip
-//! serve`/`recover`. On the dense oracle microbench the capture is O(every
-//! transmission) against a simulator whose own per-transmission work is a
-//! handful of nanoseconds, so its ratio (reported as
-//! `simulate_flight_overhead_pct`, ~1x) is a statement about the
-//! simulator's speed, not about recording cost — it is context, not a
-//! guard.
+//! serve`/`recover`. On the dense kernel microbench the capture is O(every
+//! transmission) against a replay whose own per-transmission work is a
+//! handful of word-ORs, so its ratio (reported as
+//! `simulate_flight_overhead_pct`) is a statement about the kernel's
+//! speed, not about recording cost — it is context, not a guard.
 //!
 //! The planner phase profiler gets a `plan/noop` vs `plan/profiled` pair
 //! (full construction pipeline, guards inert vs a [`Profiler`] installed)
@@ -39,7 +40,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gossip_bench::report::{obj, write_bench_json};
 use gossip_core::{concurrent_updown_recorded, run_online_threaded_recorded, tree_origins};
 use gossip_graph::{min_depth_spanning_tree, ChildOrder};
-use gossip_model::{CommModel, FlatSchedule, Simulator};
+use gossip_model::{CommModel, FlatSchedule, SimKernel};
 use gossip_telemetry::flight::FlightHeader;
 use gossip_telemetry::profile::Profiler;
 use gossip_telemetry::{
@@ -81,37 +82,30 @@ fn bench_overhead(c: &mut Criterion) {
     let tree = min_depth_spanning_tree(&g, ChildOrder::ById).unwrap();
     let schedule = concurrent_updown_recorded(&tree, &NoopRecorder);
     let origins = tree_origins(&tree);
+    let flat = FlatSchedule::from_schedule(&schedule);
+    let kernel = || SimKernel::with_origins(&g, CommModel::Multicast, &origins).unwrap();
     let metrics = MetricsRecorder::new();
 
     let mut group = c.benchmark_group("telemetry_overhead");
     group.sample_size(10);
     group.bench_function("simulate/raw", |b| {
-        b.iter(|| {
-            let mut sim = Simulator::with_origins(&g, CommModel::Multicast, &origins).unwrap();
-            black_box(sim.run(black_box(&schedule)).unwrap())
-        })
+        b.iter(|| black_box(kernel().run(black_box(&flat)).unwrap()))
     });
     group.bench_function("simulate/noop", |b| {
         b.iter(|| {
-            let mut sim = Simulator::with_origins(&g, CommModel::Multicast, &origins).unwrap();
             black_box(
-                sim.run_recorded(black_box(&schedule), &NoopRecorder)
+                kernel()
+                    .run_probed(black_box(&flat), &NoopRecorder)
                     .unwrap(),
             )
         })
     });
     group.bench_function("simulate/metrics", |b| {
-        b.iter(|| {
-            let mut sim = Simulator::with_origins(&g, CommModel::Multicast, &origins).unwrap();
-            black_box(sim.run_recorded(black_box(&schedule), &metrics).unwrap())
-        })
+        b.iter(|| black_box(kernel().run_probed(black_box(&flat), &metrics).unwrap()))
     });
     let live = LiveRegistry::new();
     group.bench_function("simulate/live", |b| {
-        b.iter(|| {
-            let mut sim = Simulator::with_origins(&g, CommModel::Multicast, &origins).unwrap();
-            black_box(sim.run_recorded(black_box(&schedule), &live).unwrap())
-        })
+        b.iter(|| black_box(kernel().run_probed(black_box(&flat), &live).unwrap()))
     });
     // A fresh recorder per iteration: the capture grows with the run, so
     // reusing one would accumulate records (and memory) across samples.
@@ -128,8 +122,7 @@ fn bench_overhead(c: &mut Criterion) {
     group.bench_function("simulate/flight", |b| {
         b.iter(|| {
             let rec = FlightRecorder::new(flight_header.clone());
-            let mut sim = Simulator::with_origins(&g, CommModel::Multicast, &origins).unwrap();
-            black_box(sim.run_recorded(black_box(&schedule), &rec).unwrap())
+            black_box(kernel().run_recorded(black_box(&flat), &rec).unwrap())
         })
     });
     group.bench_function("generate/noop", |b| {
@@ -166,15 +159,15 @@ fn bench_overhead(c: &mut Criterion) {
     };
     let best = time_min_interleaved(
         |config| {
-            let mut sim = Simulator::with_origins(&g, CommModel::Multicast, &origins).unwrap();
+            let mut sim = kernel();
             match config {
-                0 => black_box(sim.run(&schedule).unwrap()),
-                1 => black_box(sim.run_recorded(&schedule, &NoopRecorder).unwrap()),
-                2 => black_box(sim.run_recorded(&schedule, &metrics).unwrap()),
-                3 => black_box(sim.run_recorded(&schedule, &live).unwrap()),
+                0 => black_box(sim.run(&flat).unwrap()),
+                1 => black_box(sim.run_probed(&flat, &NoopRecorder).unwrap().0),
+                2 => black_box(sim.run_probed(&flat, &metrics).unwrap().0),
+                3 => black_box(sim.run_probed(&flat, &live).unwrap().0),
                 _ => {
                     let rec = FlightRecorder::new(flight_header.clone());
-                    black_box(sim.run_recorded(&schedule, &rec).unwrap())
+                    black_box(sim.run_recorded(&flat, &rec).unwrap())
                 }
             };
         },

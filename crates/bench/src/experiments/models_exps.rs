@@ -172,8 +172,8 @@ pub fn exp_curves() -> String {
 /// curve and per-round sent/fan-out series.
 pub fn exp_curves_full() -> (String, gossip_telemetry::Value) {
     use crate::report::obj;
-    use gossip_model::{render_sparkline, Simulator};
-    use gossip_telemetry::Value;
+    use gossip_model::{render_sparkline, FlatSchedule, SimKernel};
+    use gossip_telemetry::{NoopRecorder, Value};
     let mut out = String::from(
         "Knowledge curves (fraction of (processor, message) pairs known per round):\n\n",
     );
@@ -191,12 +191,13 @@ pub fn exp_curves_full() -> (String, gossip_telemetry::Value) {
                 .algorithm(alg)
                 .plan()
                 .unwrap();
-            // The simulator's per-round probes are the single source of
+            // The kernel's per-round probes are the single source of
             // truth for knowledge curves (no separate counting pass).
             let mut sim =
-                Simulator::with_origins(&g, CommModel::Multicast, &plan.origin_of_message).unwrap();
+                SimKernel::with_origins(&g, CommModel::Multicast, &plan.origin_of_message).unwrap();
             let initial_coverage = sim.coverage();
-            let (_, probes) = sim.run_probed(&plan.schedule).unwrap();
+            let flat = FlatSchedule::from_schedule(&plan.schedule);
+            let (_, probes) = sim.run_probed(&flat, &NoopRecorder).unwrap();
             let mut curve = vec![initial_coverage];
             curve.extend(probes.iter().map(|p| p.coverage));
             assert!((curve.last().unwrap() - 1.0).abs() < 1e-9);

@@ -260,7 +260,7 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
                     &origins,
                 )
                 .unwrap();
-                let o = sim.run_recorded(&schedule, &recorder).unwrap();
+                let o = sim.run(&schedule).unwrap();
                 let simt = t3.elapsed();
                 assert!(o.complete);
                 let t4 = Instant::now();

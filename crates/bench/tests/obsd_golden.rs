@@ -3,7 +3,7 @@
 //! server.
 //!
 //! The exposition is rendered from a [`LiveRegistry`] fed by the full
-//! pipeline — plan, oracle simulation, resilient (fault-free) execution —
+//! pipeline — plan, probed kernel replay, resilient (fault-free) execution —
 //! so every metric family the live layer publishes appears: counters,
 //! knowledge-curve gauges, histogram buckets, span completion counts, and
 //! the event counter. Span *durations* are deliberately excluded from
@@ -13,7 +13,7 @@
 //! Regenerate with `BLESS=1 cargo test -p gossip-bench --test obsd_golden`.
 
 use gossip_core::{GossipPlanner, ResilientExecutor};
-use gossip_model::{CommModel, FaultPlan, Simulator};
+use gossip_model::{CommModel, FaultPlan, FlatSchedule, SimKernel};
 use gossip_obsd::{prometheus, ObsdServer};
 use gossip_telemetry::{LiveRegistry, Value};
 use gossip_workloads::ring;
@@ -30,8 +30,9 @@ fn run_c8(registry: &LiveRegistry) {
         .plan()
         .unwrap();
     let mut sim =
-        Simulator::with_origins(&g, CommModel::Multicast, &plan.origin_of_message).unwrap();
-    let outcome = sim.run_recorded(&plan.schedule, registry).unwrap();
+        SimKernel::with_origins(&g, CommModel::Multicast, &plan.origin_of_message).unwrap();
+    let flat = FlatSchedule::from_schedule(&plan.schedule);
+    let (outcome, _) = sim.run_probed(&flat, registry).unwrap();
     assert!(outcome.complete);
     let faults = FaultPlan::none();
     let report = ResilientExecutor::new(&g, &plan.schedule, &plan.origin_of_message, &faults)

@@ -5,7 +5,7 @@
 
 use gossip_core::GossipPlanner;
 use gossip_graph::Graph;
-use gossip_model::{CommModel, RoundProbe, Simulator};
+use gossip_model::{CommModel, FlatSchedule, RoundProbe, SimKernel, Simulator};
 use gossip_telemetry::{MetricsRecorder, NoopRecorder, Recorder, SharedBuffer, Value};
 use gossip_workloads::ring;
 
@@ -28,12 +28,29 @@ fn masked(line: &Value) -> String {
     out
 }
 
-/// Reference probes from an independent (unrecorded) probed run.
+/// Reference probes counted by hand from an independent oracle run, one
+/// [`Simulator::step`] per round.
 fn reference_probes(g: &Graph) -> Vec<RoundProbe> {
     let plan = GossipPlanner::new(g).unwrap().plan().unwrap();
     let mut sim =
         Simulator::with_origins(g, CommModel::Multicast, &plan.origin_of_message).unwrap();
-    sim.run_probed(&plan.schedule).unwrap().1
+    let makespan = plan.schedule.makespan();
+    plan.schedule.rounds[..makespan]
+        .iter()
+        .map(|round| {
+            sim.step(round).unwrap();
+            let fanouts = round.transmissions.iter().map(|tx| tx.to.len());
+            let deliveries: usize = fanouts.clone().sum();
+            RoundProbe {
+                round: sim.time() - 1,
+                sent: round.transmissions.len(),
+                deliveries,
+                max_fanout: fanouts.max().unwrap_or(0),
+                idle_receivers: g.n() - deliveries,
+                coverage: sim.coverage(),
+            }
+        })
+        .collect()
 }
 
 #[test]
@@ -50,12 +67,13 @@ fn c8_ring_event_stream_golden() {
     assert_eq!(plan.makespan(), 8 + 4); // n + r on the C_8 ring
 
     let mut sim =
-        Simulator::with_origins(&g, CommModel::Multicast, &plan.origin_of_message).unwrap();
-    let outcome = sim.run_recorded(&plan.schedule, &recorder).unwrap();
+        SimKernel::with_origins(&g, CommModel::Multicast, &plan.origin_of_message).unwrap();
+    let flat = FlatSchedule::from_schedule(&plan.schedule);
+    let (outcome, _) = sim.run_probed(&flat, &recorder).unwrap();
     assert!(outcome.complete);
 
     // Golden event sequence. The round payloads come from an independent
-    // unrecorded probed run, so the recorded stream must agree with it
+    // oracle run, so the recorded stream must agree with it
     // field-for-field.
     let probes = reference_probes(&g);
     assert_eq!(probes.len(), 12);
@@ -151,9 +169,10 @@ fn noop_recorder_is_silent_end_to_end() {
     assert_eq!(recorded.schedule, plain.schedule);
     assert!(!NoopRecorder.enabled());
 
+    let flat = FlatSchedule::from_schedule(&plain.schedule);
     let mut sim =
-        Simulator::with_origins(&g, CommModel::Multicast, &plain.origin_of_message).unwrap();
-    let a = sim.run_recorded(&plain.schedule, &NoopRecorder).unwrap();
+        SimKernel::with_origins(&g, CommModel::Multicast, &plain.origin_of_message).unwrap();
+    let (a, _) = sim.run_probed(&flat, &NoopRecorder).unwrap();
     let mut sim2 =
         Simulator::with_origins(&g, CommModel::Multicast, &plain.origin_of_message).unwrap();
     let b = sim2.run(&plain.schedule).unwrap();

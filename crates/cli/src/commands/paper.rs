@@ -137,13 +137,9 @@ pub fn analyze(args: &Args) -> Result<(), String> {
     }
     let plan = planner.plan().map_err(|e| e.to_string())?;
     if let Some(m) = &metrics {
-        let mut sim = gossip_model::Simulator::with_origins(
-            &g,
-            CommModel::Multicast,
-            &plan.origin_of_message,
-        )
-        .map_err(|e| e.to_string())?;
-        sim.run_recorded(&plan.schedule, &m.recorder)
+        let flat = gossip_model::FlatSchedule::from_schedule(&plan.schedule);
+        gossip_model::SimKernel::with_origins(&g, CommModel::Multicast, &plan.origin_of_message)
+            .and_then(|mut sim| sim.run_probed(&flat, &m.recorder))
             .map_err(|e| e.to_string())?;
     }
     let a = gossip_model::analyze_schedule(&g, &plan.schedule, &plan.origin_of_message)

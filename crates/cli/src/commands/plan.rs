@@ -92,24 +92,12 @@ pub fn plan(args: &Args) -> Result<(), String> {
     } else {
         CommModel::Multicast
     };
-    // Per-round probes exist only in the oracle Simulator, so --metrics
-    // also replays the schedule there; its outcome must match the kernel's.
-    let probed = match &sinks.metrics {
-        Some(m) => Some(
-            gossip_model::Simulator::with_origins(&g, model, &plan.origin_of_message)
-                .and_then(|mut sim| sim.run_recorded(&plan.schedule, &m.recorder))
-                .map_err(|e| e.to_string())?,
-        ),
-        None => None,
-    };
-    let outcome =
-        gossip_model::validate_gossip_schedule(&g, &plan.schedule, &plan.origin_of_message, model)
-            .map_err(|e| e.to_string())?;
-    if let Some(p) = probed.filter(|p| *p != outcome) {
-        return Err(format!(
-            "verification engines disagree (bug): oracle {p:?} vs kernel {outcome:?}"
-        ));
-    }
+    // One kernel replay verifies the plan and records the --metrics
+    // per-round probes; every later pass reuses this flat schedule.
+    let flat = FlatSchedule::from_schedule(&plan.schedule);
+    let (outcome, _) = SimKernel::new(&g, model, &plan.origin_of_message)
+        .and_then(|mut sim| sim.run_probed(&flat, sinks.recorder().unwrap_or(&NoopRecorder)))
+        .map_err(|e| e.to_string())?;
     if !outcome.complete {
         return Err("schedule did not complete gossip (bug)".into());
     }
@@ -146,8 +134,7 @@ pub fn plan(args: &Args) -> Result<(), String> {
         }
         let fast_ms = t0.elapsed().as_secs_f64() * 1e3;
         planner_note = Some(if fast.tree == plan.tree {
-            let ref_flat = FlatSchedule::from_schedule(&plan.schedule);
-            if fast.schedule != ref_flat {
+            if fast.schedule != flat {
                 return Err(
                     "planner cross-check: schedules differ on identical trees (bug)".into(),
                 );
@@ -236,7 +223,6 @@ pub fn plan(args: &Args) -> Result<(), String> {
         }
     }
     if sinks.rules.is_some() || sinks.flight_path.is_some() {
-        let flat = FlatSchedule::from_schedule(&plan.schedule);
         let replay = Replay {
             g: &g,
             model,

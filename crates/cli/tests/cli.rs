@@ -354,6 +354,24 @@ fn stats_rejects_unknown_schema_version() {
 }
 
 #[test]
+fn deeply_nested_json_is_an_error_not_a_crash() {
+    let dir = temp_dir("deep-json");
+    let path = dir.join("deep.json");
+    std::fs::write(&path, "[".repeat(1 << 20)).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_gossip"))
+        .args(["stats", path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("nesting deeper than 128 at byte 128"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn stats_renders_recovery_report_epoch_table() {
     let dir = temp_dir("stats-recovery");
     let out = dir.join("rec.json");

@@ -810,56 +810,17 @@ impl<'a> ChurnExecutor<'a> {
         let flat = FlatSchedule::from_schedule(pending);
         let mut sim = SimKernel::with_holds(graph, self.model, holds)?;
         let faults = FaultPlan::none();
-        let rec = self.recorder;
-        let enabled = rec.enabled();
-        let wants_tx = enabled && rec.wants_transmissions();
         for r in 0..exec_end {
-            if r < from {
-                sim.step_round_lossy(&flat, r, &faults, lost_log)?;
-                continue;
-            }
-            let t = sim.time();
-            if enabled {
-                rec.event("round_start", &[("round", Value::from_u64(t as u64))]);
-                if wants_tx {
-                    rec.transmissions(t, flat.round_batch(r));
-                }
-            }
-            let lost_before = lost_log.len();
+            let rec: &dyn Recorder = if r < from {
+                &NoopRecorder
+            } else {
+                self.recorder
+            };
             // Lossy stepping (under the empty fault plan) instead of
             // strict: entries whose upstream feed was invalidated by
             // churn degrade into recorded `not_held` losses the
             // completion loop covers, rather than aborting the run.
-            let d = sim.step_round_lossy(&flat, r, &faults, lost_log)?;
-            if enabled {
-                for l in &lost_log[lost_before..] {
-                    rec.counter(&format!("exec/lost/{}", l.cause.label()), 1);
-                    rec.event(
-                        "loss",
-                        &[
-                            ("round", Value::from_u64(l.round as u64)),
-                            ("msg", Value::from_u64(l.msg as u64)),
-                            ("from", Value::from_u64(l.from as u64)),
-                            ("to", Value::from_u64(l.to as u64)),
-                            ("cause", Value::String(l.cause.label().to_string())),
-                        ],
-                    );
-                }
-                let lost_now = (lost_log.len() - lost_before) as u64;
-                rec.counter("exec/deliveries", d as u64);
-                rec.counter("exec/losses", lost_now);
-                rec.gauge("round_current", sim.time() as f64);
-                rec.gauge("known_pairs", sim.known_pairs() as f64);
-                rec.event(
-                    "round_end",
-                    &[
-                        ("round", Value::from_u64(t as u64)),
-                        ("delivered", Value::from_u64(d as u64)),
-                        ("lost", Value::from_u64(lost_now)),
-                        ("known_pairs", Value::from_u64(sim.known_pairs() as u64)),
-                    ],
-                );
-            }
+            sim.step_round_lossy(&flat, r, &faults, lost_log, rec)?;
         }
         *holds = sim.hold_bitsets();
         let mut executed = Schedule::new(pending.n);

@@ -8,11 +8,11 @@
 //! | Paper concept | Code |
 //! |---|---|
 //! | communication network `N` | [`gossip_graph::Graph`] |
-//! | hold sets `h_i` | [`gossip_model::BitSet`] inside [`gossip_model::Simulator`] |
+//! | hold sets `h_i` | message-major bitset rows of [`gossip_model::SimKernel`]; one [`gossip_model::BitSet`] per processor in the reference [`gossip_model::Simulator`] |
 //! | communication round `C` of tuples `(m, l, D)` | [`gossip_model::CommRound`], [`gossip_model::Transmission`] |
-//! | rule "every pair of D sets disjoint" | `ModelError::DuplicateReceiver` in [`gossip_model::Simulator::step`] |
+//! | rule "every pair of D sets disjoint" | `ModelError::DuplicateReceiver` in `SimKernel::check_round` (every replay) and [`gossip_model::Simulator::step`] (the reference) |
 //! | rule "all indices l distinct" | `ModelError::DuplicateSender` |
-//! | receive-before-send within a time unit | hold updates applied after round validation; see [`gossip_model::Simulator::step`] |
+//! | receive-before-send within a time unit | hold updates applied after round validation; see [`gossip_model::SimKernel::step_round`] and [`gossip_model::Simulator::step`] |
 //! | communication schedule / total communication time | [`gossip_model::Schedule`], [`gossip_model::Schedule::makespan`] |
 //! | trivial lower bound `n - 1` | [`crate::trivial_lower_bound`] |
 //! | Fig 1 ring schedule (`n - 1`, optimal) | [`crate::circuit_gossip_schedule`] |

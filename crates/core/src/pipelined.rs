@@ -18,7 +18,7 @@
 
 use crate::concurrent::{concurrent_updown, tree_origins};
 use gossip_graph::RootedTree;
-use gossip_model::{CommModel, Schedule, Simulator};
+use gossip_model::{CommModel, FlatSchedule, Schedule, SimKernel};
 use gossip_telemetry::{NoopRecorder, Recorder, RecorderExt};
 
 /// A pipelined multi-batch gossip schedule.
@@ -92,8 +92,8 @@ pub fn pipelined_gossip_recorded(
         let _s = recorder.span("verify");
         let _p = gossip_telemetry::profile::phase("verify");
         let g = tree.to_graph();
-        let mut sim = Simulator::with_origins(&g, CommModel::Multicast, &origins).ok()?;
-        sim.run(&schedule).ok()?
+        let mut sim = SimKernel::with_origins(&g, CommModel::Multicast, &origins).ok()?;
+        sim.run(&FlatSchedule::from_schedule(&schedule)).ok()?
     };
     let plan = outcome.complete.then_some(PipelinedPlan {
         schedule,

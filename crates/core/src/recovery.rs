@@ -424,9 +424,9 @@ impl<'a> ResilientExecutor<'a> {
         self.recorder.counter("recovery/retransmissions", 0);
         self.recorder.counter("recovery/epochs", 0);
         // Execution goes through the bitset kernel: flatten each epoch's
-        // schedule once, replay word-parallel; the oracle `Simulator` keeps
-        // producing identical reports (the transcript-replay test relies on
-        // that parity).
+        // schedule once, replay word-parallel. The transcript-replay test
+        // replays the whole transcript on the oracle `Simulator` and relies
+        // on the two engines' parity.
         let mut sim = SimKernel::with_origins(self.g, self.model, self.origins)?;
         let mut lost_log: Vec<LostDelivery> = Vec::new();
         let mut transcript = self.schedule.clone();

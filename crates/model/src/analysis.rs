@@ -134,8 +134,8 @@ pub fn analyze_schedule(
 /// goes (e.g. algorithm Simple's flat segment while everything funnels
 /// through the root).
 ///
-/// The curve is the coverage component of the simulator's per-round probes
-/// ([`crate::Simulator::run_probed`]), so the schedule is also validated
+/// The curve is the coverage component of the kernel's per-round probes
+/// ([`crate::SimKernel::run_probed`]), so the schedule is also validated
 /// against the multicast model rules; rule violations surface as errors.
 pub fn knowledge_curve(
     g: &Graph,
@@ -143,10 +143,11 @@ pub fn knowledge_curve(
     origin_of_message: &[usize],
 ) -> Result<Vec<f64>, ModelError> {
     let mut sim =
-        crate::Simulator::with_origins(g, crate::CommModel::Multicast, origin_of_message)?;
+        crate::SimKernel::with_origins(g, crate::CommModel::Multicast, origin_of_message)?;
     let mut curve = Vec::with_capacity(schedule.makespan() + 1);
     curve.push(sim.coverage());
-    let (_, probes) = sim.run_probed(schedule)?;
+    let flat = crate::FlatSchedule::from_schedule(schedule);
+    let (_, probes) = sim.run_probed(&flat, &gossip_telemetry::NoopRecorder)?;
     curve.extend(probes.iter().map(|p| p.coverage));
     Ok(curve)
 }

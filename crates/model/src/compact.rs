@@ -173,9 +173,10 @@ pub fn verify_compaction(
     report: &CompactionReport,
     origins: &[usize],
 ) -> Result<bool, ModelError> {
-    let mut sim =
-        crate::simulator::Simulator::with_origins(g, crate::models::CommModel::Multicast, origins)?;
-    Ok(sim.run(&report.schedule)?.complete)
+    let mut sim = crate::SimKernel::with_origins(g, crate::models::CommModel::Multicast, origins)?;
+    Ok(sim
+        .run(&crate::FlatSchedule::from_schedule(&report.schedule))?
+        .complete)
 }
 
 #[cfg(test)]

@@ -2,8 +2,9 @@
 //!
 //! [`crate::Simulator`] is the oracle — it executes [`crate::Schedule`]s
 //! tuple by tuple and is the semantics every other executor is checked
-//! against. [`SimKernel`] is the fast path: the same rules, the same
-//! errors, the same hold-set evolution, but over a [`FlatSchedule`] with
+//! against. [`SimKernel`] is the one production replay engine: the same
+//! rules, the same errors, the same hold-set evolution, but over a
+//! [`FlatSchedule`] with
 //!
 //! - knowledge sets as one flat message-major `Vec<u64>` arena (row `m` is
 //!   the `ceil(n / 64)`-word bitmap of the processors holding message `m`,
@@ -23,7 +24,10 @@
 //! [`FlatSchedule::validate`], [`SimKernel::run_prevalidated`] skips the
 //! structural checks and replays with only the state-dependent hold-set
 //! rule plus the word-OR applies — the amortized replay mode benchmarks
-//! and the recovery executor use.
+//! and `gossip plan --planner fast` use. Every clean run goes through one
+//! loop; [`SimKernel::run_recorded`] streams it into a recorder, and
+//! [`SimKernel::run_probed`] collects the per-round [`RoundProbe`]s that
+//! `--metrics` and the knowledge curves report.
 //!
 //! Lossy mode ([`SimKernel::run_lossy`]) replicates the oracle's
 //! [`crate::Simulator::step_lossy`] bit for bit, including its in-round
@@ -41,6 +45,7 @@ use crate::lossy::{LossCause, LossyOutcome, LostDelivery};
 use crate::models::CommModel;
 use crate::simulator::SimOutcome;
 use gossip_graph::Graph;
+use gossip_telemetry::{NoopRecorder, Recorder, RecorderExt, Value};
 
 /// Word-parallel schedule replayer over flat hold-set and adjacency
 /// bitmaps. Mirrors the [`crate::Simulator`] API where the two overlap.
@@ -267,267 +272,21 @@ impl<'g> SimKernel<'g> {
         self.step_inner(flat, r, true)
     }
 
-    fn step_inner(
+    /// Checks every rule of round `r` that [`crate::Simulator::step`]
+    /// checks, in its exact per-transmission order and with its errors;
+    /// the hold-set rule (a sender holds its message) only under
+    /// `hold_rule`. Touches nothing but the round-stamp tables.
+    fn check_round(
         &mut self,
         flat: &FlatSchedule,
         r: usize,
-        structural: bool,
+        hold_rule: bool,
     ) -> Result<(), ModelError> {
-        let n = self.n;
-        let t = self.time;
-        let range = flat.round_range(r);
-        if structural {
-            self.round_stamp += 1;
-            let stamp = self.round_stamp;
-            for i in range.clone() {
-                let from = flat.from_of(i) as usize;
-                if from >= n {
-                    return Err(ModelError::ProcessorOutOfRange {
-                        round: t,
-                        proc: from,
-                        n,
-                    });
-                }
-                let msg = flat.msg_of(i);
-                if msg as usize >= self.n_msgs {
-                    return Err(ModelError::MessageOutOfRange {
-                        round: t,
-                        msg,
-                        n: self.n_msgs,
-                    });
-                }
-                let dests = flat.dests_of(i);
-                if dests.is_empty() {
-                    return Err(ModelError::EmptyDestination {
-                        round: t,
-                        sender: from,
-                    });
-                }
-                if self.send_stamp[from] == stamp {
-                    return Err(ModelError::DuplicateSender {
-                        round: t,
-                        sender: from,
-                    });
-                }
-                self.send_stamp[from] = stamp;
-                if !self.contains(from, msg as usize) {
-                    return Err(ModelError::MessageNotHeld {
-                        round: t,
-                        sender: from,
-                        msg,
-                    });
-                }
-                self.model
-                    .check_fanout(self.g.degree(from), dests.len())
-                    .map_err(|reason| ModelError::ModelViolation {
-                        round: t,
-                        sender: from,
-                        reason,
-                    })?;
-                let mut prev: Option<usize> = None;
-                for &d32 in dests {
-                    let d = d32 as usize;
-                    if d >= n {
-                        return Err(ModelError::ProcessorOutOfRange {
-                            round: t,
-                            proc: d,
-                            n,
-                        });
-                    }
-                    if prev == Some(d) {
-                        return Err(ModelError::DuplicateDestination {
-                            round: t,
-                            sender: from,
-                            receiver: d,
-                        });
-                    }
-                    prev = Some(d);
-                    if !self.adjacent(from, d) {
-                        return Err(ModelError::NotAdjacent {
-                            round: t,
-                            sender: from,
-                            receiver: d,
-                        });
-                    }
-                    if self.recv_stamp[d] == stamp {
-                        return Err(ModelError::DuplicateReceiver {
-                            round: t,
-                            receiver: d,
-                        });
-                    }
-                    self.recv_stamp[d] = stamp;
-                }
-            }
-        } else {
-            // Structure was established by `FlatSchedule::validate`; only
-            // the execution-state rule remains. Validate the whole round
-            // before applying, preserving step atomicity.
-            for i in range.clone() {
-                let from = flat.from_of(i) as usize;
-                let msg = flat.msg_of(i);
-                if !self.contains(from, msg as usize) {
-                    return Err(ModelError::MessageNotHeld {
-                        round: t,
-                        sender: from,
-                        msg,
-                    });
-                }
-            }
-        }
-
-        // All checks passed; apply receives (word-OR per delivery, all in
-        // the message's row).
-        for i in range {
-            let row = self.hold_row_mut(flat.msg_of(i) as usize);
-            let mut newly = 0;
-            for &d32 in flat.dests_of(i) {
-                newly += set_bit(row, d32 as usize);
-            }
-            self.known_pairs += newly;
-        }
-        self.time += 1;
-        Ok(())
-    }
-
-    /// The processor bitmap of message `m`.
-    #[inline]
-    fn hold_row_mut(&mut self, m: usize) -> &mut [u64] {
-        &mut self.hold[m * self.row_words..(m + 1) * self.row_words]
-    }
-
-    /// Runs a whole flat schedule with full validation — the kernel-side
-    /// equivalent of [`crate::Simulator::run`], producing the identical
-    /// [`SimOutcome`] (or the identical first [`ModelError`]).
-    pub fn run(&mut self, flat: &FlatSchedule) -> Result<SimOutcome, ModelError> {
-        self.run_inner(flat, true)
-    }
-
-    /// Runs a flat schedule that already passed [`FlatSchedule::validate`]
-    /// for this kernel's graph, model, and message count — skips the
-    /// structural checks and replays with hold-rule checks plus word-OR
-    /// applies only. Calling this on a schedule that was *not* validated
-    /// can silently apply structurally illegal rounds; it never corrupts
-    /// memory (all index arithmetic stays bounds-checked) but forfeits
-    /// oracle parity.
-    pub fn run_prevalidated(&mut self, flat: &FlatSchedule) -> Result<SimOutcome, ModelError> {
-        self.run_inner(flat, false)
-    }
-
-    fn run_inner(
-        &mut self,
-        flat: &FlatSchedule,
-        structural: bool,
-    ) -> Result<SimOutcome, ModelError> {
-        if flat.n() != self.n {
-            return Err(ModelError::SizeMismatch {
-                graph_n: self.n,
-                schedule_n: flat.n(),
-            });
-        }
-        let mut completion_time = if self.gossip_complete() {
-            Some(self.time)
-        } else {
-            None
-        };
-        let rounds = flat.rounds();
-        for r in 0..rounds {
-            self.step_inner(flat, r, structural)?;
-            if completion_time.is_none() && self.gossip_complete() {
-                completion_time = Some(self.time);
-            }
-        }
-        Ok(SimOutcome {
-            complete: self.gossip_complete(),
-            rounds_executed: rounds,
-            completion_time,
-            stats: flat.stats(),
-        })
-    }
-
-    /// Runs a whole flat schedule with full validation, streaming live
-    /// instrumentation into `recorder` — the clean-run counterpart of
-    /// [`SimKernel::run_lossy_recorded`]: per round a `round_start` /
-    /// `round_end` event pair, `exec/deliveries` counters, and the
-    /// knowledge-curve gauges `round_current` / `known_pairs`. Recorders
-    /// that opt into `wants_transmissions` (the flight recorder) also get
-    /// each round's transmissions as one batch before it executes. With a
-    /// disabled recorder this is exactly [`SimKernel::run`].
-    pub fn run_recorded(
-        &mut self,
-        flat: &FlatSchedule,
-        recorder: &dyn gossip_telemetry::Recorder,
-    ) -> Result<SimOutcome, ModelError> {
-        use gossip_telemetry::Value;
-        if !recorder.enabled() {
-            return self.run(flat);
-        }
-        if flat.n() != self.n {
-            return Err(ModelError::SizeMismatch {
-                graph_n: self.n,
-                schedule_n: flat.n(),
-            });
-        }
-        let wants_tx = recorder.wants_transmissions();
-        let mut completion_time = if self.gossip_complete() {
-            Some(self.time)
-        } else {
-            None
-        };
-        let rounds = flat.rounds();
-        for r in 0..rounds {
-            let t = self.time;
-            let batch = flat.round_batch(r);
-            recorder.event("round_start", &[("round", Value::from_u64(t as u64))]);
-            if wants_tx {
-                recorder.transmissions(t, batch);
-            }
-            self.step_inner(flat, r, true)?;
-            if completion_time.is_none() && self.gossip_complete() {
-                completion_time = Some(self.time);
-            }
-            let delivered = batch.deliveries();
-            recorder.counter("exec/deliveries", delivered as u64);
-            recorder.gauge("round_current", self.time as f64);
-            recorder.gauge("known_pairs", self.known_pairs as f64);
-            recorder.event(
-                "round_end",
-                &[
-                    ("round", Value::from_u64(t as u64)),
-                    ("delivered", Value::from_u64(delivered as u64)),
-                    ("known_pairs", Value::from_u64(self.known_pairs as u64)),
-                ],
-            );
-        }
-        Ok(SimOutcome {
-            complete: self.gossip_complete(),
-            rounds_executed: rounds,
-            completion_time,
-            stats: flat.stats(),
-        })
-    }
-
-    /// Executes round `r` of `flat` under `plan`, degrading on
-    /// fault-induced failures exactly as [`crate::Simulator::step_lossy`]:
-    /// structural violations error with state unchanged, the hold-set rule
-    /// becomes a recorded [`LossCause::NotHeld`] cascade, and the loss log
-    /// receives identical entries in identical order. Returns deliveries
-    /// that landed.
-    pub fn step_round_lossy(
-        &mut self,
-        flat: &FlatSchedule,
-        r: usize,
-        plan: &FaultPlan,
-        lost: &mut Vec<LostDelivery>,
-    ) -> Result<usize, ModelError> {
         let n = self.n;
         let t = self.time;
         self.round_stamp += 1;
         let stamp = self.round_stamp;
-        let range = flat.round_range(r);
-
-        // Validation pass: every structural rule, minus the hold-set check
-        // (faults legitimately break relay chains).
-        for i in range.clone() {
+        for i in flat.round_range(r) {
             let from = flat.from_of(i) as usize;
             if from >= n {
                 return Err(ModelError::ProcessorOutOfRange {
@@ -558,6 +317,13 @@ impl<'g> SimKernel<'g> {
                 });
             }
             self.send_stamp[from] = stamp;
+            if hold_rule && !self.contains(from, msg as usize) {
+                return Err(ModelError::MessageNotHeld {
+                    round: t,
+                    sender: from,
+                    msg,
+                });
+            }
             self.model
                 .check_fanout(self.g.degree(from), dests.len())
                 .map_err(|reason| ModelError::ModelViolation {
@@ -599,13 +365,273 @@ impl<'g> SimKernel<'g> {
                 self.recv_stamp[d] = stamp;
             }
         }
+        Ok(())
+    }
+
+    fn step_inner(
+        &mut self,
+        flat: &FlatSchedule,
+        r: usize,
+        structural: bool,
+    ) -> Result<(), ModelError> {
+        let range = flat.round_range(r);
+        if structural {
+            self.check_round(flat, r, true)?;
+        } else {
+            // Structure was established by `FlatSchedule::validate`; only
+            // the execution-state rule remains. Validate the whole round
+            // before applying, preserving step atomicity.
+            for i in range.clone() {
+                let from = flat.from_of(i) as usize;
+                let msg = flat.msg_of(i);
+                if !self.contains(from, msg as usize) {
+                    return Err(ModelError::MessageNotHeld {
+                        round: self.time,
+                        sender: from,
+                        msg,
+                    });
+                }
+            }
+        }
+
+        // All checks passed; apply receives (word-OR per delivery, all in
+        // the message's row).
+        for i in range {
+            let row = self.hold_row_mut(flat.msg_of(i) as usize);
+            let mut newly = 0;
+            for &d32 in flat.dests_of(i) {
+                newly += set_bit(row, d32 as usize);
+            }
+            self.known_pairs += newly;
+        }
+        self.time += 1;
+        Ok(())
+    }
+
+    /// The processor bitmap of message `m`.
+    #[inline]
+    fn hold_row_mut(&mut self, m: usize) -> &mut [u64] {
+        &mut self.hold[m * self.row_words..(m + 1) * self.row_words]
+    }
+
+    /// Runs a whole flat schedule with full validation — the kernel-side
+    /// equivalent of [`crate::Simulator::run`], producing the identical
+    /// [`SimOutcome`] (or the identical first [`ModelError`]).
+    pub fn run(&mut self, flat: &FlatSchedule) -> Result<SimOutcome, ModelError> {
+        self.run_inner(flat, true, &NoopRecorder)
+    }
+
+    /// Runs a flat schedule that already passed [`FlatSchedule::validate`]
+    /// for this kernel's graph, model, and message count — skips the
+    /// structural checks and replays with hold-rule checks plus word-OR
+    /// applies only. Calling this on a schedule that was *not* validated
+    /// can silently apply structurally illegal rounds; it never corrupts
+    /// memory (all index arithmetic stays bounds-checked) but forfeits
+    /// oracle parity.
+    pub fn run_prevalidated(&mut self, flat: &FlatSchedule) -> Result<SimOutcome, ModelError> {
+        self.run_inner(flat, false, &NoopRecorder)
+    }
+
+    /// Runs a whole flat schedule with full validation, streaming live
+    /// instrumentation into `recorder` — the clean-run counterpart of
+    /// [`SimKernel::run_lossy_recorded`]: per round a `round_start` /
+    /// `round_end` event pair, `exec/deliveries` counters, and the
+    /// knowledge-curve gauges `round_current` / `known_pairs`. Recorders
+    /// that opt into `wants_transmissions` (the flight recorder) also get
+    /// each round's transmissions as one batch before it executes. With a
+    /// disabled recorder this is exactly [`SimKernel::run`].
+    pub fn run_recorded(
+        &mut self,
+        flat: &FlatSchedule,
+        recorder: &dyn Recorder,
+    ) -> Result<SimOutcome, ModelError> {
+        self.run_inner(flat, true, recorder)
+    }
+
+    fn run_inner(
+        &mut self,
+        flat: &FlatSchedule,
+        structural: bool,
+        recorder: &dyn Recorder,
+    ) -> Result<SimOutcome, ModelError> {
+        self.check_size(flat)?;
+        let enabled = recorder.enabled();
+        let wants_tx = enabled && recorder.wants_transmissions();
+        let mut completion_time = self.gossip_complete().then_some(self.time);
+        let rounds = flat.rounds();
+        for r in 0..rounds {
+            let t = self.time;
+            if enabled {
+                recorder.event("round_start", &[("round", Value::from_u64(t as u64))]);
+                if wants_tx {
+                    recorder.transmissions(t, flat.round_batch(r));
+                }
+            }
+            self.step_inner(flat, r, structural)?;
+            if completion_time.is_none() && self.gossip_complete() {
+                completion_time = Some(self.time);
+            }
+            if enabled {
+                let delivered = flat.round_batch(r).deliveries() as u64;
+                recorder.counter("exec/deliveries", delivered);
+                recorder.gauge("round_current", self.time as f64);
+                recorder.gauge("known_pairs", self.known_pairs as f64);
+                recorder.event(
+                    "round_end",
+                    &[
+                        ("round", Value::from_u64(t as u64)),
+                        ("delivered", Value::from_u64(delivered)),
+                        ("known_pairs", Value::from_u64(self.known_pairs as u64)),
+                    ],
+                );
+            }
+        }
+        Ok(self.outcome(flat, completion_time))
+    }
+
+    /// Runs a whole flat schedule with full validation, collecting one
+    /// [`RoundProbe`] per round (the coverage curve, traffic, and
+    /// idle-receiver profile). An enabled `recorder` also gets the probes
+    /// under one `simulate` span: per round `sim/sent` and
+    /// `sim/deliveries` counters, `sim/fanout_max` and
+    /// `sim/idle_receivers` histograms, the knowledge-curve gauges
+    /// `round_current` / `known_pairs` and a `round` event, then final
+    /// `sim/rounds`, `sim/coverage` and `sim/completion_time` gauges. The
+    /// probes are emitted once the replay succeeded, so a rejected
+    /// schedule records none. No transmissions are captured here;
+    /// captures replay through [`SimKernel::run_recorded`].
+    pub fn run_probed(
+        &mut self,
+        flat: &FlatSchedule,
+        recorder: &dyn Recorder,
+    ) -> Result<(SimOutcome, Vec<RoundProbe>), ModelError> {
+        let _span = recorder.span("simulate");
+        self.check_size(flat)?;
+        let mut completion_time = self.gossip_complete().then_some(self.time);
+        let rounds = flat.rounds();
+        let mut probes = Vec::with_capacity(rounds);
+        for r in 0..rounds {
+            self.step_inner(flat, r, true)?;
+            if completion_time.is_none() && self.gossip_complete() {
+                completion_time = Some(self.time);
+            }
+            let batch = flat.round_batch(r);
+            // Validation guarantees each destination is a distinct
+            // receiver, so the traffic figures come straight from the
+            // round.
+            let deliveries = batch.deliveries();
+            probes.push(RoundProbe {
+                round: self.time - 1,
+                sent: batch.len(),
+                deliveries,
+                max_fanout: batch.fanouts().max().unwrap_or(0) as usize,
+                idle_receivers: self.n - deliveries,
+                coverage: self.coverage(),
+            });
+        }
+        let outcome = self.outcome(flat, completion_time);
+        if recorder.enabled() {
+            let total_pairs = (self.n * self.n_msgs) as f64;
+            for probe in &probes {
+                let known = (probe.coverage * total_pairs).round();
+                recorder.counter("sim/sent", probe.sent as u64);
+                recorder.counter("sim/deliveries", probe.deliveries as u64);
+                recorder.observe("sim/fanout_max", probe.max_fanout as f64);
+                recorder.observe("sim/idle_receivers", probe.idle_receivers as f64);
+                // Live knowledge-curve gauges (top-level names, matching
+                // the Prometheus registry: gossip_round_current /
+                // gossip_known_pairs).
+                recorder.gauge("round_current", (probe.round + 1) as f64);
+                recorder.gauge("known_pairs", known);
+                recorder.event(
+                    "round",
+                    &[
+                        ("round", Value::from_u64(probe.round as u64)),
+                        ("sent", Value::from_u64(probe.sent as u64)),
+                        ("deliveries", Value::from_u64(probe.deliveries as u64)),
+                        ("max_fanout", Value::from_u64(probe.max_fanout as u64)),
+                        (
+                            "idle_receivers",
+                            Value::from_u64(probe.idle_receivers as u64),
+                        ),
+                        ("coverage", Value::from_f64(probe.coverage)),
+                        ("known_pairs", Value::from_u64(known as u64)),
+                    ],
+                );
+            }
+            recorder.gauge("sim/rounds", outcome.rounds_executed as f64);
+            recorder.gauge("sim/coverage", self.coverage());
+            if let Some(t) = outcome.completion_time {
+                recorder.gauge("sim/completion_time", t as f64);
+            }
+        }
+        Ok((outcome, probes))
+    }
+
+    /// Rejects a schedule over another processor count.
+    fn check_size(&self, flat: &FlatSchedule) -> Result<(), ModelError> {
+        if flat.n() != self.n {
+            return Err(ModelError::SizeMismatch {
+                graph_n: self.n,
+                schedule_n: flat.n(),
+            });
+        }
+        Ok(())
+    }
+
+    /// The outcome of a completed clean run of `flat`.
+    fn outcome(&self, flat: &FlatSchedule, completion_time: Option<usize>) -> SimOutcome {
+        SimOutcome {
+            complete: self.gossip_complete(),
+            rounds_executed: flat.rounds(),
+            completion_time,
+            stats: flat.stats(),
+        }
+    }
+
+    /// Executes round `r` of `flat` under `plan`, degrading on
+    /// fault-induced failures exactly as [`crate::Simulator::step_lossy`]:
+    /// structural violations error with state unchanged, the hold-set rule
+    /// becomes a recorded [`LossCause::NotHeld`] cascade, and the loss log
+    /// receives identical entries in identical order. Returns deliveries
+    /// that landed.
+    ///
+    /// An enabled `recorder` gets the round's live stream: a
+    /// `round_start` event, the attempted transmissions as one batch (for
+    /// recorders that opt into `wants_transmissions`), a `loss` event and
+    /// an `exec/lost/<cause>` count per lost delivery, `exec/deliveries` /
+    /// `exec/losses` counters, the knowledge-curve gauges `round_current`
+    /// / `known_pairs`, and a `round_end` event.
+    pub fn step_round_lossy(
+        &mut self,
+        flat: &FlatSchedule,
+        r: usize,
+        plan: &FaultPlan,
+        lost: &mut Vec<LostDelivery>,
+        recorder: &dyn Recorder,
+    ) -> Result<usize, ModelError> {
+        let t = self.time;
+        let enabled = recorder.enabled();
+        if enabled {
+            recorder.event("round_start", &[("round", Value::from_u64(t as u64))]);
+            if recorder.wants_transmissions() {
+                // Every *attempt* is captured, including transmissions whose
+                // deliveries are all suppressed — the matching `loss` events
+                // record which ones, so replay is txs minus losses.
+                recorder.transmissions(t, flat.round_batch(r));
+            }
+        }
+        // Every structural rule, minus the hold-set check (faults
+        // legitimately break relay chains).
+        self.check_round(flat, r, false)?;
 
         // Apply pass: deliveries land unless a fault condition intercepts.
         // Hold rows mutate in transmission order, so the NotHeld
         // classification sees earlier same-round deliveries — the oracle's
         // exact in-round visibility.
+        let lost_before = lost.len();
         let mut delivered = 0;
-        for i in range {
+        for i in flat.round_range(r) {
             let from = flat.from_of(i) as usize;
             let msg = flat.msg_of(i);
             let m = msg as usize;
@@ -646,6 +672,36 @@ impl<'g> SimKernel<'g> {
             }
         }
         self.time += 1;
+        if enabled {
+            let round_lost = &lost[lost_before..];
+            for l in round_lost {
+                recorder.counter(&format!("exec/lost/{}", l.cause.label()), 1);
+                recorder.event(
+                    "loss",
+                    &[
+                        ("round", Value::from_u64(l.round as u64)),
+                        ("msg", Value::from_u64(l.msg as u64)),
+                        ("from", Value::from_u64(l.from as u64)),
+                        ("to", Value::from_u64(l.to as u64)),
+                        ("cause", Value::String(l.cause.label().to_string())),
+                    ],
+                );
+            }
+            let lost_now = round_lost.len() as u64;
+            recorder.counter("exec/deliveries", delivered as u64);
+            recorder.counter("exec/losses", lost_now);
+            recorder.gauge("round_current", self.time as f64);
+            recorder.gauge("known_pairs", self.known_pairs as f64);
+            recorder.event(
+                "round_end",
+                &[
+                    ("round", Value::from_u64(t as u64)),
+                    ("delivered", Value::from_u64(delivered as u64)),
+                    ("lost", Value::from_u64(lost_now)),
+                    ("known_pairs", Value::from_u64(self.known_pairs as u64)),
+                ],
+            );
+        }
         Ok(delivered)
     }
 
@@ -659,94 +715,25 @@ impl<'g> SimKernel<'g> {
         plan: &FaultPlan,
         lost: &mut Vec<LostDelivery>,
     ) -> Result<LossyOutcome, ModelError> {
-        if flat.n() != self.n {
-            return Err(ModelError::SizeMismatch {
-                graph_n: self.n,
-                schedule_n: flat.n(),
-            });
-        }
-        let before = lost.len();
-        let rounds = flat.rounds();
-        let mut delivered = 0;
-        for r in 0..rounds {
-            delivered += self.step_round_lossy(flat, r, plan, lost)?;
-        }
-        Ok(LossyOutcome {
-            rounds_executed: rounds,
-            delivered,
-            lost: lost.len() - before,
-            complete_among_alive: self.residual_count(plan) == 0,
-        })
+        self.run_lossy_recorded(flat, plan, lost, &NoopRecorder)
     }
 
-    /// [`SimKernel::run_lossy`] with live instrumentation: per round a
-    /// `round_start`/`round_end` event pair, a `loss` event per lost
-    /// delivery (with its cause label), `exec/deliveries` /
-    /// `exec/losses` / per-cause `exec/lost/<cause>` counters, and the
-    /// knowledge-curve gauges `round_current` / `known_pairs`. Recorders
-    /// that opt into `wants_transmissions` (the flight recorder) also get
-    /// each round's attempted transmissions as one batch. With a disabled
-    /// recorder this is exactly [`SimKernel::run_lossy`].
+    /// [`SimKernel::run_lossy`] with each round's live stream (see
+    /// [`SimKernel::step_round_lossy`]) going to `recorder`. With a
+    /// disabled recorder this is exactly [`SimKernel::run_lossy`].
     pub fn run_lossy_recorded(
         &mut self,
         flat: &FlatSchedule,
         plan: &FaultPlan,
         lost: &mut Vec<LostDelivery>,
-        recorder: &dyn gossip_telemetry::Recorder,
+        recorder: &dyn Recorder,
     ) -> Result<LossyOutcome, ModelError> {
-        use gossip_telemetry::Value;
-        if !recorder.enabled() {
-            return self.run_lossy(flat, plan, lost);
-        }
-        if flat.n() != self.n {
-            return Err(ModelError::SizeMismatch {
-                graph_n: self.n,
-                schedule_n: flat.n(),
-            });
-        }
-        let wants_tx = recorder.wants_transmissions();
+        self.check_size(flat)?;
         let before = lost.len();
         let rounds = flat.rounds();
         let mut delivered = 0;
         for r in 0..rounds {
-            let t = self.time;
-            recorder.event("round_start", &[("round", Value::from_u64(t as u64))]);
-            if wants_tx {
-                // Every *attempt* is captured, including transmissions whose
-                // deliveries are all suppressed — the matching `loss` events
-                // record which ones, so replay is txs minus losses.
-                recorder.transmissions(t, flat.round_batch(r));
-            }
-            let lost_before = lost.len();
-            let d = self.step_round_lossy(flat, r, plan, lost)?;
-            delivered += d;
-            for l in &lost[lost_before..] {
-                recorder.counter(&format!("exec/lost/{}", l.cause.label()), 1);
-                recorder.event(
-                    "loss",
-                    &[
-                        ("round", Value::from_u64(l.round as u64)),
-                        ("msg", Value::from_u64(l.msg as u64)),
-                        ("from", Value::from_u64(l.from as u64)),
-                        ("to", Value::from_u64(l.to as u64)),
-                        ("cause", Value::String(l.cause.label().to_string())),
-                    ],
-                );
-            }
-            let lost_now = (lost.len() - lost_before) as u64;
-            recorder.counter("exec/deliveries", d as u64);
-            recorder.counter("exec/losses", lost_now);
-            recorder.gauge("round_current", self.time as f64);
-            recorder.gauge("known_pairs", self.known_pairs() as f64);
-            recorder.event(
-                "round_end",
-                &[
-                    ("round", Value::from_u64(t as u64)),
-                    ("delivered", Value::from_u64(d as u64)),
-                    ("lost", Value::from_u64(lost_now)),
-                    ("known_pairs", Value::from_u64(self.known_pairs() as u64)),
-                ],
-            );
+            delivered += self.step_round_lossy(flat, r, plan, lost, recorder)?;
         }
         Ok(LossyOutcome {
             rounds_executed: rounds,
@@ -783,6 +770,24 @@ impl<'g> SimKernel<'g> {
             .sum();
         alive_count * self.n_msgs - held
     }
+}
+
+/// Per-round observation collected by [`SimKernel::run_probed`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct RoundProbe {
+    /// The time at which the round executed.
+    pub round: usize,
+    /// Transmissions sent this round.
+    pub sent: usize,
+    /// Total deliveries (= distinct receivers; the model enforces one
+    /// receive per processor per round).
+    pub deliveries: usize,
+    /// Largest multicast fan-out among this round's transmissions.
+    pub max_fanout: usize,
+    /// Processors that received nothing this round.
+    pub idle_receivers: usize,
+    /// Fraction of (processor, message) pairs known after the round.
+    pub coverage: f64,
 }
 
 /// The (message, processor) pairs missing at the `alive` processors of a

@@ -9,11 +9,12 @@
 //!   (sent at `t`, received at `t + 1`) and summary [`ScheduleStats`];
 //! - [`CommModel`]: multicast / telephone / broadcast destination rules;
 //! - [`Simulator`]: executes schedules while enforcing *every* model rule,
-//!   tracking hold sets, and reporting completion — the trust anchor all
-//!   scheduling algorithms are verified against;
-//! - [`FlatSchedule`] / [`SimKernel`]: the replay fast path — schedules
-//!   flattened once into round-major CSR arrays, knowledge sets as flat
-//!   `u64` bitset words, same rules and errors as the oracle simulator;
+//!   tracking hold sets, and reporting completion — the reference
+//!   semantics, kept as the test oracle the kernel is checked against;
+//! - [`FlatSchedule`] / [`SimKernel`]: the one production replay engine —
+//!   schedules flattened once into round-major CSR arrays, knowledge sets
+//!   as flat `u64` bitset words, same rules and errors as the oracle
+//!   simulator; strict, prevalidated, recorded, probed and lossy runs;
 //! - [`trace`]: per-vertex tables in the exact format of the paper's
 //!   Tables 1–4;
 //! - [`provenance`]: the causal first-delivery DAG of a run (who first
@@ -57,7 +58,7 @@ pub use error::ModelError;
 pub use fault_plan::{Crash, FaultPlan, LinkOutage, FAULT_PLAN_SCHEMA_VERSION};
 pub use faults::{inject_fault, Fault};
 pub use flat_schedule::{FlatSchedule, RoundFill, GRAIN};
-pub use kernel::{missing_pairs, SimKernel};
+pub use kernel::{missing_pairs, RoundProbe, SimKernel};
 pub use lossy::{LossCause, LossyOutcome, LostDelivery};
 pub use models::CommModel;
 pub use provenance::{
@@ -66,7 +67,7 @@ pub use provenance::{
 };
 pub use round::{CommRound, Transmission};
 pub use schedule::{Schedule, ScheduleStats};
-pub use simulator::{simulate_gossip, validate_gossip_schedule, RoundProbe, SimOutcome, Simulator};
+pub use simulator::{simulate_gossip, validate_gossip_schedule, SimOutcome, Simulator};
 pub use trace::{full_trace, vertex_trace, VertexTrace};
 
 /// The identity origin table: message `m` originates at processor `m`.

@@ -35,7 +35,7 @@ use crate::models::CommModel;
 use crate::schedule::Schedule;
 use crate::simulator::SimOutcome;
 use gossip_graph::Graph;
-use gossip_telemetry::{ChromeTrace, Value};
+use gossip_telemetry::{ChromeTrace, NoopRecorder, Value};
 
 /// How a vertex first obtained a message: the delivering transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -383,6 +383,75 @@ pub fn trace_gossip(
     origins: &[usize],
     model: CommModel,
 ) -> Result<(SimOutcome, ProvenanceTrace), ModelError> {
+    let run = walk(g, schedule, origins, model, |sim, flat, t, _| {
+        sim.step_round(flat, t)
+    })?;
+    let outcome = SimOutcome {
+        complete: run.sim.gossip_complete(),
+        rounds_executed: run.trace.makespan,
+        completion_time: run.completion_time,
+        stats: schedule.stats(),
+    };
+    Ok((outcome, run.trace))
+}
+
+/// Runs `schedule` on `g` under `model` and the fault plan, recording the
+/// causal first-delivery DAG of what *actually arrived*. Lost deliveries
+/// show up as gaps: [`ProvenanceTrace::first_delivery`] stays `None` for
+/// every (message, vertex) pair the faults kept apart, so
+/// [`ProvenanceTrace::edge_count`] falls short of `n · (n - 1)` by exactly
+/// the unreached pairs. Returns the lossy outcome, the gap-bearing trace,
+/// and the loss log.
+pub fn trace_gossip_lossy(
+    g: &Graph,
+    schedule: &Schedule,
+    origins: &[usize],
+    model: CommModel,
+    plan: &FaultPlan,
+) -> Result<(LossyOutcome, ProvenanceTrace, Vec<LostDelivery>), ModelError> {
+    let mut delivered = 0;
+    let run = walk(g, schedule, origins, model, |sim, flat, t, lost| {
+        delivered += sim.step_round_lossy(flat, t, plan, lost, &NoopRecorder)?;
+        Ok(())
+    })?;
+    let outcome = LossyOutcome {
+        rounds_executed: run.trace.makespan,
+        delivered,
+        lost: run.lost.len(),
+        complete_among_alive: run.sim.residual_count(plan) == 0,
+    };
+    Ok((outcome, run.trace, run.lost))
+}
+
+/// What [`walk`] leaves behind: the kernel after the last round, the
+/// provenance record, the loss log and the first complete time.
+struct Walk<'g> {
+    sim: SimKernel<'g>,
+    trace: ProvenanceTrace,
+    lost: Vec<LostDelivery>,
+    completion_time: Option<usize>,
+}
+
+/// Replays `schedule` round by round through `step` — which executes one
+/// round on the kernel and appends what it suppressed to the loss log —
+/// while recording the causal first-delivery DAG. A delivery counts as
+/// traffic unless this round lost it, and as a first delivery when its
+/// destination lacked the message before the step and holds it after
+/// (the model's one-receive-per-round rule means at most one
+/// transmission can have landed it). On a step error nothing is recorded
+/// past prior rounds.
+fn walk<'g>(
+    g: &'g Graph,
+    schedule: &Schedule,
+    origins: &[usize],
+    model: CommModel,
+    mut step: impl FnMut(
+        &mut SimKernel<'g>,
+        &FlatSchedule,
+        usize,
+        &mut Vec<LostDelivery>,
+    ) -> Result<(), ModelError>,
+) -> Result<Walk<'g>, ModelError> {
     let mut sim = SimKernel::with_origins(g, model, origins)?;
     if schedule.n != g.n() {
         return Err(ModelError::SizeMismatch {
@@ -409,126 +478,12 @@ pub fn trace_gossip(
         }
     }
 
-    let mut tx_id = 0usize;
-    let mut completion_time = if sim.gossip_complete() {
-        Some(sim.time())
-    } else {
-        None
-    };
-    for (t, round) in schedule.rounds[..makespan].iter().enumerate() {
-        // Inspect hold sets *before* the step to spot first deliveries;
-        // the step itself then validates and applies the round (on error
-        // nothing is recorded past prior rounds).
-        let mut fresh = 0usize;
-        // (msg, dest, sender, tx_id) of would-be first deliveries.
-        let mut pending: Vec<(usize, usize, usize, usize)> = Vec::new();
-        for tx in &round.transmissions {
-            for &d in &tx.to {
-                if d < n && (tx.msg as usize) < n_msgs && !sim.contains(d, tx.msg as usize) {
-                    pending.push((tx.msg as usize, d, tx.from, tx_id));
-                }
-            }
-            tx_id += 1;
-        }
-        sim.step_round(&flat, t)?;
-        // Validated: commit the observations for this round.
-        let mut deliveries = 0usize;
-        for tx in &round.transmissions {
-            sends[tx.from] += 1;
-            mark_active(tx.from, t, &mut active_stamp, &mut active_rounds);
-            for &d in &tx.to {
-                deliveries += 1;
-                receives[d] += 1;
-                mark_active(d, t + 1, &mut active_stamp, &mut active_rounds);
-            }
-        }
-        for (msg, d, sender, id) in pending {
-            first[msg][d] = Some(Delivery {
-                round: t + 1,
-                sender,
-                tx_id: id,
-            });
-            first_receives[d] += 1;
-            fresh += 1;
-        }
-        rounds.push(RoundUtil {
-            round: t,
-            transmissions: round.transmissions.len(),
-            deliveries,
-            first_deliveries: fresh,
-            receiver_utilization: deliveries as f64 / n as f64,
-        });
-        if completion_time.is_none() && sim.gossip_complete() {
-            completion_time = Some(sim.time());
-        }
-    }
-    let outcome = SimOutcome {
-        complete: sim.gossip_complete(),
-        rounds_executed: makespan,
-        completion_time,
-        stats: schedule.stats(),
-    };
-    let trace = ProvenanceTrace {
-        n,
-        n_msgs,
-        origins: origins.to_vec(),
-        makespan,
-        first,
-        rounds,
-        sends,
-        receives,
-        first_receives,
-        active_rounds,
-    };
-    Ok((outcome, trace))
-}
-
-/// Runs `schedule` on `g` under `model` and the fault plan, recording the
-/// causal first-delivery DAG of what *actually arrived*. Lost deliveries
-/// show up as gaps: [`ProvenanceTrace::first_delivery`] stays `None` for
-/// every (message, vertex) pair the faults kept apart, so
-/// [`ProvenanceTrace::edge_count`] falls short of `n · (n - 1)` by exactly
-/// the unreached pairs. Returns the lossy outcome, the gap-bearing trace,
-/// and the loss log.
-pub fn trace_gossip_lossy(
-    g: &Graph,
-    schedule: &Schedule,
-    origins: &[usize],
-    model: CommModel,
-    plan: &FaultPlan,
-) -> Result<(LossyOutcome, ProvenanceTrace, Vec<LostDelivery>), ModelError> {
-    let mut sim = SimKernel::with_origins(g, model, origins)?;
-    if schedule.n != g.n() {
-        return Err(ModelError::SizeMismatch {
-            graph_n: g.n(),
-            schedule_n: schedule.n,
-        });
-    }
-    let flat = FlatSchedule::from_schedule(schedule);
-    let n = g.n();
-    let n_msgs = origins.len();
-    let makespan = schedule.makespan();
-    let mut first: Vec<Vec<Option<Delivery>>> = vec![vec![None; n]; n_msgs];
-    let mut rounds = Vec::with_capacity(makespan);
-    let mut sends = vec![0usize; n];
-    let mut receives = vec![0usize; n];
-    let mut first_receives = vec![0usize; n];
-    let mut active_rounds = vec![0usize; n];
-    let mut active_stamp = vec![usize::MAX; n];
-    fn mark_active(v: usize, slot: usize, stamp: &mut [usize], count: &mut [usize]) {
-        if stamp[v] != slot {
-            stamp[v] = slot;
-            count[v] += 1;
-        }
-    }
-
     let mut lost = Vec::new();
-    let mut delivered_total = 0usize;
     let mut tx_id = 0usize;
+    let mut completion_time = sim.gossip_complete().then_some(sim.time());
     for (t, round) in schedule.rounds[..makespan].iter().enumerate() {
-        // Candidate first deliveries, confirmed after the lossy step by
-        // checking the destination's hold set (the model's one-receive-per-
-        // round rule means at most one transmission can have landed it).
+        // (msg, dest, sender, tx_id) of would-be first deliveries, spotted
+        // from the hold sets *before* the step.
         let mut pending: Vec<(usize, usize, usize, usize)> = Vec::new();
         for tx in &round.transmissions {
             for &d in &tx.to {
@@ -539,16 +494,14 @@ pub fn trace_gossip_lossy(
             tx_id += 1;
         }
         let lost_before = lost.len();
-        let delivered = sim.step_round_lossy(&flat, t, plan, &mut lost)?;
-        delivered_total += delivered;
-        let mut fresh = 0usize;
+        step(&mut sim, &flat, t, &mut lost)?;
+        let round_lost = &lost[lost_before..];
         let mut deliveries = 0usize;
         for tx in &round.transmissions {
             sends[tx.from] += 1;
             mark_active(tx.from, t, &mut active_stamp, &mut active_rounds);
             for &d in &tx.to {
-                // Only what landed counts as traffic in a lossy trace.
-                let arrived = !lost[lost_before..]
+                let arrived = !round_lost
                     .iter()
                     .any(|l| l.to == d && l.from == tx.from && l.msg == tx.msg);
                 if arrived {
@@ -558,6 +511,7 @@ pub fn trace_gossip_lossy(
                 }
             }
         }
+        let mut fresh = 0usize;
         for (msg, d, sender, id) in pending {
             if sim.contains(d, msg) {
                 first[msg][d] = Some(Delivery {
@@ -576,13 +530,10 @@ pub fn trace_gossip_lossy(
             first_deliveries: fresh,
             receiver_utilization: deliveries as f64 / n as f64,
         });
+        if completion_time.is_none() && sim.gossip_complete() {
+            completion_time = Some(sim.time());
+        }
     }
-    let outcome = LossyOutcome {
-        rounds_executed: makespan,
-        delivered: delivered_total,
-        lost: lost.len(),
-        complete_among_alive: sim.residual_count(plan) == 0,
-    };
     let trace = ProvenanceTrace {
         n,
         n_msgs,
@@ -595,7 +546,12 @@ pub fn trace_gossip_lossy(
         first_receives,
         active_rounds,
     };
-    Ok((outcome, trace, lost))
+    Ok(Walk {
+        sim,
+        trace,
+        lost,
+        completion_time,
+    })
 }
 
 /// Exports `schedule` as a Chrome Trace Event Format array: one thread

@@ -1,8 +1,11 @@
 //! Execution of schedules under the communication model, with full rule
 //! validation.
 //!
-//! The simulator is the trust anchor of the whole reproduction: every
-//! schedule emitted by every algorithm is run through it, and it enforces
+//! The simulator is the reference semantics of the whole reproduction.
+//! Production paths replay schedules through the bitset
+//! [`crate::SimKernel`]; this tuple-by-tuple executor is the oracle the
+//! differential suites check that kernel against (same hold sets after
+//! every round, same outcome, same first [`ModelError`]). It enforces
 //! each rule of the paper's §1 model on every round:
 //!
 //! 1. each processor receives at most one message per round;
@@ -20,7 +23,6 @@ use crate::models::CommModel;
 use crate::round::CommRound;
 use crate::schedule::{Schedule, ScheduleStats};
 use gossip_graph::Graph;
-use gossip_telemetry::{Recorder, RecorderExt, Value};
 
 /// Stateful executor of communication rounds over a network.
 ///
@@ -263,27 +265,6 @@ impl<'g> Simulator<'g> {
         Ok(())
     }
 
-    /// [`Simulator::step`] plus a per-round probe. The traffic figures come
-    /// straight from the round (validation guarantees each destination is a
-    /// distinct receiver), so probing adds no extra pass over state.
-    pub fn step_probed(&mut self, round: &CommRound) -> Result<RoundProbe, ModelError> {
-        self.step(round)?;
-        let mut deliveries = 0;
-        let mut max_fanout = 0;
-        for tx in &round.transmissions {
-            deliveries += tx.to.len();
-            max_fanout = max_fanout.max(tx.to.len());
-        }
-        Ok(RoundProbe {
-            round: self.time - 1,
-            sent: round.transmissions.len(),
-            deliveries,
-            max_fanout,
-            idle_receivers: self.g.n() - deliveries,
-            coverage: self.coverage(),
-        })
-    }
-
     /// Runs a whole schedule, recording when gossip first completes.
     pub fn run(&mut self, schedule: &Schedule) -> Result<SimOutcome, ModelError> {
         if schedule.n != self.g.n() {
@@ -311,123 +292,6 @@ impl<'g> Simulator<'g> {
             stats: schedule.stats(),
         })
     }
-
-    /// Runs a whole schedule collecting one [`RoundProbe`] per round (the
-    /// hold-set coverage curve, traffic, and idle-receiver profile).
-    pub fn run_probed(
-        &mut self,
-        schedule: &Schedule,
-    ) -> Result<(SimOutcome, Vec<RoundProbe>), ModelError> {
-        if schedule.n != self.g.n() {
-            return Err(ModelError::SizeMismatch {
-                graph_n: self.g.n(),
-                schedule_n: schedule.n,
-            });
-        }
-        let mut completion_time = if self.gossip_complete() {
-            Some(self.time)
-        } else {
-            None
-        };
-        let makespan = schedule.makespan();
-        let mut probes = Vec::with_capacity(makespan);
-        for round in &schedule.rounds[..makespan] {
-            probes.push(self.step_probed(round)?);
-            if completion_time.is_none() && self.gossip_complete() {
-                completion_time = Some(self.time);
-            }
-        }
-        Ok((
-            SimOutcome {
-                complete: self.gossip_complete(),
-                rounds_executed: makespan,
-                completion_time,
-                stats: schedule.stats(),
-            },
-            probes,
-        ))
-    }
-
-    /// Runs a whole schedule, streaming per-round probes into `recorder`:
-    /// a `round` event per round, `sim/*` counters and histograms, and
-    /// final `sim/completion_time` / `sim/coverage` gauges, all under one
-    /// `simulate` span. Recorders that opt into
-    /// [`Recorder::wants_transmissions`] (the flight recorder) also get
-    /// every transmission as a one-entry batch, before that round's
-    /// event. With a disabled recorder this is exactly [`Simulator::run`].
-    pub fn run_recorded(
-        &mut self,
-        schedule: &Schedule,
-        recorder: &dyn Recorder,
-    ) -> Result<SimOutcome, ModelError> {
-        if !recorder.enabled() {
-            return self.run(schedule);
-        }
-        let _span = recorder.span("simulate");
-        let wants_tx = recorder.wants_transmissions();
-        let (outcome, probes) = self.run_probed(schedule)?;
-        let total_pairs = (self.hold.len() * self.n_msgs) as f64;
-        let mut dests: Vec<u32> = Vec::new();
-        for (round, probe) in schedule.rounds.iter().zip(&probes) {
-            if wants_tx {
-                for tx in &round.transmissions {
-                    // One scratch buffer for the whole run — per-tx capture
-                    // must not allocate on the hot path.
-                    dests.clear();
-                    dests.extend(tx.to.iter().map(|&d| d as u32));
-                    recorder.transmission(probe.round, tx.msg, tx.from as u32, &dests);
-                }
-            }
-            let known = (probe.coverage * total_pairs).round();
-            recorder.counter("sim/sent", probe.sent as u64);
-            recorder.counter("sim/deliveries", probe.deliveries as u64);
-            recorder.observe("sim/fanout_max", probe.max_fanout as f64);
-            recorder.observe("sim/idle_receivers", probe.idle_receivers as f64);
-            // Live knowledge-curve gauges (top-level names, matching the
-            // Prometheus registry: gossip_round_current / gossip_known_pairs).
-            recorder.gauge("round_current", (probe.round + 1) as f64);
-            recorder.gauge("known_pairs", known);
-            recorder.event(
-                "round",
-                &[
-                    ("round", Value::from_u64(probe.round as u64)),
-                    ("sent", Value::from_u64(probe.sent as u64)),
-                    ("deliveries", Value::from_u64(probe.deliveries as u64)),
-                    ("max_fanout", Value::from_u64(probe.max_fanout as u64)),
-                    (
-                        "idle_receivers",
-                        Value::from_u64(probe.idle_receivers as u64),
-                    ),
-                    ("coverage", Value::from_f64(probe.coverage)),
-                    ("known_pairs", Value::from_u64(known as u64)),
-                ],
-            );
-        }
-        recorder.gauge("sim/rounds", outcome.rounds_executed as f64);
-        recorder.gauge("sim/coverage", self.coverage());
-        if let Some(t) = outcome.completion_time {
-            recorder.gauge("sim/completion_time", t as f64);
-        }
-        Ok(outcome)
-    }
-}
-
-/// Per-round observation emitted by [`Simulator::step_probed`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundProbe {
-    /// The time at which the round executed.
-    pub round: usize,
-    /// Transmissions sent this round.
-    pub sent: usize,
-    /// Total deliveries (= distinct receivers; the model enforces one
-    /// receive per processor per round).
-    pub deliveries: usize,
-    /// Largest multicast fan-out among this round's transmissions.
-    pub max_fanout: usize,
-    /// Processors that received nothing this round.
-    pub idle_receivers: usize,
-    /// Fraction of (processor, message) pairs known after the round.
-    pub coverage: f64,
 }
 
 /// What a full schedule run established.
@@ -451,7 +315,7 @@ pub fn simulate_gossip(
     schedule: &Schedule,
     origin_of_message: &[usize],
 ) -> Result<SimOutcome, ModelError> {
-    Simulator::new(g, CommModel::Multicast, origin_of_message)?.run(schedule)
+    validate_gossip_schedule(g, schedule, origin_of_message, CommModel::Multicast)
 }
 
 /// Convenience: validate `schedule` under an arbitrary model and require

@@ -1,11 +1,11 @@
-//! Golden flight-record round trip on C_8: record an oracle run with the
+//! Golden flight-record round trip on C_8: record a kernel run with the
 //! [`FlightRecorder`], decode the bytes, and re-encode them byte-identically.
 //! The schedule is the deterministic ring rotation (every vertex forwards
 //! the message it just learned to its clockwise neighbour), so the capture
 //! is stable across runs and the assertions below are golden values.
 
 use gossip_graph::GraphBuilder;
-use gossip_model::{identity_origins, CommModel, Schedule, Simulator, Transmission};
+use gossip_model::{identity_origins, CommModel, FlatSchedule, Schedule, SimKernel, Transmission};
 use gossip_telemetry::flight::{FlightHeader, FlightLog, FlightRecord, FlightRecorder};
 
 const N: usize = 8;
@@ -50,8 +50,10 @@ fn c8_capture_roundtrips_byte_identically() {
     let g = ring();
     let schedule = rotation_schedule();
     let rec = FlightRecorder::new(header());
-    let mut sim = Simulator::new(&g, CommModel::Multicast, &identity_origins(N)).unwrap();
-    let outcome = sim.run_recorded(&schedule, &rec).unwrap();
+    let mut sim = SimKernel::new(&g, CommModel::Multicast, &identity_origins(N)).unwrap();
+    let outcome = sim
+        .run_recorded(&FlatSchedule::from_schedule(&schedule), &rec)
+        .unwrap();
     assert!(outcome.complete);
     assert_eq!(outcome.rounds_executed, N - 1);
 
@@ -78,8 +80,9 @@ fn c8_capture_decodes_to_the_recorded_transmissions() {
     let g = ring();
     let schedule = rotation_schedule();
     let rec = FlightRecorder::new(header());
-    let mut sim = Simulator::new(&g, CommModel::Multicast, &identity_origins(N)).unwrap();
-    sim.run_recorded(&schedule, &rec).unwrap();
+    let mut sim = SimKernel::new(&g, CommModel::Multicast, &identity_origins(N)).unwrap();
+    sim.run_recorded(&FlatSchedule::from_schedule(&schedule), &rec)
+        .unwrap();
 
     let log = FlightLog::decode(&rec.finish()).unwrap();
     // Every scheduled transmission appears with its exact round, message,
@@ -111,8 +114,9 @@ fn c8_capture_decodes_to_the_recorded_transmissions() {
 fn c8_capture() -> Vec<u8> {
     let g = ring();
     let rec = FlightRecorder::new(header());
-    let mut sim = Simulator::new(&g, CommModel::Multicast, &identity_origins(N)).unwrap();
-    sim.run_recorded(&rotation_schedule(), &rec).unwrap();
+    let mut sim = SimKernel::new(&g, CommModel::Multicast, &identity_origins(N)).unwrap();
+    sim.run_recorded(&FlatSchedule::from_schedule(&rotation_schedule()), &rec)
+        .unwrap();
     rec.finish()
 }
 

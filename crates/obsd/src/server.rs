@@ -27,7 +27,7 @@
 
 use crate::prometheus;
 use gossip_telemetry::{AlertSink, LiveRegistry, Value, SCHEMA_VERSION};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -245,6 +245,11 @@ fn current_sink(alerts: &SharedSink, health: &Health) -> Option<Arc<AlertSink>> 
     Some(sink)
 }
 
+/// Longest request line a connection may send, newline included.
+const MAX_REQUEST_LINE: u64 = 8 * 1024;
+/// Longest header block a connection may send after its request line.
+const MAX_HEADERS: u64 = 64 * 1024;
+
 fn handle_connection(
     mut stream: TcpStream,
     registry: &LiveRegistry,
@@ -254,13 +259,36 @@ fn handle_connection(
     alerts: &SharedSink,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    // Both reads are bounded: past a bound the request is refused and the
+    // connection closed without reading (or buffering) any more of it.
+    let mut reader = BufReader::new(stream.try_clone()?).take(MAX_REQUEST_LINE);
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
+    if reader.limit() == 0 && !request_line.ends_with('\n') {
+        return write_response(
+            &mut stream,
+            "414 URI Too Long",
+            "text/plain",
+            "request line too long\n",
+        );
+    }
     // Drain the headers so well-behaved clients aren't RST mid-send.
+    let mut reader = reader.into_inner().take(MAX_HEADERS);
+    let mut line = String::new();
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            if reader.limit() == 0 {
+                return write_response(
+                    &mut stream,
+                    "431 Request Header Fields Too Large",
+                    "text/plain",
+                    "headers too large\n",
+                );
+            }
+            break;
+        }
+        if line == "\r\n" || line == "\n" {
             break;
         }
     }
@@ -412,7 +440,6 @@ fn stream_events(
 mod tests {
     use super::*;
     use gossip_telemetry::Recorder;
-    use std::io::Read;
 
     fn get(addr: SocketAddr, path: &str) -> String {
         let mut s = TcpStream::connect(addr).unwrap();
@@ -443,6 +470,54 @@ mod tests {
         assert!(get(addr, "/healthz").contains("\"phase\":\"executing\""));
 
         assert!(get(addr, "/nope").starts_with("HTTP/1.1 404"));
+        server.stop();
+    }
+
+    /// Whether `reply` is a response with `status`, or a cut-off start of
+    /// one: the server closes without reading the rest of an oversized
+    /// request, and the reset that follows may truncate or drop its reply.
+    fn refused_with(reply: &str, status: &str) -> bool {
+        let head = format!("HTTP/1.1 {status}");
+        reply.starts_with(&head) || head.starts_with(reply)
+    }
+
+    /// Sends `head` and returns what came back before the server closed
+    /// or reset the connection.
+    fn send_raw(addr: SocketAddr, head: &[u8]) -> String {
+        let mut s = TcpStream::connect(addr).unwrap();
+        // The server may stop reading (and reset) mid-send.
+        let _ = s.write_all(head);
+        let mut out = Vec::new();
+        let _ = s.read_to_end(&mut out);
+        String::from_utf8_lossy(&out).into_owned()
+    }
+
+    #[test]
+    fn oversized_requests_are_refused_and_serving_continues() {
+        let registry = Arc::new(LiveRegistry::new());
+        let server = ObsdServer::start("127.0.0.1:0", Arc::clone(&registry)).unwrap();
+        let addr = server.addr();
+
+        let long_line = vec![b'A'; 1 << 20];
+        let reply = send_raw(addr, &long_line);
+        assert!(refused_with(&reply, "414"), "{reply}");
+
+        let mut long_headers = b"GET /healthz HTTP/1.1\r\n".to_vec();
+        for i in 0..2048 {
+            long_headers.extend_from_slice(format!("X-Pad-{i}: {}\r\n", "b".repeat(64)).as_bytes());
+        }
+        long_headers.extend_from_slice(b"\r\n");
+        let reply = send_raw(addr, &long_headers);
+        assert!(refused_with(&reply, "431"), "{reply}");
+
+        // Requests just inside both bounds are still served.
+        let mut fits = format!("GET /healthz?{} HTTP/1.1\r\n", "q".repeat(7 * 1024)).into_bytes();
+        for i in 0..512 {
+            fits.extend_from_slice(format!("X-Pad-{i}: {}\r\n", "b".repeat(64)).as_bytes());
+        }
+        fits.extend_from_slice(b"\r\n");
+        assert!(send_raw(addr, &fits).starts_with("HTTP/1.1 200 OK"));
+        assert!(get(addr, "/healthz").starts_with("HTTP/1.1 200 OK"));
         server.stop();
     }
 

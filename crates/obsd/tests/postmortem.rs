@@ -10,6 +10,7 @@ use gossip_model::{
 };
 use gossip_obsd::diff;
 use gossip_telemetry::flight::{FlightHeader, FlightLog, FlightRecorder};
+use gossip_telemetry::{Recorder, RecorderExt, Value};
 use gossip_workloads::fig4_graph;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -27,10 +28,26 @@ fn header(engine: &str, n: usize, origins: &[usize]) -> FlightHeader {
     }
 }
 
+/// A capture written by hand from the oracle: one transmission record per
+/// send, then one round end carrying the oracle's known pairs, per
+/// [`Simulator::step`].
 fn oracle_capture(g: &Graph, schedule: &Schedule, origins: &[usize]) -> FlightLog {
     let rec = FlightRecorder::new(header("oracle", g.n(), origins));
     let mut sim = Simulator::with_origins(g, CommModel::Multicast, origins).unwrap();
-    sim.run_recorded(schedule, &rec).unwrap();
+    for (t, round) in schedule.rounds[..schedule.makespan()].iter().enumerate() {
+        for tx in &round.transmissions {
+            let dests: Vec<u32> = tx.to.iter().map(|&d| d as u32).collect();
+            rec.transmission(t, tx.msg, tx.from as u32, &dests);
+        }
+        sim.step(round).unwrap();
+        rec.event(
+            "round_end",
+            &[
+                ("round", Value::from_u64(t as u64)),
+                ("known_pairs", Value::from_u64(sim.known_pairs() as u64)),
+            ],
+        );
+    }
     FlightLog::decode(&rec.finish()).unwrap()
 }
 

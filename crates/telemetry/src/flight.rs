@@ -1069,10 +1069,8 @@ impl Recorder for FlightRecorder {
 
     fn event(&self, name: &str, fields: &[(&str, Value)]) {
         let rec = match name {
-            // The oracle simulator's per-round probe and the kernel's
-            // round_end both mark a completed round; either carries the
-            // knowledge-curve point.
-            "round" | "round_end" => {
+            // A completed round carries the knowledge-curve point.
+            "round_end" => {
                 let Some(round) = field_u64(fields, "round") else {
                     return;
                 };

@@ -900,9 +900,7 @@ impl Recorder for AlertEngine<'_> {
     fn event(&self, name: &str, fields: &[(&str, Value)]) {
         self.inner.event(name, fields);
         match name {
-            // Both the oracle's per-round probe and the kernel's
-            // round_end mark a completed round.
-            "round" | "round_end" => {
+            "round_end" => {
                 if let Some(round) = field(fields, "round").and_then(Value::as_u64) {
                     self.sink
                         .on_round_end(round, field(fields, "known_pairs").and_then(Value::as_u64));

@@ -4,13 +4,17 @@
 //! *bit-identical* to the oracle [`Simulator`] — same hold sets after
 //! every round, same completion round, same final outcome, the same
 //! rejection (same `ModelError`) of the same invalid schedules, and the
-//! same loss log, residual, and end state under seeded fault plans.
+//! same loss log, residual, and end state under seeded fault plans. The
+//! kernel's per-round probes match probes counted by hand from the oracle,
+//! and the lossy provenance walk under no faults matches the strict one.
 
 use gossip_core::{concurrent_updown, tree_origins, GossipPlanner};
 use gossip_graph::Graph;
 use gossip_model::{
-    inject_fault, CommModel, Fault, FaultPlan, FlatSchedule, Schedule, SimKernel, Simulator,
+    inject_fault, trace_gossip, trace_gossip_lossy, CommModel, Fault, FaultPlan, FlatSchedule,
+    RoundProbe, Schedule, SimKernel, Simulator,
 };
+use gossip_telemetry::NoopRecorder;
 use gossip_workloads::{fig4_graph, fig5_tree, n1_ring, petersen, random_connected};
 use proptest::prelude::*;
 
@@ -212,6 +216,78 @@ fn lossy_runs_agree_on_reference_instances() {
             );
             assert_same_holds(inst.name, inst.schedule.makespan(), &sim, &k);
         }
+    }
+}
+
+/// The probed replay is a strict replay: same outcome as `run`, and per
+/// round the traffic and coverage an oracle [`Simulator::step`] shows.
+#[test]
+fn probed_runs_match_oracle_probes_on_reference_instances() {
+    for inst in instances() {
+        let Instance {
+            name,
+            g,
+            schedule,
+            origins,
+        } = &inst;
+        let flat = FlatSchedule::from_schedule(schedule);
+        let mut k = SimKernel::with_origins(g, CommModel::Multicast, origins).unwrap();
+        let (probed, probes) = k.run_probed(&flat, &NoopRecorder).unwrap();
+        let mut k2 = SimKernel::with_origins(g, CommModel::Multicast, origins).unwrap();
+        assert_eq!(probed, k2.run(&flat).unwrap(), "{name}: probed outcome");
+
+        let mut sim = Simulator::with_origins(g, CommModel::Multicast, origins).unwrap();
+        let want: Vec<RoundProbe> = schedule.rounds[..schedule.makespan()]
+            .iter()
+            .map(|round| {
+                sim.step(round).unwrap();
+                let deliveries: usize = round.transmissions.iter().map(|tx| tx.to.len()).sum();
+                RoundProbe {
+                    round: sim.time() - 1,
+                    sent: round.transmissions.len(),
+                    deliveries,
+                    max_fanout: round
+                        .transmissions
+                        .iter()
+                        .map(|tx| tx.to.len())
+                        .max()
+                        .unwrap_or(0),
+                    idle_receivers: g.n() - deliveries,
+                    coverage: sim.coverage(),
+                }
+            })
+            .collect();
+        assert_eq!(probes, want, "{name}: probes");
+    }
+}
+
+/// Under the empty fault plan the lossy provenance walk records exactly
+/// the strict trace, and every scheduled delivery lands.
+#[test]
+fn lossless_provenance_matches_strict_trace_on_reference_instances() {
+    for inst in instances() {
+        let Instance {
+            name,
+            g,
+            schedule,
+            origins,
+        } = &inst;
+        let (_, strict) = trace_gossip(g, schedule, origins, CommModel::Multicast).unwrap();
+        let (out, lossy, lost) = trace_gossip_lossy(
+            g,
+            schedule,
+            origins,
+            CommModel::Multicast,
+            &FaultPlan::none(),
+        )
+        .unwrap();
+        assert_eq!(lossy.to_value(None), strict.to_value(None), "{name}: trace");
+        assert!(lost.is_empty(), "{name}: losses under no faults");
+        assert_eq!(
+            out.delivered,
+            schedule.stats().deliveries,
+            "{name}: delivered"
+        );
     }
 }
 
