@@ -1135,6 +1135,38 @@ fn artifact(dir: &std::path::Path, name: &str) -> (usize, u64) {
     (bytes.len(), d.finish())
 }
 
+/// A ConcurrentUpDown `--trace-out`, pinned to the bytes it held when
+/// the rule tags came from a per-vertex overlay of their own instead of
+/// the generator's walk. Both traces carry all seven tag kinds.
+#[test]
+fn plan_trace_out_matches_goldens() {
+    let dir = temp_dir("golden-trace");
+    for (graph, golden) in [
+        ("petersen", (16582, 0xe116_f391_8350_de87)),
+        ("fig5", (43445, 0x41e4_06cb_b980_640c)),
+    ] {
+        let (ok, stdout, stderr) = gossip_in(
+            &dir,
+            &[
+                "plan",
+                "--graph",
+                graph,
+                "--algo",
+                "concurrent",
+                "--trace-out",
+                "T",
+            ],
+        );
+        assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+        assert_eq!(artifact(&dir, "T"), golden, "{graph}");
+        let text = std::fs::read_to_string(dir.join("T")).unwrap();
+        for tag in ["[U3]", "[U4]", "[U4+D3]", "[D3]", "[D3*]", "[D2]", "[D2*]"] {
+            assert!(text.contains(tag), "{graph}: no {tag} slice");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Every sink of a run at once, pinned to the bytes they held before
 /// the recorder stacks moved behind one builder.
 #[test]

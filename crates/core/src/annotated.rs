@@ -6,9 +6,11 @@
 //! teaching material that shows the algorithm's anatomy round by round,
 //! debugging of reconstructed rules against the paper's timing formulas,
 //! and the structural assertions in this module's tests (each rule fires
-//! only inside its published time window).
+//! only inside its published time window). The tags come from the same
+//! per-vertex event walk that generates the schedule, so the two cannot
+//! drift apart.
 
-use crate::labeling::LabelView;
+use crate::fast_planner::{walk, FlatLabels};
 use gossip_graph::RootedTree;
 use gossip_model::{Schedule, Transmission};
 use std::collections::BTreeMap;
@@ -59,111 +61,22 @@ pub struct AnnotatedTransmission {
     pub rule: Rule,
 }
 
-/// Builds the ConcurrentUpDown schedule with per-transmission rule tags.
+/// Builds the ConcurrentUpDown schedule with per-transmission rule tags,
+/// sorted by `(time, sender)`.
 ///
 /// The underlying schedule (forgetting tags) equals
 /// [`crate::concurrent_updown`] exactly — asserted in tests.
 pub fn annotated_concurrent_updown(tree: &RootedTree) -> Vec<AnnotatedTransmission> {
-    let lv = LabelView::new(tree);
-    let n = lv.n();
-    if n <= 1 {
-        return Vec::new();
-    }
-
-    #[derive(Debug)]
-    struct Pending {
-        msg: u32,
-        to_parent: bool,
-        child_dests: Vec<u32>,
-        rules: Vec<Rule>,
-    }
-
+    let fl = FlatLabels::build(tree);
     let mut out = Vec::new();
-    let mut recv_from_parent: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-
-    for label in lv.labels() {
-        let p = lv.params(label);
-        let (i, j, k) = (p.i as usize, p.j as usize, p.k as usize);
-        let mut sends: BTreeMap<usize, Pending> = BTreeMap::new();
-        let mut add = |t: usize, msg: u32, to_parent: bool, child_dests: Vec<u32>, rule: Rule| {
-            sends
-                .entry(t)
-                .and_modify(|e| {
-                    assert_eq!(e.msg, msg);
-                    e.to_parent |= to_parent;
-                    e.child_dests.extend_from_slice(&child_dests);
-                    e.rules.push(rule);
-                })
-                .or_insert(Pending {
-                    msg,
-                    to_parent,
-                    child_dests,
-                    rules: vec![rule],
-                });
-        };
-
-        if !p.is_root() {
-            if p.has_lip() {
-                add(0, p.i, true, Vec::new(), Rule::U3Lip);
-            }
-            for m in p.rip_start()..=p.j {
-                add(m as usize - k, m, true, Vec::new(), Rule::U4Rip);
-            }
-        }
-        if !p.is_leaf() {
-            for m in i as u32..=j as u32 {
-                let (t, rule) = if m as usize == i && i == k {
-                    (j - k + 1, Rule::D3DeferredOwn)
-                } else {
-                    (m as usize - k, Rule::D3Down)
-                };
-                let dests: Vec<u32> = lv
-                    .children(label)
-                    .iter()
-                    .copied()
-                    .filter(|&c| lv.child_containing(label, m) != Some(c))
-                    .collect();
-                if !dests.is_empty() {
-                    add(t, m, false, dests, rule);
-                }
-            }
-            for &(t_arrive, m) in &recv_from_parent[label as usize] {
-                let (t_send, rule) = if t_arrive == i - k {
-                    (j - k + 1, Rule::D2Deferred)
-                } else if t_arrive == i - k + 1 {
-                    (j - k + 2, Rule::D2Deferred)
-                } else {
-                    (t_arrive, Rule::D2Forward)
-                };
-                add(t_send, m, false, lv.children(label).to_vec(), rule);
-            }
-        }
-
-        let vertex = lv.vertex(label);
-        for (t, ev) in sends {
-            let mut dests = Vec::with_capacity(ev.child_dests.len() + 1);
-            if ev.to_parent {
-                dests.push(lv.vertex(p.parent_i));
-            }
-            for &c in &ev.child_dests {
-                recv_from_parent[c as usize].push((t + 1, ev.msg));
-                dests.push(lv.vertex(c));
-            }
-            // Merge rule: an up-rule plus a down-rule at the same time is
-            // the paper's U4/D3 coincidence.
-            let rule = if ev.rules.len() == 1 {
-                ev.rules[0]
-            } else {
-                debug_assert!(ev.rules.contains(&Rule::U4Rip));
-                Rule::U4D3Merged
-            };
-            out.push(AnnotatedTransmission {
-                time: t,
-                transmission: Transmission::new(ev.msg, vertex, dests),
-                rule,
-            });
-        }
-    }
+    walk(&fl, &mut |label, t, msg, to_parent, down, rule| {
+        let dests = fl.dests(label, to_parent, down);
+        out.push(AnnotatedTransmission {
+            time: t as usize,
+            transmission: Transmission::new(msg, fl.vertex(label) as usize, dests),
+            rule,
+        });
+    });
     out.sort_by_key(|a| (a.time, a.transmission.from));
     out
 }

@@ -29,7 +29,7 @@
 //! `{parent} ∪ children` — the observation the paper's Theorem 1 proof
 //! hinges on.
 
-use crate::fast_planner::{walk, Down, FlatLabels};
+use crate::fast_planner::{walk, FlatLabels};
 use gossip_graph::RootedTree;
 use gossip_model::{CommRound, Schedule, Transmission};
 use gossip_telemetry::{NoopRecorder, Recorder, RecorderExt};
@@ -96,21 +96,8 @@ pub fn concurrent_updown_recorded(tree: &RootedTree, recorder: &dyn Recorder) ->
     schedule
         .rounds
         .resize_with(n + fl.height() as usize + 2, CommRound::new);
-    walk(&fl, &mut |label, t, msg, to_parent, down| {
-        let kids = fl.children(label);
-        let mut dests: Vec<usize> = Vec::with_capacity(to_parent as usize + kids.len());
-        if to_parent {
-            dests.push(fl.vertex(fl.parent(label)) as usize);
-        }
-        match down {
-            Down::No => {}
-            Down::All => dests.extend(kids.iter().map(|&c| fl.vertex(c) as usize)),
-            Down::Except(skip) => dests.extend(
-                kids.iter()
-                    .filter(|&&c| c != skip)
-                    .map(|&c| fl.vertex(c) as usize),
-            ),
-        }
+    walk(&fl, &mut |label, t, msg, to_parent, down, _rule| {
+        let dests = fl.dests(label, to_parent, down);
         if to_parent && dests.len() > 1 {
             merged_multicasts += 1;
         }

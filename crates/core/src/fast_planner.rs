@@ -22,6 +22,14 @@
 //!   transmission into its final slot via per-round cursors. No
 //!   re-allocation, no sort, no intermediate `Schedule`.
 //!
+//! The sequences are the only place production code computes a
+//! ConcurrentUpDown send time. The walk also reports the paper rule of
+//! every send, for
+//! [`annotated_concurrent_updown`](crate::annotated_concurrent_updown);
+//! [`OnlineVertex`](crate::OnlineVertex) steps the same sequences one
+//! round at a time, and [`gather_schedule`](crate::gather_schedule) emits
+//! the Propagate-Up ones alone.
+//!
 //! Both passes walk vertices in ascending label order and each vertex sends
 //! at most once per round, so within every round the transmissions appear
 //! in ascending sender label — exactly the order
@@ -30,6 +38,7 @@
 //! [`digest`](FlatSchedule::digest)); the `planner_equivalence` suite pins
 //! both against an independent `BTreeMap` overlay of the paper's rules.
 
+use crate::annotated::Rule;
 use crate::concurrent::tree_origins;
 use gossip_graph::{RootedTree, NO_PARENT};
 use gossip_model::FlatSchedule;
@@ -38,9 +47,9 @@ use gossip_telemetry::{NoopRecorder, Recorder, RecorderExt};
 /// A scheduled down-multicast (or a pending event during the merge):
 /// message `msg` leaves the vertex at time `t`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ev {
-    t: u32,
-    msg: u32,
+pub(crate) struct Ev {
+    pub(crate) t: u32,
+    pub(crate) msg: u32,
 }
 
 /// Destination set of a down event.
@@ -171,6 +180,26 @@ impl FlatLabels {
         &self.child_labels[lo..hi]
     }
 
+    /// The destination vertices of a walk event at `label`: the parent
+    /// when `to_parent`, then the children `down` selects.
+    pub(crate) fn dests(&self, label: u32, to_parent: bool, down: Down) -> Vec<usize> {
+        let kids = self.children(label);
+        let mut dests = Vec::with_capacity(usize::from(to_parent) + kids.len());
+        if to_parent {
+            dests.push(self.vertex(self.parent(label)) as usize);
+        }
+        match down {
+            Down::No => {}
+            Down::All => dests.extend(kids.iter().map(|&c| self.vertex(c) as usize)),
+            Down::Except(skip) => dests.extend(
+                kids.iter()
+                    .filter(|&&c| c != skip)
+                    .map(|&c| self.vertex(c) as usize),
+            ),
+        }
+        dests
+    }
+
     /// The origin table for the simulator (same as
     /// [`tree_origins`](crate::tree_origins)).
     pub fn origins(&self) -> Vec<usize> {
@@ -178,9 +207,15 @@ impl FlatLabels {
     }
 }
 
+/// One sequence event: `msg` leaves at `t` by paper step `rule`.
+fn tagged(t: u32, msg: u32, rule: Rule) -> Option<(Ev, Rule)> {
+    Some((Ev { t, msg }, rule))
+}
+
 /// Propagate-Up events: the lip-message (U3, time 0) then the rip-messages
-/// (U4, `m - k` for `m ∈ [max(i, i'+2), j]`). Nondecreasing `t`.
-struct UpSeq {
+/// (U4, `m - k` for `m ∈ [max(i, i'+2), j]`). Increasing `t`.
+#[derive(Debug, Clone)]
+pub(crate) struct UpSeq {
     lip_pending: bool,
     lip_msg: u32,
     next_rip: u32,
@@ -189,21 +224,32 @@ struct UpSeq {
 }
 
 impl UpSeq {
-    fn next(&mut self) -> Option<Ev> {
+    /// The up events of label `i` (subtree `[i, j]`, level `k`) under
+    /// `parent`; none for the root (`parent == NO_PARENT`).
+    pub(crate) fn new(i: u32, j: u32, k: u32, parent: u32) -> UpSeq {
+        let is_root = parent == NO_PARENT;
+        UpSeq {
+            lip_pending: !is_root && i == parent + 1,
+            lip_msg: i,
+            next_rip: if is_root { 1 } else { i.max(parent + 2) },
+            rip_end: if is_root { 0 } else { j },
+            k,
+        }
+    }
+}
+
+impl Iterator for UpSeq {
+    type Item = (Ev, Rule);
+
+    fn next(&mut self) -> Option<(Ev, Rule)> {
         if self.lip_pending {
             self.lip_pending = false;
-            return Some(Ev {
-                t: 0,
-                msg: self.lip_msg,
-            });
+            return tagged(0, self.lip_msg, Rule::U3Lip);
         }
         if self.next_rip <= self.rip_end {
             let m = self.next_rip;
             self.next_rip += 1;
-            return Some(Ev {
-                t: m - self.k,
-                msg: m,
-            });
+            return tagged(m - self.k, m, Rule::U4Rip);
         }
         None
     }
@@ -212,7 +258,8 @@ impl UpSeq {
 /// D3 events (own-subtree multicasts): `m` at `m - k` for `m ∈ [i, j]`,
 /// except that when `i = k` the own message moves to `j - k + 1` — which in
 /// time order means it is produced *last* instead of first. Increasing `t`.
-struct OwnSeq {
+#[derive(Debug, Clone)]
+pub(crate) struct OwnSeq {
     i: u32,
     j: u32,
     k: u32,
@@ -223,36 +270,58 @@ struct OwnSeq {
 }
 
 impl OwnSeq {
-    fn next(&mut self) -> Option<Ev> {
+    /// The down events of label `i` (subtree `[i, j]`, level `k`); none for
+    /// a leaf.
+    pub(crate) fn new(i: u32, j: u32, k: u32) -> OwnSeq {
+        OwnSeq {
+            i,
+            j,
+            k,
+            next_m: i + 1,
+            own_pending: i != j,
+            own_last: i == k,
+        }
+    }
+}
+
+impl Iterator for OwnSeq {
+    type Item = (Ev, Rule);
+
+    fn next(&mut self) -> Option<(Ev, Rule)> {
         if self.own_pending && !self.own_last {
             self.own_pending = false;
-            return Some(Ev {
-                t: self.i - self.k,
-                msg: self.i,
-            });
+            return tagged(self.i - self.k, self.i, Rule::D3Down);
         }
         if self.next_m <= self.j {
             let m = self.next_m;
             self.next_m += 1;
-            return Some(Ev {
-                t: m - self.k,
-                msg: m,
-            });
+            return tagged(m - self.k, m, Rule::D3Down);
         }
         if self.own_pending {
             self.own_pending = false;
-            return Some(Ev {
-                t: self.j - self.k + 1,
-                msg: self.i,
-            });
+            return tagged(self.j - self.k + 1, self.i, Rule::D3DeferredOwn);
         }
         None
     }
 }
 
-/// D2 events: o-messages forwarded on arrival (`t_arrive = parent's send
-/// time + 1`), with arrivals at `i - k` / `i - k + 1` deferred to
-/// `j - k + 1` / `j - k + 2`. The parent stream is time-sorted and — by the
+/// (D2) When an o-message arriving at `t_arrive` leaves label `i`
+/// (subtree `[i, j]`, level `k`): the vertex is busy multicasting its own
+/// subtree during `[i - k, j - k]`, so arrivals at `i - k` and `i - k + 1`
+/// wait until `j - k + 1` and `j - k + 2`; every other arrival is
+/// forwarded the round it arrives.
+pub(crate) fn d2_slot(t_arrive: u32, i: u32, j: u32, k: u32) -> u32 {
+    if t_arrive == i - k {
+        j - k + 1
+    } else if t_arrive == i - k + 1 {
+        j - k + 2
+    } else {
+        t_arrive
+    }
+}
+
+/// D2 events: o-messages forwarded at their [`d2_slot`] (`t_arrive` =
+/// parent's send time + 1). The parent stream is time-sorted and — by the
 /// schedule's correctness — has no arrivals inside the busy window
 /// `(i - k + 1, j - k + 1)`, so the deferral keeps the output sorted; the
 /// merge in [`walk`] asserts that.
@@ -266,7 +335,7 @@ struct FwdSeq<'a> {
 }
 
 impl FwdSeq<'_> {
-    fn next(&mut self) -> Option<Ev> {
+    fn next(&mut self) -> Option<(Ev, Rule)> {
         if !self.enabled {
             return None;
         }
@@ -277,24 +346,25 @@ impl FwdSeq<'_> {
                 continue; // own-subtree message: handled by D3, not forwarded
             }
             let t_arrive = e.t + 1;
-            let t = if t_arrive == self.i - self.k {
-                self.j - self.k + 1
-            } else if t_arrive == self.i - self.k + 1 {
-                self.j - self.k + 2
+            let t = d2_slot(t_arrive, self.i, self.j, self.k);
+            let rule = if t == t_arrive {
+                Rule::D2Forward
             } else {
-                t_arrive
+                Rule::D2Deferred
             };
-            return Some(Ev { t, msg: e.msg });
+            return tagged(t, e.msg, rule);
         }
         None
     }
 }
 
 /// Walks every vertex in label order and fires `on_tx(label, t, msg,
-/// to_parent, down)` once per scheduled transmission, in increasing `t`
-/// within each vertex. Both CSR passes and the `Schedule` generator
-/// ([`concurrent_updown`](crate::concurrent_updown)) share this walk, so
-/// their event sequences are identical by construction.
+/// to_parent, down, rule)` once per scheduled transmission, in increasing
+/// `t` within each vertex; `rule` is the paper step that produced it. Both
+/// CSR passes, the `Schedule` generator
+/// ([`concurrent_updown`](crate::concurrent_updown)) and the rule-tagged
+/// one ([`annotated_concurrent_updown`](crate::annotated_concurrent_updown))
+/// share this walk, so their event sequences are identical by construction.
 ///
 /// # Panics
 ///
@@ -302,7 +372,7 @@ impl FwdSeq<'_> {
 /// a forward colliding with another send, or U4 and D3 carrying different
 /// messages. Theorem 1 says none occurs; the checks stay on in release
 /// builds because every production schedule comes from this walk.
-pub(crate) fn walk<F: FnMut(u32, u32, u32, bool, Down)>(fl: &FlatLabels, on_tx: &mut F) {
+pub(crate) fn walk<F: FnMut(u32, u32, u32, bool, Down, Rule)>(fl: &FlatLabels, on_tx: &mut F) {
     let n = fl.n();
     if n <= 1 {
         return;
@@ -334,21 +404,8 @@ pub(crate) fn walk<F: FnMut(u32, u32, u32, bool, Down)>(fl: &FlatLabels, on_tx: 
         debug_assert_eq!(is_root, stack.is_empty());
         debug_assert!(is_root || stack.last().map(|f| f.label) == Some(parent));
 
-        let mut up = UpSeq {
-            lip_pending: !is_root && i == parent + 1,
-            lip_msg: i,
-            next_rip: if is_root { 1 } else { i.max(parent + 2) },
-            rip_end: if is_root { 0 } else { j },
-            k,
-        };
-        let mut own = OwnSeq {
-            i,
-            j,
-            k,
-            next_m: i + 1,
-            own_pending: !is_leaf,
-            own_last: i == k,
-        };
+        let mut up = UpSeq::new(i, j, k, parent);
+        let mut own = OwnSeq::new(i, j, k);
         let mut stream: Vec<Ev> = if is_leaf {
             Vec::new()
         } else {
@@ -377,9 +434,9 @@ pub(crate) fn walk<F: FnMut(u32, u32, u32, bool, Down)>(fl: &FlatLabels, on_tx: 
             loop {
                 // Exhausted sequences read as `u32::MAX`, a time no event
                 // reaches (every send is before n + r).
-                let t_up = up_ev.map_or(u32::MAX, |e| e.t);
-                let t_own = own_ev.map_or(u32::MAX, |e| e.t);
-                let t_fwd = fwd_ev.map_or(u32::MAX, |e| e.t);
+                let t_up = up_ev.map_or(u32::MAX, |(e, _)| e.t);
+                let t_own = own_ev.map_or(u32::MAX, |(e, _)| e.t);
+                let t_fwd = fwd_ev.map_or(u32::MAX, |(e, _)| e.t);
                 let t_up_own = t_up.min(t_own);
                 let t = t_up_own.min(t_fwd);
                 if t == u32::MAX {
@@ -397,14 +454,14 @@ pub(crate) fn walk<F: FnMut(u32, u32, u32, bool, Down)>(fl: &FlatLabels, on_tx: 
                 let from_up = t_up == t;
                 let from_own = t_own == t;
                 if t_fwd == t {
-                    let e = fwd_ev.expect("fwd event");
-                    on_tx(i, t, e.msg, false, Down::All);
+                    let (e, rule) = fwd_ev.expect("fwd event");
+                    on_tx(i, t, e.msg, false, Down::All, rule);
                     stream.push(e);
                     fwd_ev = fwd.next();
                     continue;
                 }
                 let down = if from_own {
-                    let e = own_ev.expect("own event");
+                    let (e, rule) = own_ev.expect("own event");
                     let d = if e.msg == i {
                         Down::All
                     } else {
@@ -416,32 +473,38 @@ pub(crate) fn walk<F: FnMut(u32, u32, u32, bool, Down)>(fl: &FlatLabels, on_tx: 
                     };
                     stream.push(e);
                     own_ev = own.next();
-                    Some((e.msg, d))
+                    Some((e.msg, d, rule))
                 } else {
                     None
                 };
+                // D3 has a destination unless the only child is the one
+                // whose subtree contains the message (its entry still
+                // enters the stream vacuously — children filter
+                // own-subtree messages — but costs nothing).
+                let has_dest = |d: Down| match d {
+                    Down::All => !kids.is_empty(),
+                    Down::Except(_) => kids.len() > 1,
+                    Down::No => false,
+                };
                 if from_up {
-                    let e = up_ev.expect("up event");
-                    if let Some((m_down, d)) = down {
-                        // U4 + D3 merge: both carry the same message.
-                        assert_eq!(e.msg, m_down, "U4/D3 disagree at vertex {i} time {t}");
-                        on_tx(i, t, e.msg, true, d);
-                    } else {
-                        on_tx(i, t, e.msg, true, Down::No);
+                    let (e, up_rule) = up_ev.expect("up event");
+                    match down {
+                        Some((m_down, d, _)) => {
+                            // U4 + D3 merge: both carry the same message.
+                            assert_eq!(e.msg, m_down, "U4/D3 disagree at vertex {i} time {t}");
+                            let rule = if has_dest(d) {
+                                Rule::U4D3Merged
+                            } else {
+                                up_rule
+                            };
+                            on_tx(i, t, e.msg, true, d, rule);
+                        }
+                        None => on_tx(i, t, e.msg, true, Down::No, up_rule),
                     }
                     up_ev = up.next();
-                } else if let Some((m, d)) = down {
-                    // D3-only: suppress the transmission when the only child
-                    // is the one whose subtree contains the message (its
-                    // entry still enters the stream vacuously — children
-                    // filter own-subtree messages — but costs nothing).
-                    let has_dest = match d {
-                        Down::All => !kids.is_empty(),
-                        Down::Except(_) => kids.len() > 1,
-                        Down::No => false,
-                    };
-                    if has_dest {
-                        on_tx(i, t, m, false, d);
+                } else if let Some((m, d, rule)) = down {
+                    if has_dest(d) {
+                        on_tx(i, t, m, false, d, rule);
                     }
                 }
             }
@@ -496,7 +559,7 @@ pub fn concurrent_updown_flat_on(fl: &FlatLabels, recorder: &dyn Recorder) -> Fl
     let mut merged_multicasts = 0u64;
     {
         let _count = gossip_telemetry::profile::phase("count_pass");
-        walk(fl, &mut |label, t, _msg, to_parent, down| {
+        walk(fl, &mut |label, t, _msg, to_parent, down, _rule| {
             let child_dc = child_dests(fl, label, down);
             tx_per_round[t as usize] += 1;
             deliv_per_round[t as usize] += to_parent as u32 + child_dc as u32;
@@ -522,7 +585,7 @@ pub fn concurrent_updown_flat_on(fl: &FlatLabels, recorder: &dyn Recorder) -> Fl
             &deliv_per_round[..rounds],
             |fill| {
                 let mine = fill.rounds();
-                walk(fl, &mut |label, t, msg, to_parent, down| {
+                walk(fl, &mut |label, t, msg, to_parent, down, _rule| {
                     let t = t as usize;
                     if !mine.contains(&t) {
                         return;

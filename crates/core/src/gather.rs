@@ -8,6 +8,7 @@
 //! time exactly `m`, so the gather completes at time `n - 1`, which is
 //! optimal (the root receives at most one message per round).
 
+use crate::fast_planner::UpSeq;
 use crate::labeling::LabelView;
 use gossip_graph::RootedTree;
 use gossip_model::{Schedule, Transmission};
@@ -29,25 +30,17 @@ use gossip_model::{Schedule, Transmission};
 /// ```
 pub fn gather_schedule(tree: &RootedTree) -> Schedule {
     let lv = LabelView::new(tree);
-    let n = lv.n();
-    let mut schedule = Schedule::new(n);
-    if n <= 1 {
-        return schedule;
-    }
+    let mut schedule = Schedule::new(lv.n());
     for label in lv.labels() {
         let p = lv.params(label);
         if p.is_root() {
             continue;
         }
-        let vertex = lv.vertex(label);
-        let parent = lv.vertex(p.parent_i);
-        // (U3): the lip-message at time 0.
-        if p.has_lip() {
-            schedule.add_transmission(0, Transmission::unicast(p.i, vertex, parent));
-        }
-        // (U4): rip-messages at time m - k.
-        for m in p.rip_start()..=p.j {
-            schedule.add_transmission((m - p.k) as usize, Transmission::unicast(m, vertex, parent));
+        let (vertex, parent) = (lv.vertex(label), lv.vertex(p.parent_i));
+        // (U3) the lip-message at time 0, then (U4) the rip-messages.
+        for (e, _) in UpSeq::new(p.i, p.j, p.k, p.parent_i) {
+            let tx = Transmission::unicast(e.msg, vertex, parent);
+            schedule.add_transmission(e.t as usize, tx);
         }
     }
     schedule.trim();

@@ -10,7 +10,10 @@
 //! round, decides the one multicast to emit — using only its own `(i, j,
 //! k)`, its parent's label (to know whether it is the first child), and its
 //! children's subtree ranges (to know which child already owns a message).
-//! No vertex ever inspects another vertex's state.
+//! No vertex ever inspects another vertex's state. Its send times are the
+//! offline planner's own per-vertex event sequences, stepped one round at
+//! a time, so the online and offline protocols share one definition of
+//! the rules.
 //!
 //! Two harnesses execute the protocol: [`run_online`] (deterministic
 //! lock-step rounds in one thread) and [`run_online_threaded`] (one OS
@@ -19,6 +22,7 @@
 //! schedule to the offline [`crate::concurrent_updown`], which is the
 //! paper's online-adaptation claim made executable.
 
+use crate::fast_planner::{d2_slot, Ev, OwnSeq, UpSeq};
 use crate::labeling::{LabelView, VertexParams};
 use gossip_graph::RootedTree;
 use gossip_model::{Schedule, Transmission};
@@ -38,25 +42,38 @@ pub struct OnlineSend {
     pub to_children: Vec<u32>,
 }
 
-/// The per-processor online protocol state.
+/// The per-processor online protocol state: the offline planner's
+/// Propagate-Up and own-subtree event sequences, stepped one round at a
+/// time, plus the D2 arrivals parked until their deferred slots.
 #[derive(Debug, Clone)]
 pub struct OnlineVertex {
     p: VertexParams,
     /// Children labels and their subtree range ends.
     children: Vec<(u32, u32)>,
-    /// O-messages received at times `i - k` and `i - k + 1`, awaiting their
-    /// deferred slots `j - k + 1` and `j - k + 2`.
-    deferred: [Option<u32>; 2],
+    up: UpSeq,
+    own: OwnSeq,
+    /// The next (U3/U4) and (D3) events, `None` once a sequence is done.
+    up_head: Option<Ev>,
+    own_head: Option<Ev>,
+    /// O-messages received at times `i - k` and `i - k + 1`, each with
+    /// the deferred slot it leaves at.
+    parked: [Option<Ev>; 2],
 }
 
 impl OnlineVertex {
     /// Builds the protocol state from purely local information: this
     /// vertex's parameters and its children's `(label, range end)` pairs.
     pub fn new(p: VertexParams, children: Vec<(u32, u32)>) -> Self {
+        let mut up = UpSeq::new(p.i, p.j, p.k, p.parent_i);
+        let mut own = OwnSeq::new(p.i, p.j, p.k);
         OnlineVertex {
             p,
             children,
-            deferred: [None, None],
+            up_head: up.next().map(|(e, _)| e),
+            own_head: own.next().map(|(e, _)| e),
+            up,
+            own,
+            parked: [None, None],
         }
     }
 
@@ -71,116 +88,80 @@ impl OnlineVertex {
 
     /// Advances one round: `t` is the current time, `from_parent` the
     /// message that arrived from the parent at time `t` (if any). Returns
-    /// the multicast to perform at time `t`, if any.
+    /// the multicast to perform at time `t`, if any. Rounds are stepped in
+    /// order from `t = 0`.
     ///
     /// # Panics
     ///
-    /// Panics if the protocol derives two different messages for the same
-    /// round — impossible per the paper's Theorem 1, so a panic indicates
-    /// corrupted inputs (e.g. a `from_parent` stream not produced by this
-    /// protocol).
+    /// Panics if the protocol derives two sends for one round that do not
+    /// merge — a forward and any other send, or U4 and D3 with different
+    /// messages. Theorem 1 rules that out, so a panic indicates corrupted
+    /// inputs (e.g. a `from_parent` stream not produced by this protocol).
     pub fn on_round(&mut self, t: usize, from_parent: Option<u32>) -> Option<OnlineSend> {
-        let (i, j, k) = (self.p.i as usize, self.p.j as usize, self.p.k as usize);
-        let is_leaf = self.p.is_leaf();
-        let is_root = self.p.is_root();
-
-        // Classify the arrival: immediate forward or deferral.
-        let mut forward_now = None;
-        if let Some(m) = from_parent {
-            debug_assert!(
-                (m as usize) < i || (m as usize) > j,
-                "parent sent own-subtree message {m}"
-            );
-            if !is_leaf {
-                if t == i - k {
-                    self.deferred[0] = Some(m);
-                } else if t == i - k + 1 {
-                    self.deferred[1] = Some(m);
-                } else {
-                    forward_now = Some(m);
-                }
-            }
-        }
-
-        let mut decision: Option<OnlineSend> = None;
-        let mut set = |send: OnlineSend| match &mut decision {
-            None => decision = Some(send),
-            Some(existing) => {
-                assert_eq!(existing.msg, send.msg, "online protocol conflict");
-                existing.to_parent |= send.to_parent;
-                existing.to_children.extend(send.to_children);
-            }
+        // Every send happens before n + r, which fits in u32.
+        let Ok(t) = u32::try_from(t) else {
+            return None;
         };
 
-        // (U3) lip-message at time 0.
-        if t == 0 && self.p.has_lip() {
-            set(OnlineSend {
-                msg: self.p.i,
-                to_parent: true,
-                to_children: vec![],
+        // (D2) forward the arrival now, or park it until its slot.
+        let mut forward = None;
+        if let Some(m) = from_parent.filter(|_| !self.p.is_leaf()) {
+            debug_assert!(
+                m < self.p.i || m > self.p.j,
+                "parent sent own-subtree message {m}"
+            );
+            match d2_slot(t, self.p.i, self.p.j, self.p.k) {
+                slot if slot == t => forward = Some(m),
+                slot => {
+                    let cell = self.parked.iter_mut().find(|c| c.is_none());
+                    *cell.expect("two deferred slots") = Some(Ev { t: slot, msg: m });
+                }
+            }
+        }
+        let due = self.parked.iter_mut().find(|c| c.is_some_and(|e| e.t == t));
+        if let Some(e) = due.and_then(Option::take) {
+            assert!(forward.is_none(), "online protocol conflict");
+            forward = Some(e.msg);
+        }
+
+        // (U3/U4) and (D3): the sequence heads due now.
+        let up = self.up_head.filter(|e| e.t == t);
+        if up.is_some() {
+            self.up_head = self.up.next().map(|(e, _)| e);
+        }
+        let own = self.own_head.filter(|e| e.t == t);
+        if own.is_some() {
+            self.own_head = self.own.next().map(|(e, _)| e);
+        }
+
+        if let Some(m) = forward {
+            assert!(up.is_none() && own.is_none(), "online protocol conflict");
+            return Some(OnlineSend {
+                msg: m,
+                to_parent: false,
+                to_children: self.children.iter().map(|&(c, _)| c).collect(),
             });
         }
-
-        // (U4)+(D3) window: message m = t + k while i <= m <= j, except the
-        // deferred own message when i == k.
-        if t + k >= i && t + k <= j {
-            let m = (t + k) as u32;
-            if !(m == self.p.i && i == k) {
-                let to_parent = !is_root && m >= self.p.rip_start();
-                let to_children = if is_leaf {
-                    vec![]
-                } else {
-                    self.children_except_owner(m)
-                };
-                if to_parent || !to_children.is_empty() {
-                    set(OnlineSend {
-                        msg: m,
-                        to_parent,
-                        to_children,
-                    });
-                }
+        let to_children = own.map_or_else(Vec::new, |e| self.children_except_owner(e.msg));
+        match (up, own) {
+            (Some(u), own) => {
+                assert!(
+                    own.is_none_or(|o| o.msg == u.msg),
+                    "online protocol conflict"
+                );
+                Some(OnlineSend {
+                    msg: u.msg,
+                    to_parent: true,
+                    to_children,
+                })
             }
+            (None, Some(o)) if !to_children.is_empty() => Some(OnlineSend {
+                msg: o.msg,
+                to_parent: false,
+                to_children,
+            }),
+            (None, _) => None,
         }
-
-        if !is_leaf {
-            // Deferred slot j - k + 1: the own message (i == k case) or the
-            // o-message that arrived at i - k.
-            if t == j - k + 1 {
-                if i == k {
-                    set(OnlineSend {
-                        msg: self.p.i,
-                        to_parent: false,
-                        to_children: self.children_except_owner(self.p.i),
-                    });
-                } else if let Some(m) = self.deferred[0].take() {
-                    set(OnlineSend {
-                        msg: m,
-                        to_parent: false,
-                        to_children: self.children.iter().map(|&(c, _)| c).collect(),
-                    });
-                }
-            }
-            // Deferred slot j - k + 2.
-            if t == j - k + 2 {
-                if let Some(m) = self.deferred[1].take() {
-                    set(OnlineSend {
-                        msg: m,
-                        to_parent: false,
-                        to_children: self.children.iter().map(|&(c, _)| c).collect(),
-                    });
-                }
-            }
-            // (D2) immediate forwarding.
-            if let Some(m) = forward_now {
-                set(OnlineSend {
-                    msg: m,
-                    to_parent: false,
-                    to_children: self.children.iter().map(|&(c, _)| c).collect(),
-                });
-            }
-        }
-
-        decision
     }
 }
 
@@ -340,15 +321,7 @@ fn run_online_threaded_impl(
     let wants_tx = recorder.wants_transmissions();
 
     std::thread::scope(|scope| {
-        for label in lv.labels() {
-            let mut vertex = {
-                let children = lv
-                    .children(label)
-                    .iter()
-                    .map(|&c| (c, lv.params(c).j))
-                    .collect();
-                OnlineVertex::new(lv.params(label), children)
-            };
+        for (label, mut vertex) in lv.labels().zip(protocols(&lv)) {
             let my_rx = if lv.params(label).is_root() {
                 None
             } else {

@@ -1,12 +1,16 @@
-//! Planner equivalence. Both ConcurrentUpDown generators run one event
-//! walk, so each is checked against an independent oracle: the paper's
-//! rules overlaid per vertex in a `BTreeMap`, built from the public
-//! [`LabelView`] alone. On the same tree both generators must equal it
-//! (`Schedule` `==` and flattened digest), and through the full pipeline
-//! (fast tree sweep included) the fast plan must validate with the same
-//! `n + r` makespan.
+//! Planner equivalence. Both ConcurrentUpDown generators and the
+//! rule-tagged one run one event walk, so each is checked against an
+//! independent oracle: the paper's rules overlaid per vertex in a
+//! `BTreeMap`, built from the public [`LabelView`] alone. On the same tree
+//! both generators must equal it (`Schedule` `==` and flattened digest),
+//! the tagged generator must equal its tagged list, and through the full
+//! pipeline (fast tree sweep included) the fast plan must validate with
+//! the same `n + r` makespan.
 
-use gossip_core::{concurrent_updown, concurrent_updown_flat, GossipPlanner, LabelView};
+use gossip_core::{
+    annotated_concurrent_updown, concurrent_updown, concurrent_updown_flat, AnnotatedTransmission,
+    GossipPlanner, LabelView, Rule,
+};
 use gossip_graph::{min_depth_spanning_tree, ChildOrder, Graph, RootedTree, NO_PARENT};
 use gossip_model::{CommModel, FlatSchedule, Schedule, SimKernel, Transmission};
 use gossip_workloads::{fig5_tree, random_connected};
@@ -20,17 +24,32 @@ struct PendingSend {
     to_parent: bool,
     /// Destination children, as labels.
     child_dests: Vec<u32>,
+    /// The paper steps that fired at this time.
+    rules: Vec<Rule>,
+}
+
+/// The oracle's overlay in both forms: the plain schedule, and every
+/// transmission tagged with its rule, sorted by `(time, sender)`.
+struct Oracle {
+    schedule: Schedule,
+    annotated: Vec<AnnotatedTransmission>,
 }
 
 /// The ConcurrentUpDown overlay written straight from the paper's rules
 /// (U3/U4 up, D3/D2 down, the `i = k` and busy-window deferrals), one
-/// `BTreeMap` of sends per vertex and a full table of parent arrivals.
-fn overlay_oracle(tree: &RootedTree) -> Schedule {
+/// `BTreeMap` of sends per vertex and a full table of parent arrivals. A
+/// send is tagged with its one rule, or `U4D3Merged` when an up rule and a
+/// down rule fire together.
+fn overlay_oracle(tree: &RootedTree) -> Oracle {
     let lv = LabelView::new(tree);
     let n = lv.n();
     let mut schedule = Schedule::new(n);
+    let mut annotated = Vec::new();
     if n <= 1 {
-        return schedule;
+        return Oracle {
+            schedule,
+            annotated,
+        };
     }
     // recv_from_parent[label] = (arrival time, message) pairs, filled while
     // the parent (smaller label: DFS preorder) is processed.
@@ -39,7 +58,7 @@ fn overlay_oracle(tree: &RootedTree) -> Schedule {
         let p = lv.params(label);
         let (i, j, k) = (p.i as usize, p.j as usize, p.k as usize);
         let mut sends: BTreeMap<usize, PendingSend> = BTreeMap::new();
-        let mut add = |t: usize, msg: u32, to_parent: bool, child_dests: Vec<u32>| {
+        let mut add = |t: usize, msg: u32, to_parent: bool, child_dests: Vec<u32>, rule: Rule| {
             sends
                 .entry(t)
                 .and_modify(|e| {
@@ -49,21 +68,23 @@ fn overlay_oracle(tree: &RootedTree) -> Schedule {
                     );
                     e.to_parent |= to_parent;
                     e.child_dests.extend_from_slice(&child_dests);
+                    e.rules.push(rule);
                 })
                 .or_insert(PendingSend {
                     msg,
                     to_parent,
                     child_dests,
+                    rules: vec![rule],
                 });
         };
         if !p.is_root() {
             // (U3): the lip-message goes up at time 0.
             if p.has_lip() {
-                add(0, p.i, true, Vec::new());
+                add(0, p.i, true, Vec::new(), Rule::U3Lip);
             }
             // (U4): rip-messages go up at time m - k.
             for m in p.rip_start()..=p.j {
-                add(m as usize - k, m, true, Vec::new());
+                add(m as usize - k, m, true, Vec::new(), Rule::U4Rip);
             }
         }
         if !p.is_leaf() {
@@ -71,10 +92,10 @@ fn overlay_oracle(tree: &RootedTree) -> Schedule {
             // child that already has them; the i = k exception defers the own
             // message to time j - k + 1.
             for m in i as u32..=j as u32 {
-                let t = if m as usize == i && i == k {
-                    j - k + 1
+                let (t, rule) = if m as usize == i && i == k {
+                    (j - k + 1, Rule::D3DeferredOwn)
                 } else {
-                    m as usize - k
+                    (m as usize - k, Rule::D3Down)
                 };
                 let dests: Vec<u32> = lv
                     .children(label)
@@ -83,7 +104,7 @@ fn overlay_oracle(tree: &RootedTree) -> Schedule {
                     .filter(|&c| lv.child_containing(label, m) != Some(c))
                     .collect();
                 if !dests.is_empty() {
-                    add(t, m, false, dests);
+                    add(t, m, false, dests, rule);
                 }
             }
             // (D2): forward o-messages from the parent on arrival, with the
@@ -93,14 +114,14 @@ fn overlay_oracle(tree: &RootedTree) -> Schedule {
                     (m as usize) < i || (m as usize) > j,
                     "vertex {label} received own-subtree message {m} from its parent"
                 );
-                let t_send = if t_arrive == i - k {
-                    j - k + 1
+                let (t_send, rule) = if t_arrive == i - k {
+                    (j - k + 1, Rule::D2Deferred)
                 } else if t_arrive == i - k + 1 {
-                    j - k + 2
+                    (j - k + 2, Rule::D2Deferred)
                 } else {
-                    t_arrive
+                    (t_arrive, Rule::D2Forward)
                 };
-                add(t_send, m, false, lv.children(label).to_vec());
+                add(t_send, m, false, lv.children(label).to_vec(), rule);
             }
         }
         let vertex = lv.vertex(label);
@@ -113,11 +134,43 @@ fn overlay_oracle(tree: &RootedTree) -> Schedule {
                 recv_from_parent[c as usize].push((t + 1, ev.msg));
                 dests.push(lv.vertex(c));
             }
-            schedule.add_transmission(t, Transmission::new(ev.msg, vertex, dests));
+            let tx = Transmission::new(ev.msg, vertex, dests);
+            schedule.add_transmission(t, tx.clone());
+            let rule = match ev.rules[..] {
+                [rule] => rule,
+                _ => {
+                    assert!(ev.rules.contains(&Rule::U4Rip), "{:?}", ev.rules);
+                    Rule::U4D3Merged
+                }
+            };
+            annotated.push(AnnotatedTransmission {
+                time: t,
+                transmission: tx,
+                rule,
+            });
         }
     }
     schedule.trim();
-    schedule
+    annotated.sort_by_key(|a| (a.time, a.transmission.from));
+    Oracle {
+        schedule,
+        annotated,
+    }
+}
+
+/// The rule-tagged generator against the oracle's tagged list,
+/// transmission for transmission.
+fn assert_annotated_matches_oracle(tree: &RootedTree, oracle: &Oracle) {
+    let annotated = annotated_concurrent_updown(tree);
+    assert_eq!(
+        annotated.len(),
+        oracle.annotated.len(),
+        "annotated length on n = {}",
+        tree.n()
+    );
+    for (a, o) in annotated.iter().zip(&oracle.annotated) {
+        assert_eq!(a, o, "annotated mismatch on n = {}", tree.n());
+    }
 }
 
 /// Both generators against [`overlay_oracle`] on `tree`: `Schedule` `==`
@@ -125,9 +178,10 @@ fn overlay_oracle(tree: &RootedTree) -> Schedule {
 /// flattened forms.
 fn assert_generators_match_oracle(tree: &RootedTree) {
     let oracle = overlay_oracle(tree);
+    assert_annotated_matches_oracle(tree, &oracle);
     let reference = concurrent_updown(tree);
-    assert_eq!(reference, oracle, "Schedule mismatch on {tree:?}");
-    let oracle_flat = FlatSchedule::from_schedule(&oracle);
+    assert_eq!(reference, oracle.schedule, "Schedule mismatch on {tree:?}");
+    let oracle_flat = FlatSchedule::from_schedule(&oracle.schedule);
     let fast = concurrent_updown_flat(tree);
     if let Some(d) = diff_flat(&fast, &oracle_flat) {
         panic!("CSR mismatch on n = {}: {d}", tree.n());
@@ -252,6 +306,7 @@ fn fast_plan_validates_with_same_bound_on_random_graphs() {
             SimKernel::with_origins(&g, CommModel::Multicast, &fast.origin_of_message).unwrap();
         let outcome = kernel.run_prevalidated(&fast.schedule).unwrap();
         assert!(outcome.complete, "n = {n}");
+        assert_annotated_matches_oracle(&fast.tree, &overlay_oracle(&fast.tree));
         if fast.tree == reference.tree {
             let ref_flat = FlatSchedule::from_schedule(&reference.schedule);
             if let Some(d) = diff_flat(&fast.schedule, &ref_flat) {
@@ -280,11 +335,18 @@ proptest! {
         let planner = GossipPlanner::new(&g).unwrap();
         let reference = planner.plan().unwrap();
         let fast = planner.plan_fast().unwrap();
-        prop_assert_eq!(&reference.schedule, &overlay_oracle(&reference.tree));
+        let reference_oracle = overlay_oracle(&reference.tree);
+        prop_assert_eq!(&reference.schedule, &reference_oracle.schedule);
+        prop_assert_eq!(
+            annotated_concurrent_updown(&reference.tree),
+            reference_oracle.annotated
+        );
+        let fast_oracle = overlay_oracle(&fast.tree);
         prop_assert_eq!(
             &fast.schedule,
-            &FlatSchedule::from_schedule(&overlay_oracle(&fast.tree))
+            &FlatSchedule::from_schedule(&fast_oracle.schedule)
         );
+        prop_assert_eq!(annotated_concurrent_updown(&fast.tree), fast_oracle.annotated);
         prop_assert_eq!(fast.radius, reference.radius);
         prop_assert_eq!(fast.makespan(), reference.makespan());
         prop_assert!(fast.makespan() <= fast.guarantee());

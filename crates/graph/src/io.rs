@@ -16,8 +16,12 @@ pub enum ParseError {
     BadLine {
         /// 1-based line number.
         line: usize,
-        /// The offending content.
+        /// The offending content: the whole line when it is at most 64
+        /// bytes long, else its longest prefix of at most 64 bytes that
+        /// ends on a char boundary.
         content: String,
+        /// The line's length in bytes.
+        bytes: usize,
     },
     /// The edges violated graph validity (self-loop, duplicate, range).
     Graph(GraphError),
@@ -26,8 +30,16 @@ pub enum ParseError {
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ParseError::BadLine { line, content } => {
-                write!(f, "line {line}: cannot parse {content:?}")
+            ParseError::BadLine {
+                line,
+                content,
+                bytes,
+            } => {
+                write!(f, "line {line}: cannot parse {content:?}")?;
+                if content.len() < *bytes {
+                    write!(f, "... ({bytes} bytes)")?;
+                }
+                Ok(())
             }
             ParseError::Graph(e) => write!(f, "{e}"),
         }
@@ -35,6 +47,9 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// The longest line a [`ParseError::BadLine`] quotes whole.
+const QUOTED_BYTES: usize = 64;
 
 impl From<GraphError> for ParseError {
     fn from(e: GraphError) -> Self {
@@ -64,7 +79,8 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, ParseError> {
         }
         let bad = || ParseError::BadLine {
             line: idx + 1,
-            content: raw.to_string(),
+            content: raw[..raw.floor_char_boundary(QUOTED_BYTES)].to_string(),
+            bytes: raw.len(),
         };
         let mut parts = line.split_whitespace();
         let first = parts.next().ok_or_else(bad)?;

@@ -73,6 +73,24 @@ fn edge_list_ids_past_u32_do_not_wrap_into_self_loops() {
 }
 
 #[test]
+fn edge_list_error_quotes_a_short_bad_line_whole() {
+    let err = parse_edge_list("0 1\n2 x\n").unwrap_err();
+    assert_eq!(err.to_string(), "line 2: cannot parse \"2 x\"");
+}
+
+#[test]
+fn edge_list_error_on_a_huge_line_stays_short() {
+    for line in ["[".repeat(1 << 20), format!("0 x{}", "é".repeat(1 << 19))] {
+        let msg = parse_edge_list(&line).unwrap_err().to_string();
+        assert!(msg.len() < 200, "{} bytes: {msg}", msg.len());
+        assert!(
+            msg.ends_with(&format!("... ({} bytes)", line.len())),
+            "{msg}"
+        );
+    }
+}
+
+#[test]
 fn json_offsets_past_targets_are_rejected() {
     let e = json_error(r#"{"n":2,"offsets":[0,4,4],"targets":[1],"m":1}"#);
     assert!(

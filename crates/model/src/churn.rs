@@ -202,7 +202,9 @@ impl ChurnPlan {
 
     /// The plan with every [`ChurnOp::LinkFlap`] expanded into its
     /// remove/add pair, stably sorted by round — the form executors apply.
-    /// Ties within a round keep their listed order.
+    /// Ties within a round keep their listed order. A flap whose return
+    /// round would pass `u32::MAX` (which [`ChurnPlan::validate`] rejects)
+    /// returns at `u32::MAX`.
     pub fn normalized_events(&self) -> Vec<ChurnEvent> {
         let mut out = Vec::with_capacity(self.events.len());
         for e in &self.events {
@@ -210,7 +212,7 @@ impl ChurnPlan {
                 ChurnOp::LinkFlap => {
                     out.push(ChurnEvent::edge_remove(e.round, e.u as usize, e.v as usize));
                     out.push(ChurnEvent::edge_add(
-                        e.round + e.down_for.max(1),
+                        e.round.saturating_add(e.down_for.max(1)),
                         e.u as usize,
                         e.v as usize,
                     ));
@@ -233,8 +235,8 @@ impl ChurnPlan {
     }
 
     /// Structural validation against a processor count: endpoints in
-    /// range, no self-loop edges, flap durations nonzero, and a matching
-    /// schema version.
+    /// range, no self-loop edges, flap durations nonzero, flap return
+    /// rounds within `u32`, and a matching schema version.
     pub fn validate(&self, n: usize) -> Result<(), String> {
         if self.schema_version != CHURN_PLAN_SCHEMA_VERSION {
             return Err(format!(
@@ -262,6 +264,14 @@ impl ChurnPlan {
                     }
                     if e.op == ChurnOp::LinkFlap && e.down_for == 0 {
                         return Err(format!("link_flap at round {} has down_for = 0", e.round));
+                    }
+                    if e.op == ChurnOp::LinkFlap && e.round.checked_add(e.down_for).is_none() {
+                        return Err(format!(
+                            "link_flap at round {} with down_for = {} returns after round {}",
+                            e.round,
+                            e.down_for,
+                            u32::MAX
+                        ));
                     }
                 }
                 ChurnOp::NodeLeave | ChurnOp::NodeJoin => {}

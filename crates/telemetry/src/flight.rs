@@ -15,10 +15,9 @@
 //!   [`Recorder::wants_transmissions`], so executors that normally skip
 //!   per-delivery detail emit it only when a flight recorder is listening,
 //!   and it encodes a whole round of multicasts per
-//!   [`Recorder::transmissions`] call.
-//!   An optional ring-buffer capacity bounds memory on unbounded runs by
-//!   evicting the oldest records (the eviction count is written into the
-//!   trailing `End` record, so a truncated capture says so).
+//!   [`Recorder::transmissions`] call. It keeps every record; the
+//!   trailing `End` record's eviction count (from the format's retired
+//!   ring-buffer writer) is always 0 in its captures.
 //! - [`FlightLog`] decodes a `.gfr` byte stream losslessly — re-encoding a
 //!   decoded log reproduces the input byte for byte (golden-tested), which
 //!   is what makes the format safe to archive.
@@ -34,7 +33,6 @@
 //! `gossip-obsd`, on top of [`FlightLog`].
 
 use crate::{Recorder, TxBatch, Value};
-use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// Leading magic of every `.gfr` artifact.
@@ -655,8 +653,9 @@ pub struct FlightLog {
     pub header: FlightHeader,
     /// Every record, in capture order.
     pub records: Vec<FlightRecord>,
-    /// Records evicted by the ring buffer before the capture ended
-    /// (0 = the capture is complete).
+    /// Records the writer evicted before the capture ended, as the `End`
+    /// record counts them (0 = the capture is complete; a
+    /// [`FlightRecorder`] always writes 0).
     pub dropped: u64,
 }
 
@@ -890,42 +889,20 @@ impl FlightLog {
     }
 }
 
+/// Encoded records, oldest first, concatenated into one arena — recording
+/// is on the executor's hot path, so a capture must not allocate per
+/// record.
+#[derive(Default)]
 struct FlightBuf {
-    /// Encoded records, oldest first, concatenated into one arena —
-    /// recording is on the executor's hot path, so a capture must not
-    /// allocate per record. `start` marks the first live byte (ring
-    /// eviction trims lazily).
     data: Vec<u8>,
-    start: usize,
-    /// Per-record byte lengths of the live records — maintained only in
-    /// ring mode, where eviction pops whole records off the front.
-    lens: VecDeque<u32>,
-    /// Live record count (also maintained in unbounded mode, where `lens`
-    /// stays empty).
+    /// Record count.
     count: usize,
-    dropped: u64,
-    capacity: Option<usize>,
 }
 
 impl FlightBuf {
-    fn new(capacity: Option<usize>) -> FlightBuf {
-        FlightBuf {
-            data: Vec::new(),
-            start: 0,
-            lens: VecDeque::new(),
-            count: 0,
-            dropped: 0,
-            capacity,
-        }
-    }
-
     fn push(&mut self, rec: &FlightRecord) {
-        let before = self.data.len();
         encode_record(&mut self.data, rec);
-        if self.capacity.is_some() {
-            self.lens.push_back((self.data.len() - before) as u32);
-        }
-        self.settle(1);
+        self.count += 1;
     }
 
     /// Appends one `TX` record per multicast of `batch`, encoded straight
@@ -934,7 +911,6 @@ impl FlightBuf {
         let start = self.data.len();
         self.data.resize(start + bytes, 0);
         let out = &mut self.data[start..];
-        let ring = self.capacity.is_some();
         let mut pos = 0;
         let mut rest = batch.dests();
         let txs = batch
@@ -943,7 +919,6 @@ impl FlightBuf {
             .zip(batch.senders())
             .zip(batch.fanouts());
         for ((&msg, &from), fanout) in txs {
-            let rec_start = pos;
             out[pos] = TAG_TX;
             pos = put_varint(out, pos + 1, round);
             pos = put_varint(out, pos, u64::from(msg));
@@ -954,39 +929,9 @@ impl FlightBuf {
             for &d in dests {
                 pos = put_varint(out, pos, u64::from(d));
             }
-            if ring {
-                self.lens.push_back((pos - rec_start) as u32);
-            }
         }
         debug_assert_eq!(pos, bytes, "batch_len disagrees with the encoder");
-        self.settle(batch.len());
-    }
-
-    /// Accounts for `added` records just appended. Ring mode evicts the
-    /// oldest records past capacity, so a batch larger than the ring may
-    /// evict some of its own records; the live set and the drop count come
-    /// out as if each record had been pushed and evicted on its own.
-    fn settle(&mut self, added: usize) {
-        let Some(cap) = self.capacity else {
-            self.count += added;
-            return;
-        };
-        while self.lens.len() > cap {
-            let evicted = self.lens.pop_front().expect("len > cap >= 1") as usize;
-            self.start += evicted;
-            self.dropped += 1;
-        }
-        // Trim lazily so the arena stays within ~2x the live bytes.
-        if self.start > self.data.len() / 2 {
-            self.data.drain(..self.start);
-            self.start = 0;
-        }
-        self.count = self.lens.len();
-    }
-
-    /// The concatenated encoding of every live record.
-    fn live(&self) -> &[u8] {
-        &self.data[self.start..]
+        self.count += batch.len();
     }
 }
 
@@ -1000,20 +945,11 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// An unbounded recorder (every record kept).
+    /// A recorder that keeps every record.
     pub fn new(header: FlightHeader) -> FlightRecorder {
         FlightRecorder {
             header,
-            buf: Mutex::new(FlightBuf::new(None)),
-        }
-    }
-
-    /// A ring-buffered recorder keeping at most `capacity` records; older
-    /// records are evicted and counted in the capture's `End` record.
-    pub fn with_capacity(header: FlightHeader, capacity: usize) -> FlightRecorder {
-        FlightRecorder {
-            header,
-            buf: Mutex::new(FlightBuf::new(Some(capacity.max(1)))),
+            buf: Mutex::new(FlightBuf::default()),
         }
     }
 
@@ -1021,12 +957,7 @@ impl FlightRecorder {
         self.buf.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Records evicted so far.
-    pub fn dropped(&self) -> u64 {
-        self.buf().dropped
-    }
-
-    /// Records captured (and still retained) so far.
+    /// Records captured so far.
     pub fn len(&self) -> usize {
         self.buf().count
     }
@@ -1040,12 +971,11 @@ impl FlightRecorder {
     /// `End`). Non-destructive, so a capture can be written mid-run.
     pub fn finish(&self) -> Vec<u8> {
         let buf = self.buf();
-        let live = buf.live();
-        let mut out = Vec::with_capacity(64 + live.len() + 8);
+        let mut out = Vec::with_capacity(64 + buf.data.len() + 8);
         self.header.encode_into(&mut out);
-        out.extend_from_slice(live);
+        out.extend_from_slice(&buf.data);
         out.push(TAG_END);
-        push_varint(&mut out, buf.dropped);
+        push_varint(&mut out, 0); // no record was evicted
         out
     }
 }
@@ -1340,26 +1270,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_buffer_evicts_oldest_and_counts_drops() {
-        let rec = FlightRecorder::with_capacity(header(), 2);
-        for round in 0..5u64 {
-            rec.event(
-                "round_end",
-                &[
-                    ("round", Value::from_u64(round)),
-                    ("known_pairs", Value::from_u64(round)),
-                ],
-            );
-        }
-        assert_eq!(rec.len(), 2);
-        assert_eq!(rec.dropped(), 3);
-        let log = FlightLog::decode(&rec.finish()).expect("decodes");
-        assert_eq!(log.dropped, 3);
-        assert_eq!(log.known_pairs_curve(), vec![(3, 3), (4, 4)]);
-        assert_eq!(log.encode(), rec.finish());
-    }
-
-    #[test]
     fn decode_rejects_garbage_and_truncation() {
         assert!(FlightLog::decode(b"").is_err());
         assert!(FlightLog::decode(b"JSON{}").is_err());
@@ -1486,13 +1396,12 @@ mod tests {
         );
     }
 
-    /// The per-record encoding of `records`, keeping the last `cap`.
-    fn expected(records: &[FlightRecord], cap: Option<usize>) -> Vec<u8> {
-        let keep = cap.unwrap_or(usize::MAX).min(records.len());
+    /// The per-record encoding of `records`.
+    fn expected(records: &[FlightRecord]) -> Vec<u8> {
         FlightLog {
             header: header(),
-            records: records[records.len() - keep..].to_vec(),
-            dropped: (records.len() - keep) as u64,
+            records: records.to_vec(),
+            dropped: 0,
         }
         .encode()
     }
@@ -1501,9 +1410,8 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
         /// Whole-round batches encode exactly as the same records one at
-        /// a time: unbounded, in ring mode (same bytes, same drop count),
-        /// through a `Tee` of two flight recorders, and as one-entry
-        /// batches.
+        /// a time: directly, through a `Tee` of two flight recorders, and
+        /// as one-entry batches.
         #[test]
         fn batches_encode_like_single_records(seed in 0u64..u64::MAX) {
             let mut rng = Rng(seed);
@@ -1511,64 +1419,35 @@ mod tests {
             let rounds: Vec<Round> = (0..1 + rng.below(6) as usize)
                 .map(|k| Round::random(&mut rng, first + k))
                 .collect();
-            let cap = 1 + rng.below(12) as usize;
 
             let batched = FlightRecorder::new(header());
-            let ring = FlightRecorder::with_capacity(header(), cap);
-            let ring_single = FlightRecorder::with_capacity(header(), cap);
             let single = FlightRecorder::new(header());
             let (tee_a, tee_b) = (FlightRecorder::new(header()), FlightRecorder::new(header()));
             let tee = Tee::new(&tee_a, &tee_b);
             let mut records = Vec::new();
             for r in &rounds {
-                for rec in [&batched as &dyn Recorder, &ring, &tee] {
+                for rec in [&batched as &dyn Recorder, &tee] {
                     rec.transmissions(r.round, r.batch());
                     round_end(rec, r.round);
                 }
                 let batch = r.batch();
-                for rec in [&single as &dyn Recorder, &ring_single] {
-                    for i in 0..batch.len() {
-                        rec.transmission(r.round, batch.msgs()[i], batch.senders()[i], batch.dests_of(i));
-                    }
-                    round_end(rec, r.round);
+                for i in 0..batch.len() {
+                    single.transmission(r.round, batch.msgs()[i], batch.senders()[i], batch.dests_of(i));
                 }
+                round_end(&single, r.round);
                 records.extend(r.records());
                 records.push(FlightRecord::RoundEnd {
                     round: r.round as u32,
                     known_pairs: r.round as u64 * 3,
                 });
             }
-            let unbounded = expected(&records, None);
+            let unbounded = expected(&records);
             proptest::prop_assert_eq!(batched.finish(), unbounded.clone());
             proptest::prop_assert_eq!(single.finish(), unbounded.clone());
             proptest::prop_assert_eq!(tee_a.finish(), unbounded.clone());
             proptest::prop_assert_eq!(tee_b.finish(), unbounded);
             proptest::prop_assert_eq!(batched.len(), records.len());
-            let bounded = expected(&records, Some(cap));
-            proptest::prop_assert_eq!(ring.finish(), bounded.clone());
-            proptest::prop_assert_eq!(ring_single.finish(), bounded);
-            proptest::prop_assert_eq!(ring.dropped(), ring_single.dropped());
-            proptest::prop_assert_eq!(ring.len(), ring_single.len());
         }
-    }
-
-    #[test]
-    fn ring_evicts_within_one_batch() {
-        let round = Round {
-            round: 4,
-            msgs: vec![1, 2, 3, 4, 5],
-            senders: vec![0, 1, 2, 3, 0],
-            dest_offsets: vec![10, 11, 13, 13, 14, 16],
-            dests: vec![1, 0, 3, 1, 2, 300],
-        };
-        let rec = FlightRecorder::with_capacity(header(), 2);
-        rec.transmissions(round.round, round.batch());
-        assert_eq!(rec.len(), 2);
-        assert_eq!(rec.dropped(), 3);
-        let records: Vec<FlightRecord> = round.records().collect();
-        assert_eq!(rec.finish(), expected(&records, Some(2)));
-        let log = FlightLog::decode(&rec.finish()).unwrap();
-        assert_eq!(log.records, records[3..]);
     }
 
     #[test]

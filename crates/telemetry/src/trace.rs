@@ -178,9 +178,19 @@ impl ChromeTrace {
         Value::Array(self.events.iter().map(TraceEvent::to_value).collect())
     }
 
-    /// The trace rendered as JSON text.
+    /// The trace rendered as JSON text: the same array as
+    /// [`ChromeTrace::to_value`], rendered one event at a time so the
+    /// whole tree never exists at once.
     pub fn to_json(&self) -> String {
-        serde_json::to_string(&self.to_value()).unwrap_or_else(|_| "[]".to_string())
+        let mut out = String::from("[");
+        for (idx, event) in self.events.iter().enumerate() {
+            if idx > 0 {
+                out.push(',');
+            }
+            out.push_str(&serde_json::to_string(&event.to_value()).unwrap_or_default());
+        }
+        out.push(']');
+        out
     }
 }
 
@@ -224,5 +234,16 @@ mod tests {
         t.complete("a", "c", 0, 1, 0.0, 10.0, vec![]);
         let parsed: Value = serde_json::from_str(&t.to_json()).expect("valid JSON");
         assert_eq!(parsed.as_array().map(Vec::len), Some(1));
+    }
+
+    #[test]
+    fn json_renders_the_value_tree() {
+        let mut t = ChromeTrace::new();
+        assert_eq!(t.to_json(), "[]");
+        t.process_name(0, "schedule");
+        let args = vec![("msg".to_string(), Value::from_u64(5))];
+        t.complete("m5", "send", 0, 1, 0.0, 10.0, args);
+        t.instant("recv m5", "recv", 0, 2, 10.0, vec![]);
+        assert_eq!(t.to_json(), serde_json::to_string(&t.to_value()).unwrap());
     }
 }
