@@ -25,7 +25,7 @@
 //! **PROF artifacts** (`kind: "profile"`, from `gossip profile --out` /
 //! `gossip plan --profile-out`) are accepted on either side: the phase
 //! tree is flattened into synthetic rows keyed by the phase path
-//! (`phase=plan/tree/bfs_sweep`), so per-phase `total_ms` / `self_ms`
+//! (`phase=plan/spanning_tree/bfs_sweep`), so per-phase `total_ms` / `self_ms`
 //! gate under the wall-clock regime and work counters under the
 //! deterministic threshold — the same thresholds as ordinary rows.
 //!
@@ -78,7 +78,7 @@ pub struct Regression {
 /// tooling can see the threshold each value was held to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FieldCheck {
-    /// Row key, e.g. `ring/n=64` or `phase=plan/tree`.
+    /// Row key, e.g. `ring/n=64` or `phase=plan/spanning_tree`.
     pub key: String,
     /// Field compared.
     pub field: String,

@@ -232,9 +232,8 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
         let g = random_connected(n, p, 77);
         // The phase profiler runs across the whole size so the artifact
         // rows carry per-phase attribution next to the stopwatch timings.
-        // The reference phases ("tree", "label", "generate", "flatten")
-        // and the fast phases ("tree_fast", "label_flat", "generate_csr")
-        // have disjoint names, so nothing double-counts.
+        // Both planners open a `labeling` span, so the reference's is
+        // looked up by its path; every other name belongs to one planner.
         let profiler = gossip_telemetry::profile::Profiler::begin();
         let mut cells: Vec<String> = vec![n.to_string(), g.m().to_string(), mode.name().into()];
         let mut fields: Vec<(&str, Value)> = vec![
@@ -387,16 +386,16 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
         // peak live bytes (0 unless the prof-alloc allocator is
         // registered in the binary).
         for (field, phase) in [
-            ("plan_tree_ms", "tree"),
-            ("plan_label_ms", "label"),
-            ("plan_generate_ms", "generate"),
+            ("plan_tree_ms", "spanning_tree"),
+            ("plan_label_ms", "concurrent_updown/labeling"),
+            ("plan_generate_ms", "concurrent_updown"),
             ("plan_flatten_ms", "flatten"),
-            ("plan_tree_fast_ms", "tree_fast"),
+            ("plan_tree_fast_ms", "spanning_tree_fast"),
             ("plan_label_flat_ms", "label_flat"),
-            ("plan_generate_csr_ms", "generate_csr"),
+            ("plan_generate_csr_ms", "concurrent_updown_flat"),
         ] {
-            if profile.named_total_ms(phase) > 0.0 || mode == SizeMode::Full {
-                fields.push((field, Value::from_f64(profile.named_total_ms(phase))));
+            if profile.total_ms(phase) > 0.0 || mode == SizeMode::Full {
+                fields.push((field, Value::from_f64(profile.total_ms(phase))));
             }
         }
         fields.extend([
@@ -456,7 +455,7 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert!(rows[1].get("kernel_sim_ms").is_some());
         // The phase-attribution columns ride along and carry real time:
-        // the profiled "tree" phase is the sequential sweep measured by
+        // the profiled "spanning_tree" node is the sequential sweep measured by
         // tree_seq_ms, so it can never exceed that stopwatch by much.
         for row in rows {
             let tree = row.get("plan_tree_ms").and_then(|v| v.as_f64()).unwrap();

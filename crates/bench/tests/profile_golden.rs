@@ -1,7 +1,8 @@
 //! Golden test for the planner cost profiler on the paper's Figure 4
 //! instance. Wall-clock magnitudes vary run to run, so the golden facts
-//! are the *structure*: the phase taxonomy is stable (plan → tree/generate
-//! with their sub-phases, then flatten and validate), every node's self
+//! are the *structure*: the phase taxonomy is stable (plan →
+//! spanning_tree/concurrent_updown with their sub-phases, then flatten and
+//! validate), every node's self
 //! time fits inside its total, the work counters agree with the schedule
 //! the pipeline actually produced, and the collapsed-stack export parses
 //! as flamegraph input.
@@ -49,12 +50,12 @@ fn fig4_profile_phase_tree_is_stable_and_consistent() {
     // phase paths on a sequential single-threaded run.
     for expected in [
         "plan",
-        "plan/tree",
-        "plan/tree/bfs_sweep",
-        "plan/tree/build_tree",
-        "plan/generate",
-        "plan/generate/label",
-        "plan/generate/overlay",
+        "plan/spanning_tree",
+        "plan/spanning_tree/bfs_sweep",
+        "plan/spanning_tree/build_tree",
+        "plan/concurrent_updown",
+        "plan/concurrent_updown/labeling",
+        "plan/concurrent_updown/overlay",
         "flatten",
         "validate",
     ] {

@@ -821,9 +821,9 @@ fn profile_reports_phase_table_and_attribution() {
     assert!(stdout.contains("network: n = 10"), "{stdout}");
     for phase in [
         "plan",
-        "tree",
+        "spanning_tree",
         "bfs_sweep",
-        "generate",
+        "concurrent_updown",
         "flatten",
         "validate",
     ] {
@@ -866,7 +866,9 @@ fn profile_writes_artifact_and_collapsed_stacks() {
         assert!(count.parse::<u64>().is_ok(), "bad count in {line:?}");
     }
     assert!(
-        flame_text.lines().any(|l| l.starts_with("plan;tree")),
+        flame_text
+            .lines()
+            .any(|l| l.starts_with("plan;spanning_tree")),
         "{flame_text}"
     );
 
@@ -1265,6 +1267,37 @@ fn churn_with_every_sink_matches_goldens() {
     );
     assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
     assert_eq!(artifact(&dir, "F2"), (1224, 0x5204_865a_b6d1_4644));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn churn_rejects_a_plan_past_the_round_bound() {
+    // Node 3 of C_8 leaves at round 1 and rejoins at round 2,000,000. If
+    // accepted, the run's dense transcripts would take about 100 MiB.
+    let dir = temp_dir("churn-far-round");
+    std::fs::write(
+        dir.join("P"),
+        r#"{"schema_version": 1, "seed": 0, "events": [
+            {"round": 1, "op": "NodeLeave", "u": 3, "v": 3, "down_for": 0},
+            {"round": 2000000, "op": "NodeJoin", "u": 3, "v": 3, "down_for": 0},
+            {"round": 2000000, "op": "EdgeAdd", "u": 2, "v": 3, "down_for": 0},
+            {"round": 2000000, "op": "EdgeAdd", "u": 3, "v": 4, "down_for": 0}]}"#,
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_gossip"))
+        .args(["churn", "--family", "ring", "--n", "8", "--churn-plan", "P"])
+        .current_dir(&dir)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(
+            "node_join at round 2000000 names round 2000000, past the last round \
+             a plan may name (1048576)"
+        ),
+        "{stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

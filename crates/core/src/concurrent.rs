@@ -76,11 +76,9 @@ pub fn concurrent_updown(tree: &RootedTree) -> Schedule {
 /// Panics if the overlay schedules a vertex to send two messages at one
 /// time (Theorem 1 rules this out).
 pub fn concurrent_updown_recorded(tree: &RootedTree, recorder: &dyn Recorder) -> Schedule {
-    let _span = recorder.span("concurrent_updown");
-    let _phase = gossip_telemetry::profile::phase("generate");
+    let span = recorder.span("concurrent_updown");
     let fl = {
         let _s = recorder.span("labeling");
-        let _p = gossip_telemetry::profile::phase("label");
         FlatLabels::build(tree)
     };
     let n = fl.n();
@@ -89,7 +87,6 @@ pub fn concurrent_updown_recorded(tree: &RootedTree, recorder: &dyn Recorder) ->
         return schedule;
     }
     let _overlay = recorder.span("overlay");
-    let _overlay_phase = gossip_telemetry::profile::phase("overlay");
     let mut merged_multicasts = 0u64;
     // The makespan is n + height (Theorem 1); two slack rounds, trimmed
     // below, keep `add_transmission` from ever growing the round list.
@@ -108,16 +105,7 @@ pub fn concurrent_updown_recorded(tree: &RootedTree, recorder: &dyn Recorder) ->
     });
 
     schedule.trim();
-    if recorder.enabled() || gossip_telemetry::profile::active() {
-        let stats = schedule.stats();
-        gossip_telemetry::profile::count("transmissions", stats.transmissions as u64);
-        if recorder.enabled() {
-            recorder.counter("generate/transmissions", stats.transmissions as u64);
-            recorder.counter("generate/deliveries", stats.deliveries as u64);
-            recorder.counter("generate/merged_multicasts", merged_multicasts);
-            recorder.gauge("generate/makespan", schedule.makespan() as f64);
-        }
-    }
+    crate::pipeline::record_generated(&span, recorder, &schedule, Some(merged_multicasts));
     schedule
 }
 

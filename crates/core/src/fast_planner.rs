@@ -536,7 +536,6 @@ pub(crate) fn walk<F: FnMut(u32, u32, u32, bool, Down, Rule)>(fl: &FlatLabels, o
 /// an overlay conflict, on whichever worker meets it.
 pub fn concurrent_updown_flat_on(fl: &FlatLabels, recorder: &dyn Recorder) -> FlatSchedule {
     let _span = recorder.span("concurrent_updown_flat");
-    let _phase = gossip_telemetry::profile::phase("generate_csr");
     let n = fl.n();
     if n <= 1 {
         return FlatSchedule::from_raw_parts(
@@ -665,9 +664,10 @@ pub fn concurrent_updown_flat(tree: &RootedTree) -> FlatSchedule {
     concurrent_updown_flat_recorded(tree, &NoopRecorder)
 }
 
-/// [`concurrent_updown_flat`] with telemetry: `label_flat` and
-/// `generate_csr` (`count_pass` / `emit_pass`) phases plus the same
-/// `generate/*` counters the reference generator records.
+/// [`concurrent_updown_flat`] with telemetry: a `labeling` span over the
+/// `label_flat` phase, a `concurrent_updown_flat` span over the
+/// `count_pass` / `emit_pass` phases, and the same `generate/*` counters
+/// the reference generator records.
 pub fn concurrent_updown_flat_recorded(tree: &RootedTree, recorder: &dyn Recorder) -> FlatSchedule {
     let labels = {
         let _s = recorder.span("labeling");

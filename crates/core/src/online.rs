@@ -28,7 +28,7 @@ use gossip_graph::RootedTree;
 use gossip_model::{Schedule, Transmission};
 use gossip_telemetry::{ChromeTrace, NoopRecorder, Recorder, RecorderExt, Value};
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::Instant;
 
 /// What one vertex decides to transmit in one round.
@@ -293,6 +293,49 @@ pub fn run_online_threaded_traced(
     (schedule, trace)
 }
 
+/// The threaded harness's round barrier. Unlike `std::sync::Barrier`, a
+/// thread that unwinds poisons it ([`PoisonOnPanic`]), and every thread
+/// waiting or arriving later then panics too: one failing processor fails
+/// the run instead of leaving its peers blocked forever.
+struct RoundBarrier {
+    n: usize,
+    /// Arrivals this round, rounds passed, and the poison.
+    state: Mutex<(usize, usize, bool)>,
+    turned: Condvar,
+}
+
+impl RoundBarrier {
+    /// Blocks until all `n` threads have arrived; panics once poisoned.
+    fn wait(&self) {
+        let mut state = self.state.lock();
+        let round = state.1;
+        state.0 += 1;
+        if state.0 == self.n {
+            *state = (0, round + 1, state.2);
+            self.turned.notify_all();
+        }
+        while state.1 == round && !state.2 {
+            state = self
+                .turned
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        assert!(!state.2, "another processor thread panicked");
+    }
+}
+
+/// Poisons its barrier when dropped by a panicking thread.
+struct PoisonOnPanic<'b>(&'b RoundBarrier);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.state.lock().2 = true;
+            self.0.turned.notify_all();
+        }
+    }
+}
+
 fn run_online_threaded_impl(
     tree: &RootedTree,
     recorder: &dyn Recorder,
@@ -308,15 +351,21 @@ fn run_online_threaded_impl(
     let epoch = Instant::now();
 
     // Channels: one per non-root vertex, carrying Option<u32> per round.
+    // Each send half moves into the parent's thread, so a parent that
+    // unwinds disconnects its children instead of leaving them blocked.
     let mut senders = Vec::with_capacity(n);
     let mut receivers = Vec::with_capacity(n);
     for _ in 0..n {
         let (tx, rx) = crossbeam::channel::bounded::<Option<u32>>(1);
-        senders.push(tx);
+        senders.push(Some(tx));
         receivers.push(Some(rx));
     }
 
-    let barrier = Arc::new(std::sync::Barrier::new(n));
+    let barrier = RoundBarrier {
+        n,
+        state: Mutex::new((0, 0, false)),
+        turned: Condvar::new(),
+    };
     let log: Arc<Mutex<Vec<(usize, Transmission)>>> = Arc::new(Mutex::new(Vec::new()));
     let wants_tx = recorder.wants_transmissions();
 
@@ -330,13 +379,14 @@ fn run_online_threaded_impl(
             let child_txs: Vec<(u32, crossbeam::channel::Sender<Option<u32>>)> = lv
                 .children(label)
                 .iter()
-                .map(|&c| (c, senders[c as usize].clone()))
+                .map(|&c| (c, senders[c as usize].take().expect("one parent")))
                 .collect();
-            let barrier = Arc::clone(&barrier);
+            let barrier = &barrier;
             let log = Arc::clone(&log);
             let lv_ref = &lv;
             let is_root = lv.params(label).is_root();
             scope.spawn(move || {
+                let _poison = PoisonOnPanic(barrier);
                 let mut sends = 0u64;
                 let mut my_rounds: Vec<(usize, u64, u64, Option<u32>)> = Vec::new();
                 for t in 0..horizon {
@@ -541,5 +591,44 @@ mod tests {
         let tree = RootedTree::from_parents(0, &[NO_PARENT]).unwrap();
         assert_eq!(run_online(&tree).makespan(), 0);
         assert_eq!(run_online_threaded(&tree).makespan(), 0);
+    }
+
+    /// A capturing recorder whose first transmission batch panics.
+    struct PanicsOnFirstBatch(std::sync::atomic::AtomicBool);
+
+    impl Recorder for PanicsOnFirstBatch {
+        fn enabled(&self) -> bool {
+            true
+        }
+        fn counter(&self, _name: &str, _delta: u64) {}
+        fn gauge(&self, _name: &str, _value: f64) {}
+        fn observe(&self, _name: &str, _value: f64) {}
+        fn event(&self, _name: &str, _fields: &[(&str, Value)]) {}
+        fn span_observe(&self, _path: &str, _nanos: u64) {}
+        fn wants_transmissions(&self) -> bool {
+            true
+        }
+        fn transmissions(&self, _round: usize, _batch: gossip_telemetry::TxBatch<'_>) {
+            if !self.0.swap(true, std::sync::atomic::Ordering::Relaxed) {
+                panic!("capture failed");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_processor_thread_fails_the_run() {
+        let (done, outcome) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let rec = PanicsOnFirstBatch(std::sync::atomic::AtomicBool::new(false));
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_online_threaded_recorded(&fig5(), &rec)
+            }));
+            let _ = done.send(run.is_err());
+        });
+        let panicked = outcome
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the threaded run still hangs 60 s after a thread panicked");
+        helper.join().expect("the helper catches the run's panic");
+        assert!(panicked, "the run returned despite the panic");
     }
 }

@@ -11,7 +11,7 @@ use gossip_graph::{
     ChildOrder, Graph, GraphError, RootedTree,
 };
 use gossip_model::Schedule;
-use gossip_telemetry::{NoopRecorder, Recorder, RecorderExt};
+use gossip_telemetry::{NoopRecorder, Recorder, RecorderExt, SpanGuard};
 
 /// Which scheduling algorithm the planner runs on the spanning tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,22 +52,35 @@ impl Algorithm {
             Algorithm::Simple => simple_gossip_recorded(tree, recorder),
             Algorithm::UpDown => updown_gossip_recorded(tree, recorder),
             Algorithm::Telephone => {
-                let _span = recorder.span("telephone");
-                let _phase = gossip_telemetry::profile::phase("generate");
+                let span = recorder.span("telephone");
                 let schedule = telephone_tree_gossip(tree);
-                if recorder.enabled() || gossip_telemetry::profile::active() {
-                    let stats = schedule.stats();
-                    gossip_telemetry::profile::count("transmissions", stats.transmissions as u64);
-                    if recorder.enabled() {
-                        recorder.counter("generate/transmissions", stats.transmissions as u64);
-                        recorder.counter("generate/deliveries", stats.deliveries as u64);
-                        recorder.gauge("generate/makespan", schedule.makespan() as f64);
-                    }
-                }
+                record_generated(&span, recorder, &schedule, None);
                 schedule
             }
         }
     }
+}
+
+/// Records a generator's output under its `span`, unless nothing reads it:
+/// the profiler's `transmissions` counter, and the `generate/*` counters
+/// (`merged` adds `generate/merged_multicasts`) and makespan gauge.
+pub(crate) fn record_generated(
+    span: &SpanGuard<'_>,
+    recorder: &dyn Recorder,
+    schedule: &Schedule,
+    merged: Option<u64>,
+) {
+    if !span.is_live() {
+        return;
+    }
+    let stats = schedule.stats();
+    gossip_telemetry::profile::count("transmissions", stats.transmissions as u64);
+    recorder.counter("generate/transmissions", stats.transmissions as u64);
+    recorder.counter("generate/deliveries", stats.deliveries as u64);
+    if let Some(merged) = merged {
+        recorder.counter("generate/merged_multicasts", merged);
+    }
+    recorder.gauge("generate/makespan", schedule.makespan() as f64);
 }
 
 /// A complete gossip plan for a network.
@@ -175,7 +188,6 @@ impl<'g> GossipPlanner<'g> {
     /// Builds the minimum-depth spanning tree and the schedule.
     pub fn plan(&self) -> Result<GossipPlan, GraphError> {
         let _span = self.recorder.span("plan");
-        let _phase = gossip_telemetry::profile::phase("plan");
         let tree = min_depth_spanning_tree_recorded(self.g, self.child_order, self.recorder)?;
         Ok(self.plan_on_tree(tree))
     }
@@ -200,7 +212,6 @@ impl<'g> GossipPlanner<'g> {
             "plan_fast implements ConcurrentUpDown only"
         );
         let _span = self.recorder.span("plan_fast");
-        let _phase = gossip_telemetry::profile::phase("plan");
         let tree = min_depth_spanning_tree_fast_recorded(self.g, self.child_order, self.recorder)?;
         Ok(self.plan_fast_on_tree(tree))
     }

@@ -60,21 +60,14 @@ pub fn pipelined_gossip_recorded(
 ) -> Option<PipelinedPlan> {
     assert!(k >= 1, "need at least one batch");
     let _span = recorder.span("pipelined");
-    // Named `pipeline`, not `generate`: the base schedule below runs the
-    // concurrent generator, which opens its own `generate` phase, and a
-    // phase name must never nest under itself (it would double-count in
-    // `Profile::named_total_ms`).
-    let _phase = gossip_telemetry::profile::phase("pipeline");
     let n = tree.n();
     let (base, base_origins) = {
         let _s = recorder.span("base_schedule");
-        let _p = gossip_telemetry::profile::phase("base_schedule");
         (concurrent_updown(tree), tree_origins(tree))
     };
 
     let (schedule, origins) = {
         let _s = recorder.span("overlay");
-        let _p = gossip_telemetry::profile::phase("overlay");
         let mut schedule = Schedule::new(n);
         for batch in 0..k {
             schedule.merge(&base.shifted(batch * period, (batch * n) as u32));
@@ -90,7 +83,6 @@ pub fn pipelined_gossip_recorded(
 
     let outcome = {
         let _s = recorder.span("verify");
-        let _p = gossip_telemetry::profile::phase("verify");
         let g = tree.to_graph();
         let mut sim = SimKernel::with_origins(&g, CommModel::Multicast, &origins).ok()?;
         sim.run(&FlatSchedule::from_schedule(&schedule)).ok()?

@@ -12,6 +12,7 @@
 //! `n - 1` reaching level `r` at time `2n + r - 3`.
 
 use crate::labeling::LabelView;
+use crate::pipeline::record_generated;
 use gossip_graph::RootedTree;
 use gossip_model::{Schedule, Transmission};
 use gossip_telemetry::{NoopRecorder, Recorder, RecorderExt};
@@ -43,8 +44,7 @@ pub fn simple_gossip(tree: &RootedTree) -> Schedule {
 /// `phase_down` child spans and `generate/*` counters for the transmissions
 /// and deliveries scheduled.
 pub fn simple_gossip_recorded(tree: &RootedTree, recorder: &dyn Recorder) -> Schedule {
-    let _span = recorder.span("simple");
-    let _phase = gossip_telemetry::profile::phase("generate");
+    let span = recorder.span("simple");
     let lv = LabelView::new(tree);
     let n = lv.n();
     let mut schedule = Schedule::new(n);
@@ -57,7 +57,6 @@ pub fn simple_gossip_recorded(tree: &RootedTree, recorder: &dyn Recorder) -> Sch
     // (for m in [i, j], m >= 1) to its parent at time m - k.
     {
         let _up = recorder.span("phase_up");
-        let _p = gossip_telemetry::profile::phase("phase_up");
         for label in lv.labels() {
             let p = lv.params(label);
             if p.is_root() {
@@ -77,7 +76,6 @@ pub fn simple_gossip_recorded(tree: &RootedTree, recorder: &dyn Recorder) -> Sch
     // forward on arrival).
     {
         let _down = recorder.span("phase_down");
-        let _p = gossip_telemetry::profile::phase("phase_down");
         for label in lv.labels() {
             let p = lv.params(label);
             if p.is_leaf() {
@@ -93,15 +91,7 @@ pub fn simple_gossip_recorded(tree: &RootedTree, recorder: &dyn Recorder) -> Sch
     }
 
     schedule.trim();
-    if recorder.enabled() || gossip_telemetry::profile::active() {
-        let stats = schedule.stats();
-        gossip_telemetry::profile::count("transmissions", stats.transmissions as u64);
-        if recorder.enabled() {
-            recorder.counter("generate/transmissions", stats.transmissions as u64);
-            recorder.counter("generate/deliveries", stats.deliveries as u64);
-            recorder.gauge("generate/makespan", schedule.makespan() as f64);
-        }
-    }
+    record_generated(&span, recorder, &schedule, None);
     schedule
 }
 

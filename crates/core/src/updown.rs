@@ -44,18 +44,9 @@ pub fn updown_gossip(tree: &RootedTree) -> Schedule {
 /// flood plus `generate/*` counters for the transmissions and deliveries
 /// scheduled.
 pub fn updown_gossip_recorded(tree: &RootedTree, recorder: &dyn Recorder) -> Schedule {
-    let _span = recorder.span("updown");
-    let _phase = gossip_telemetry::profile::phase("generate");
+    let span = recorder.span("updown");
     let schedule = crate::flood::eager_flood_gossip(tree, true);
-    if recorder.enabled() || gossip_telemetry::profile::active() {
-        let stats = schedule.stats();
-        gossip_telemetry::profile::count("transmissions", stats.transmissions as u64);
-        if recorder.enabled() {
-            recorder.counter("generate/transmissions", stats.transmissions as u64);
-            recorder.counter("generate/deliveries", stats.deliveries as u64);
-            recorder.gauge("generate/makespan", schedule.makespan() as f64);
-        }
-    }
+    crate::pipeline::record_generated(&span, recorder, &schedule, None);
     schedule
 }
 

@@ -82,7 +82,6 @@ pub fn min_depth_spanning_tree_recorded(
         return Err(GraphError::EmptyGraph);
     }
     let _span = recorder.span("spanning_tree");
-    let _phase = gossip_telemetry::profile::phase("tree");
     // A cheap lower bound for early exit: any eccentricity lower-bounds the
     // diameter, and `r >= ceil(d / 2)`. Its BFS is also the connectivity
     // check the batches assume.

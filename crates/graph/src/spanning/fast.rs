@@ -56,9 +56,9 @@ pub fn min_depth_spanning_tree_fast(
 }
 
 /// [`min_depth_spanning_tree_fast`] with telemetry: a `spanning_tree_fast`
-/// span, `tree_fast > double_sweep / ms_bfs / final_bfs / build_tree`
-/// profiler phases, and counters for evaluated sweeps, pruned candidates,
-/// and multi-source batches.
+/// span over `double_sweep / ms_bfs / final_bfs / build_tree` profiler
+/// phases, and counters for evaluated sweeps, pruned candidates, and
+/// multi-source batches.
 pub fn min_depth_spanning_tree_fast_recorded(
     g: &Graph,
     order: ChildOrder,
@@ -68,7 +68,6 @@ pub fn min_depth_spanning_tree_fast_recorded(
         return Err(GraphError::EmptyGraph);
     }
     let _span = recorder.span("spanning_tree_fast");
-    let _phase = gossip_telemetry::profile::phase("tree_fast");
     let n = g.n();
 
     // Step 1: double sweep — 3 scalar BFS giving lower bounds and an

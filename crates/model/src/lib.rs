@@ -52,7 +52,7 @@ pub use analysis::{
 };
 pub use bitset::BitSet;
 pub use builder::ScheduleBuilder;
-pub use churn::{ChurnEvent, ChurnOp, ChurnPlan, CHURN_PLAN_SCHEMA_VERSION};
+pub use churn::{ChurnEvent, ChurnOp, ChurnPlan, CHURN_PLAN_SCHEMA_VERSION, MAX_CHURN_ROUND};
 pub use compact::{compact_schedule, verify_compaction, CompactionReport};
 pub use error::ModelError;
 pub use fault_plan::{Crash, FaultPlan, LinkOutage, FAULT_PLAN_SCHEMA_VERSION};

@@ -5,7 +5,7 @@
 //! the executors call on it.
 
 use gossip_graph::Graph;
-use gossip_model::{ChurnEvent, ChurnPlan, FaultPlan};
+use gossip_model::{ChurnEvent, ChurnPlan, FaultPlan, MAX_CHURN_ROUND};
 use gossip_telemetry::RuleSet;
 use proptest::prelude::*;
 use serde_json::Value;
@@ -244,4 +244,35 @@ fn flap_whose_return_overflows_is_rejected() {
         {"round": 4294967295, "op": "LinkFlap", "u": 1, "v": 2, "down_for": 1}]}"#;
     let err = churn(text).unwrap_err();
     assert!(err.contains("link_flap at round 4294967295"), "{err}");
+}
+
+#[test]
+fn rounds_past_the_churn_round_bound_are_rejected() {
+    let encode = |plan: ChurnPlan| serde_json::to_string(&plan).unwrap();
+    let leave = |round| encode(ChurnPlan::new(0).with_event(ChurnEvent::node_leave(round, 6)));
+    churn(&leave(MAX_CHURN_ROUND)).unwrap();
+    let err = churn(&leave(MAX_CHURN_ROUND + 1)).unwrap_err();
+    assert!(
+        err.contains(&format!("node_leave at round {}", MAX_CHURN_ROUND + 1)),
+        "{err}"
+    );
+    // A link flap names its return round too.
+    let flap = |down_for| {
+        encode(ChurnPlan::new(0).with_event(ChurnEvent::link_flap(
+            MAX_CHURN_ROUND - 1,
+            0,
+            1,
+            down_for,
+        )))
+    };
+    churn(&flap(1)).unwrap();
+    let err = churn(&flap(2)).unwrap_err();
+    assert!(
+        err.contains(&format!(
+            "link_flap at round {} names round {}",
+            MAX_CHURN_ROUND - 1,
+            MAX_CHURN_ROUND + 1
+        )),
+        "{err}"
+    );
 }

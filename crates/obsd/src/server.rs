@@ -249,6 +249,32 @@ fn current_sink(alerts: &SharedSink, health: &Health) -> Option<Arc<AlertSink>> 
 const MAX_REQUEST_LINE: u64 = 8 * 1024;
 /// Longest header block a connection may send after its request line.
 const MAX_HEADERS: u64 = 64 * 1024;
+/// How long a connection may take to send its request line and headers.
+const HEAD_DEADLINE: Duration = Duration::from_secs(5);
+
+/// The read side of a connection under one deadline: each read waits
+/// only for the time left, so trickled bytes cannot extend it. Past the
+/// deadline the stream reads as ended, and `expired` is set.
+struct Deadline {
+    stream: TcpStream,
+    at: Instant,
+    expired: bool,
+}
+
+impl Read for Deadline {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.at.saturating_duration_since(Instant::now());
+        if !left.is_zero() {
+            self.stream.set_read_timeout(Some(left))?;
+            match self.stream.read(buf) {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                read => return read,
+            }
+        }
+        self.expired = true;
+        Ok(0)
+    }
+}
 
 fn handle_connection(
     mut stream: TcpStream,
@@ -258,10 +284,15 @@ fn handle_connection(
     subscribers: &Subscribers,
     alerts: &SharedSink,
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    // Both reads are bounded: past a bound the request is refused and the
-    // connection closed without reading (or buffering) any more of it.
-    let mut reader = BufReader::new(stream.try_clone()?).take(MAX_REQUEST_LINE);
+    // Both reads are bounded and share one deadline: past a bound or the
+    // deadline the request is refused and the connection closed without
+    // reading (or buffering) any more of it.
+    let head = Deadline {
+        stream: stream.try_clone()?,
+        at: Instant::now() + HEAD_DEADLINE,
+        expired: false,
+    };
+    let mut reader = BufReader::new(head).take(MAX_REQUEST_LINE);
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     if reader.limit() == 0 && !request_line.ends_with('\n') {
@@ -291,6 +322,14 @@ fn handle_connection(
         if line == "\r\n" || line == "\n" {
             break;
         }
+    }
+    if reader.get_ref().get_ref().expired {
+        return write_response(
+            &mut stream,
+            "408 Request Timeout",
+            "text/plain",
+            "request head not received in time\n",
+        );
     }
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
@@ -518,6 +557,34 @@ mod tests {
         fits.extend_from_slice(b"\r\n");
         assert!(send_raw(addr, &fits).starts_with("HTTP/1.1 200 OK"));
         assert!(get(addr, "/healthz").starts_with("HTTP/1.1 200 OK"));
+        server.stop();
+    }
+
+    #[test]
+    fn a_trickled_request_head_is_cut_off_at_its_deadline() {
+        let registry = Arc::new(LiveRegistry::new());
+        let server = ObsdServer::start("127.0.0.1:0", Arc::clone(&registry)).unwrap();
+        let mut client = TcpStream::connect(server.addr()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = client.try_clone().unwrap();
+        let start = Instant::now();
+        // One byte every 250 ms, never a newline: each byte would restart
+        // a per-read timeout.
+        let trickle = std::thread::spawn(move || {
+            while start.elapsed() < Duration::from_secs(10) && writer.write_all(b"G").is_ok() {
+                std::thread::sleep(Duration::from_millis(250));
+            }
+        });
+        let mut reply = Vec::new();
+        let _ = client.read_to_end(&mut reply);
+        let waited = start.elapsed();
+        client.shutdown(std::net::Shutdown::Both).ok();
+        trickle.join().unwrap();
+        assert!(waited < Duration::from_secs(7), "held for {waited:?}");
+        let reply = String::from_utf8_lossy(&reply);
+        assert!(refused_with(&reply, "408"), "{reply}");
         server.stop();
     }
 

@@ -40,14 +40,12 @@ pub mod watch;
 
 pub use flight::{FlightHeader, FlightLog, FlightRecord, FlightRecorder, Tee};
 pub use live::LiveRegistry;
+pub use profile::SpanGuard;
 pub use trace::{ChromeTrace, TraceEvent};
 pub use watch::{Alert, AlertEngine, AlertSink, RuleSet, Severity};
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::Mutex;
-use std::time::Instant;
 
 pub use serde_json::Value;
 
@@ -214,15 +212,12 @@ impl<'a> TxBatch<'a> {
     }
 }
 
-thread_local! {
-    // Names of the spans currently open on this thread, outermost first.
-    static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-}
-
 /// Ergonomic helpers available on every recorder (including `dyn Recorder`).
 pub trait RecorderExt {
-    /// Opens a named span; the returned guard records its duration under
-    /// the `/`-joined path of all open spans on this thread when dropped.
+    /// Opens a named span in this thread's span tree (see
+    /// [`profile`]); when dropped, the guard records its duration under
+    /// the `/`-joined path of the spans open around it, and an installed
+    /// profiler times it as a node of the same name.
     fn span(&self, name: &str) -> SpanGuard<'_>;
 
     /// Records one attempted multicast (message `msg` from `from` to
@@ -234,7 +229,7 @@ pub trait RecorderExt {
 
 impl<R: Recorder + AsDynRecorder + ?Sized> RecorderExt for R {
     fn span(&self, name: &str) -> SpanGuard<'_> {
-        SpanGuard::enter(self.as_dyn(), name)
+        profile::enter(name, self.enabled().then(|| self.as_dyn()))
     }
 
     fn transmission(&self, round: usize, msg: u32, from: u32, dests: &[u32]) {
@@ -266,55 +261,6 @@ impl<R: Recorder + Sized> AsDynRecorder for R {
 impl AsDynRecorder for dyn Recorder + '_ {
     fn as_dyn(&self) -> &dyn Recorder {
         self
-    }
-}
-
-/// RAII guard for one span occurrence. On drop, records elapsed time into
-/// the recorder under the nested `/`-joined path and pops the thread's
-/// span stack.
-pub struct SpanGuard<'a> {
-    recorder: &'a dyn Recorder,
-    /// Full nested path; `None` when the recorder is disabled (inert guard).
-    path: Option<String>,
-    start: Instant,
-}
-
-impl<'a> SpanGuard<'a> {
-    fn enter(recorder: &'a dyn Recorder, name: &str) -> SpanGuard<'a> {
-        if !recorder.enabled() {
-            return SpanGuard {
-                recorder,
-                path: None,
-                start: Instant::now(),
-            };
-        }
-        let path = SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            stack.push(name.to_string());
-            stack.join("/")
-        });
-        SpanGuard {
-            recorder,
-            path: Some(path),
-            start: Instant::now(),
-        }
-    }
-
-    /// The full `/`-joined path, or `None` on an inert guard.
-    pub fn path(&self) -> Option<&str> {
-        self.path.as_deref()
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(path) = self.path.take() {
-            let nanos = self.start.elapsed().as_nanos() as u64;
-            self.recorder.span_observe(&path, nanos);
-            SPAN_STACK.with(|stack| {
-                stack.borrow_mut().pop();
-            });
-        }
     }
 }
 
@@ -425,21 +371,10 @@ impl Histogram {
     }
 }
 
-#[derive(Default)]
-struct Registry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-    /// Span durations in nanoseconds, keyed by nested path.
-    spans: BTreeMap<String, Histogram>,
-    events_emitted: u64,
-}
-
-/// The real recorder: aggregates metrics in memory (behind one mutex) and
+/// The post-run recorder: aggregates metrics in a [`LiveRegistry`] and
 /// optionally streams events to a JSONL sink as they happen.
 pub struct MetricsRecorder {
-    start: Instant,
-    registry: Mutex<Registry>,
+    registry: LiveRegistry,
     sink: Mutex<Option<Box<dyn Write + Send>>>,
 }
 
@@ -453,8 +388,7 @@ impl MetricsRecorder {
     /// A recorder with no event sink (metrics + snapshot only).
     pub fn new() -> MetricsRecorder {
         MetricsRecorder {
-            start: Instant::now(),
-            registry: Mutex::new(Registry::default()),
+            registry: LiveRegistry::new(),
             sink: Mutex::new(None),
         }
     }
@@ -462,34 +396,29 @@ impl MetricsRecorder {
     /// A recorder streaming events to `sink`, one JSON object per line.
     pub fn with_sink(sink: Box<dyn Write + Send>) -> MetricsRecorder {
         MetricsRecorder {
-            start: Instant::now(),
-            registry: Mutex::new(Registry::default()),
+            registry: LiveRegistry::new(),
             sink: Mutex::new(Some(sink)),
         }
     }
 
-    fn registry(&self) -> std::sync::MutexGuard<'_, Registry> {
-        self.registry.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Milliseconds since the recorder was created.
     pub fn elapsed_ms(&self) -> f64 {
-        self.start.elapsed().as_secs_f64() * 1e3
+        self.registry.elapsed_ms()
     }
 
     /// Current value of a counter (0 if never touched).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.registry().counters.get(name).copied().unwrap_or(0)
+        self.registry.counter_value(name)
     }
 
     /// Current value of a gauge, if set.
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.registry().gauges.get(name).copied()
+        self.registry.gauge_value(name)
     }
 
     /// Number of events emitted so far.
     pub fn events_emitted(&self) -> u64 {
-        self.registry().events_emitted
+        self.registry.events_emitted()
     }
 
     /// Flushes the JSONL sink, if any.
@@ -499,50 +428,10 @@ impl MetricsRecorder {
         }
     }
 
-    /// Everything recorded so far as one JSON document:
-    /// `{counters, gauges, histograms, spans, events_emitted}`.
-    /// Span summaries are reported in milliseconds.
+    /// Everything recorded so far as one JSON document; see
+    /// [`LiveRegistry::snapshot`].
     pub fn snapshot(&self) -> Value {
-        let reg = self.registry();
-        let counters = Value::Object(
-            reg.counters
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::from_u64(*v)))
-                .collect(),
-        );
-        let gauges = Value::Object(
-            reg.gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::from_f64(*v)))
-                .collect(),
-        );
-        let histograms = Value::Object(
-            reg.histograms
-                .iter()
-                .map(|(k, h)| (k.clone(), h.summary(1.0)))
-                .collect(),
-        );
-        // Span durations are stored in ns; report ms for readability.
-        let spans = Value::Object(
-            reg.spans
-                .iter()
-                .map(|(k, h)| (k.clone(), h.summary(1e-6)))
-                .collect(),
-        );
-        Value::Object(vec![
-            (
-                "schema_version".to_string(),
-                Value::from_u64(SCHEMA_VERSION),
-            ),
-            ("counters".to_string(), counters),
-            ("gauges".to_string(), gauges),
-            ("histograms".to_string(), histograms),
-            ("spans".to_string(), spans),
-            (
-                "events_emitted".to_string(),
-                Value::from_u64(reg.events_emitted),
-            ),
-        ])
+        self.registry.snapshot()
     }
 }
 
@@ -552,47 +441,28 @@ impl Recorder for MetricsRecorder {
     }
 
     fn counter(&self, name: &str, delta: u64) {
-        let mut reg = self.registry();
-        *reg.counters.entry(name.to_string()).or_insert(0) += delta;
+        self.registry.counter(name, delta);
     }
 
     fn gauge(&self, name: &str, value: f64) {
-        self.registry().gauges.insert(name.to_string(), value);
+        self.registry.gauge(name, value);
     }
 
     fn observe(&self, name: &str, value: f64) {
-        self.registry()
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        self.registry.observe(name, value);
     }
 
     fn event(&self, name: &str, fields: &[(&str, Value)]) {
-        {
-            self.registry().events_emitted += 1;
-        }
+        self.registry.event(name, fields);
         let mut sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(sink) = sink.as_mut() {
-            let mut members = vec![
-                ("t_ms".to_string(), Value::from_f64(self.elapsed_ms())),
-                ("event".to_string(), Value::String(name.to_string())),
-            ];
-            members.extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
-            let line = serde_json::to_string(&Value::Object(members))
-                .unwrap_or_else(|_| String::from("{}"));
-            let _ = writeln!(sink, "{line}");
+            let head = vec![("t_ms".to_string(), Value::from_f64(self.elapsed_ms()))];
+            let _ = writeln!(sink, "{}", live::event_line(head, name, fields));
         }
     }
 
     fn span_observe(&self, path: &str, nanos: u64) {
-        {
-            let mut reg = self.registry();
-            reg.spans
-                .entry(path.to_string())
-                .or_default()
-                .record(nanos as f64);
-        }
+        self.registry.span_observe(path, nanos);
         self.event(
             "span",
             &[

@@ -1,10 +1,7 @@
-//! [`LiveRegistry`]: the scrape-friendly recorder behind live runtime
-//! observability (`gossip serve`).
-//!
-//! [`crate::MetricsRecorder`] aggregates behind one mutex and buffers its
-//! event stream for a post-run artifact; that is the wrong shape for a
-//! registry an HTTP server reads *while* executor threads write. This
-//! registry keeps:
+//! [`LiveRegistry`]: the one metrics registry. It aggregates counters,
+//! gauges, histograms and span timings for `gossip serve`, which scrapes
+//! it while executor threads write, and behind [`crate::MetricsRecorder`],
+//! which adds a JSONL event sink for a post-run artifact. It keeps:
 //!
 //! - counters and gauges as individual `AtomicU64` cells (gauges store the
 //!   `f64` bit pattern), found through a name map behind an `RwLock` that
@@ -19,8 +16,8 @@
 //!   each event pre-rendered as one NDJSON line.
 //!
 //! The registry is exposed over HTTP by `gossip-obsd`, which renders it in
-//! Prometheus text exposition format; [`LiveRegistry::snapshot`] produces
-//! the same JSON document shape as [`crate::MetricsRecorder::snapshot`].
+//! Prometheus text exposition format; [`LiveRegistry::snapshot`] is the
+//! JSON document both recorders report.
 
 use crate::{Histogram, Recorder, Value, SCHEMA_VERSION};
 use std::collections::BTreeMap;
@@ -47,14 +44,43 @@ fn read_map<V: Clone>(map: &RwLock<BTreeMap<String, V>>) -> BTreeMap<String, V> 
     map.read().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
+/// Histograms behind per-name mutexes.
+type Histograms = RwLock<BTreeMap<String, Arc<Mutex<Histogram>>>>;
+
+/// Applies `f` to histogram `name` of `map`, created empty on first use.
+fn with_histogram(map: &Histograms, name: &str, f: impl FnOnce(&mut Histogram)) {
+    let cell = slot(map, name, || Arc::new(Mutex::new(Histogram::new())));
+    f(&mut cell.lock().unwrap_or_else(|e| e.into_inner()));
+}
+
+/// Point-in-time copies of every histogram of `map`, name-sorted.
+fn copies(map: &Histograms) -> Vec<(String, Histogram)> {
+    read_map(map)
+        .into_iter()
+        .map(|(k, v)| (k, v.lock().unwrap_or_else(|e| e.into_inner()).clone()))
+        .collect()
+}
+
+/// One event as a JSON line: `head` members, `event`, then `fields`.
+pub(crate) fn event_line(
+    head: Vec<(String, Value)>,
+    name: &str,
+    fields: &[(&str, Value)],
+) -> String {
+    let mut members = head;
+    members.push(("event".to_string(), Value::String(name.to_string())));
+    members.extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
+    serde_json::to_string(&Value::Object(members)).unwrap_or_else(|_| String::from("{}"))
+}
+
 /// Lock-cheap live metrics registry (see the module docs).
 pub struct LiveRegistry {
     start: Instant,
     counters: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
-    histograms: RwLock<BTreeMap<String, Arc<Mutex<Histogram>>>>,
+    histograms: Histograms,
     /// Span durations in nanoseconds, keyed by nested path.
-    spans: RwLock<BTreeMap<String, Arc<Mutex<Histogram>>>>,
+    spans: Histograms,
     events_emitted: AtomicU64,
     tap: RwLock<Option<EventTap>>,
 }
@@ -146,19 +172,13 @@ impl LiveRegistry {
 
     /// Point-in-time copies of all histograms, name-sorted.
     pub fn histograms(&self) -> Vec<(String, Histogram)> {
-        read_map(&self.histograms)
-            .into_iter()
-            .map(|(k, v)| (k, v.lock().unwrap_or_else(|e| e.into_inner()).clone()))
-            .collect()
+        copies(&self.histograms)
     }
 
     /// Point-in-time copies of all span-duration histograms (nanoseconds),
     /// keyed by nested span path, name-sorted.
     pub fn spans(&self) -> Vec<(String, Histogram)> {
-        read_map(&self.spans)
-            .into_iter()
-            .map(|(k, v)| (k, v.lock().unwrap_or_else(|e| e.into_inner()).clone()))
-            .collect()
+        copies(&self.spans)
     }
 
     /// Absorbs `other` into this registry: counters add, gauges take
@@ -175,23 +195,16 @@ impl LiveRegistry {
             self.gauge(&name, v);
         }
         for (name, h) in other.histograms() {
-            let cell = slot(&self.histograms, &name, || {
-                Arc::new(Mutex::new(Histogram::new()))
-            });
-            cell.lock().unwrap_or_else(|e| e.into_inner()).merge(&h);
+            with_histogram(&self.histograms, &name, |mine| mine.merge(&h));
         }
         for (name, h) in other.spans() {
-            let cell = slot(&self.spans, &name, || {
-                Arc::new(Mutex::new(Histogram::new()))
-            });
-            cell.lock().unwrap_or_else(|e| e.into_inner()).merge(&h);
+            with_histogram(&self.spans, &name, |mine| mine.merge(&h));
         }
         self.events_emitted
             .fetch_add(other.events_emitted(), Ordering::Relaxed);
     }
 
-    /// Everything recorded so far as one JSON document, the same shape as
-    /// [`crate::MetricsRecorder::snapshot`]:
+    /// Everything recorded so far as one JSON document:
     /// `{schema_version, counters, gauges, histograms, spans,
     /// events_emitted}` with span summaries in milliseconds.
     pub fn snapshot(&self) -> Value {
@@ -252,10 +265,7 @@ impl Recorder for LiveRegistry {
     }
 
     fn observe(&self, name: &str, value: f64) {
-        let cell = slot(&self.histograms, name, || {
-            Arc::new(Mutex::new(Histogram::new()))
-        });
-        cell.lock().unwrap_or_else(|e| e.into_inner()).record(value);
+        with_histogram(&self.histograms, name, |h| h.record(value));
     }
 
     fn event(&self, name: &str, fields: &[(&str, Value)]) {
@@ -269,23 +279,16 @@ impl Recorder for LiveRegistry {
             .as_ref()
             .map(Arc::clone);
         if let Some(tap) = tap {
-            let mut members = vec![
+            let head = vec![
                 ("seq".to_string(), Value::from_u64(seq)),
                 ("t_ms".to_string(), Value::from_f64(self.elapsed_ms())),
-                ("event".to_string(), Value::String(name.to_string())),
             ];
-            members.extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
-            let line = serde_json::to_string(&Value::Object(members))
-                .unwrap_or_else(|_| String::from("{}"));
-            tap(seq, &line);
+            tap(seq, &event_line(head, name, fields));
         }
     }
 
     fn span_observe(&self, path: &str, nanos: u64) {
-        let cell = slot(&self.spans, path, || Arc::new(Mutex::new(Histogram::new())));
-        cell.lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .record(nanos as f64);
+        with_histogram(&self.spans, path, |h| h.record(nanos as f64));
     }
 }
 

@@ -1,37 +1,36 @@
-//! Planner cost profiler: hierarchical phase timing with work counters,
-//! plus an optional counting global allocator attributing heap traffic to
-//! the active phase.
+//! The thread's span tree, and the planner cost profiler that reads it:
+//! hierarchical timing with work counters, plus an optional counting
+//! global allocator attributing heap traffic to the active node.
 //!
-//! The planner-side complement to the run-side observability stack
-//! ([`crate::Recorder`] metrics, flight capture): where `plan_ms` used to
-//! be one opaque number, the profiler breaks schedule construction into a
-//! self-time/total-time call tree — BFS sweeps, tree building, labeling,
-//! generation, CSR flattening, validation — cheap enough to stay on in
-//! production binaries.
+//! # One guard, one tree
 //!
-//! # Model
+//! Each thread keeps one tree of named nodes; a node holds its
+//! `/`-joined path from the root, built when the node first appears.
+//! [`crate::RecorderExt::span`] and [`phase`] both open a node and return
+//! a [`SpanGuard`]. On drop, a span's enabled recorder is told the path
+//! and the elapsed time ([`crate::Recorder::span_observe`]); a phase is
+//! seen by the profiler only, and must never wrap a span, or the span's
+//! path would depend on the profiler. A guard that neither an enabled
+//! recorder nor a [`Profiler`] reads is inert: one thread-local read and
+//! a branch, no clock read, no allocation. Work counters ([`count`])
+//! attribute to the innermost open node.
 //!
-//! A [`Profiler`] installs itself into a thread-local slot on
-//! [`Profiler::begin`]; instrumented code calls the free function
-//! [`phase`] which returns an RAII [`PhaseGuard`]. When no profiler is
-//! installed the guard is inert and the call costs one thread-local read
-//! and a branch, so instrumentation sites need no configuration plumbing
-//! and no signature changes. Phases nest: a guard opened while another is
-//! live becomes (or reuses) a child node of the active phase. Work
-//! counters ([`count`]) attribute to the active phase.
-//!
-//! [`Profiler::finish`] uninstalls the profiler and returns the recorded
-//! [`Profile`] forest. Self time is derived at report time as a node's
-//! total minus the totals of its children, so the invariant *sum of child
-//! totals ≤ parent total* holds by construction (modulo clock monotonicity).
+//! [`Profiler::begin`] installs a profiler; from then on every span and
+//! phase counts calls and time, whatever its recorder.
+//! [`Profiler::finish`] returns the [`Profile`] forest of the nodes
+//! entered since `begin`. Self time is a node's total minus its
+//! children's totals, so *sum of child totals ≤ parent total* holds by
+//! construction (modulo clock monotonicity). The PROF tree is thus the
+//! span tree (`plan > spanning_tree > bfs_sweep`, ...); DESIGN §8 lists
+//! the names it took over from the phases once paired with spans.
 //!
 //! # Threading caveat
 //!
-//! The profiler is deliberately thread-local: the sequential construction
+//! The tree is deliberately thread-local: the sequential construction
 //! path is the profiled one. Work done on rayon workers (the parallel
 //! spanning-tree sweep, parallel schedule validation) is *not* attributed
-//! to phases opened on the calling thread — only the calling thread's
-//! wall-clock wait shows up, under the phase that spawned the parallel
+//! to nodes opened on the calling thread — only the calling thread's
+//! wall-clock wait shows up, under the node that spawned the parallel
 //! section. `gossip profile` therefore drives the sequential planner.
 //!
 //! # Allocator attribution (`prof-alloc` feature)
@@ -48,24 +47,27 @@
 //! It maintains four process-global relaxed atomics (allocation count,
 //! allocated bytes, live bytes, peak live bytes) and never touches
 //! thread-locals or the profiler itself, so there is no reentrancy hazard.
-//! [`PhaseGuard`]s snapshot the counters at enter/exit and attribute the
-//! deltas to their phase; per-phase peak live bytes piggybacks on a single
+//! Profiled guards snapshot the counters at enter/exit and attribute the
+//! deltas to their node; per-node peak live bytes piggybacks on a single
 //! global high-water atomic that guards swap on enter and fold back on
 //! exit. Caveats: attribution is process-global, so allocations from
 //! *other* threads during a phase are charged to it; and like `total_ns`,
-//! a parent phase's numbers include its children's. Both are documented
+//! a parent node's numbers include its children's. Both are documented
 //! properties, not bugs — the profiler answers "what does this phase cost
 //! the process", not "what did this stack frame malloc".
 
-use crate::Value;
-use std::cell::{Cell, RefCell};
+use crate::{Recorder, Value};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::time::Instant;
 
-/// One phase in the recorded tree.
-#[derive(Debug, Clone)]
+/// One node of the span tree.
+#[derive(Debug, Clone, Default)]
 struct Node {
     name: String,
+    /// The `/`-joined names from the root down to this node.
+    path: Rc<str>,
     parent: Option<usize>,
     children: Vec<usize>,
     calls: u64,
@@ -77,202 +79,245 @@ struct Node {
 }
 
 impl Node {
-    fn new(name: &str, parent: Option<usize>) -> Node {
-        Node {
-            name: name.to_string(),
-            parent,
-            children: Vec::new(),
-            calls: 0,
-            total_ns: 0,
-            counters: BTreeMap::new(),
-            allocs: 0,
-            alloc_bytes: 0,
-            peak_bytes: 0,
-        }
+    /// Clears what a profiler recorded, keeping the node's place.
+    fn reset(&mut self) {
+        self.calls = 0;
+        self.total_ns = 0;
+        self.counters.clear();
+        self.allocs = 0;
+        self.alloc_bytes = 0;
+        self.peak_bytes = 0;
     }
 }
 
-struct State {
-    epoch: u64,
+/// One thread's span tree. Nodes are never removed, so a guard's node
+/// index stays valid whatever profilers come and go while it is open.
+#[derive(Default)]
+struct Tree {
     nodes: Vec<Node>,
     roots: Vec<usize>,
     current: Option<usize>,
+    /// The installed profiler's id.
+    profiler: Option<u64>,
+    last_profiler: u64,
+}
+
+impl Tree {
+    /// The node named `name` under the current one, created on first use.
+    fn child(&mut self, name: &str) -> usize {
+        let parent = self.current;
+        let siblings = match parent {
+            Some(p) => &self.nodes[p].children,
+            None => &self.roots,
+        };
+        if let Some(&idx) = siblings.iter().find(|&&c| self.nodes[c].name == name) {
+            return idx;
+        }
+        let idx = self.nodes.len();
+        let path = match parent {
+            Some(p) => format!("{}/{name}", self.nodes[p].path).into(),
+            None => name.into(),
+        };
+        self.nodes.push(Node {
+            name: name.to_string(),
+            path,
+            parent,
+            ..Node::default()
+        });
+        match parent {
+            Some(p) => self.nodes[p].children.push(idx),
+            None => self.roots.push(idx),
+        }
+        idx
+    }
+
+    /// Uninstalls profiler `id` and returns the nodes it saw entered. A
+    /// node whose parent was not entered becomes a root. Another
+    /// profiler's id finds nothing.
+    fn finish(&mut self, id: u64) -> Profile {
+        let mut profile = Profile {
+            alloc_tracking: alloc_tracking(),
+            ..Profile::default()
+        };
+        if self.profiler != Some(id) {
+            return profile;
+        }
+        self.profiler = None;
+        // Parents precede their children in `nodes`, so one pass remaps.
+        let mut remap = vec![None; self.nodes.len()];
+        for (i, node) in self.nodes.iter().enumerate().filter(|(_, n)| n.calls > 0) {
+            let idx = profile.nodes.len();
+            remap[i] = Some(idx);
+            let parent = node.parent.and_then(|p| remap[p]);
+            match parent {
+                Some(p) => profile.nodes[p].children.push(idx),
+                None => profile.roots.push(idx),
+            }
+            profile.nodes.push(Node {
+                parent,
+                children: Vec::new(),
+                ..node.clone()
+            });
+        }
+        profile
+    }
 }
 
 thread_local! {
-    static PROFILER: RefCell<Option<State>> = const { RefCell::new(None) };
-    static NEXT_EPOCH: Cell<u64> = const { Cell::new(1) };
+    static TREE: RefCell<Tree> = RefCell::new(Tree::default());
 }
 
 /// Handle for an installed profiler. Created by [`Profiler::begin`];
 /// consumed by [`Profiler::finish`]. Dropping it without finishing
 /// uninstalls the profiler and discards the recording.
 pub struct Profiler {
-    epoch: u64,
+    id: u64,
 }
 
 impl Profiler {
-    /// Installs a fresh profiler into this thread's slot (replacing any
-    /// prior one — the replaced handle's `finish` then returns an empty
-    /// profile) and starts recording phases.
+    /// Installs a fresh profiler on this thread (replacing any prior one —
+    /// the replaced handle's `finish` then returns an empty profile) and
+    /// starts recording every span and phase.
     pub fn begin() -> Profiler {
-        let epoch = NEXT_EPOCH.with(|e| {
-            let v = e.get();
-            e.set(v + 1);
-            v
-        });
-        PROFILER.with(|p| {
-            *p.borrow_mut() = Some(State {
-                epoch,
-                nodes: Vec::new(),
-                roots: Vec::new(),
-                current: None,
-            });
-        });
-        Profiler { epoch }
+        TREE.with(|t| {
+            let mut tree = t.borrow_mut();
+            tree.last_profiler += 1;
+            let id = tree.last_profiler;
+            tree.profiler = Some(id);
+            tree.nodes.iter_mut().for_each(Node::reset);
+            Profiler { id }
+        })
     }
 
     /// Uninstalls the profiler and returns everything recorded since
-    /// [`Profiler::begin`]. Phases still open on other live guards keep
-    /// their recorded calls but contribute no further time.
+    /// [`Profiler::begin`]. Nodes still open on live guards keep their
+    /// recorded calls but contribute no further time.
     pub fn finish(self) -> Profile {
-        let state = PROFILER.with(|p| {
-            let mut slot = p.borrow_mut();
-            if slot.as_ref().is_some_and(|s| s.epoch == self.epoch) {
-                slot.take()
-            } else {
-                None
-            }
-        });
-        std::mem::forget(self);
-        match state {
-            Some(s) => Profile {
-                nodes: s.nodes,
-                roots: s.roots,
-                alloc_tracking: alloc_tracking(),
-            },
-            None => Profile {
-                nodes: Vec::new(),
-                roots: Vec::new(),
-                alloc_tracking: alloc_tracking(),
-            },
-        }
+        TREE.with(|t| t.borrow_mut().finish(self.id))
     }
 }
 
 impl Drop for Profiler {
     fn drop(&mut self) {
-        PROFILER.with(|p| {
-            let mut slot = p.borrow_mut();
-            if slot.as_ref().is_some_and(|s| s.epoch == self.epoch) {
-                *slot = None;
-            }
-        });
+        TREE.with(|t| t.borrow_mut().finish(self.id));
     }
 }
 
-/// Whether a profiler is installed on this thread. Instrumentation sites
-/// may use this to skip computing expensive counter deltas.
+/// Whether a profiler is installed on this thread.
 pub fn active() -> bool {
-    PROFILER.with(|p| p.borrow().is_some())
+    TREE.with(|t| t.borrow().profiler.is_some())
 }
 
-/// Opens a phase named `name` under the currently active phase (or as a
-/// root). Returns an inert guard (one TLS read, no allocation) when no
-/// profiler is installed. Re-entering a name under the same parent reuses
-/// the existing node and bumps its call count.
-pub fn phase(name: &str) -> PhaseGuard {
-    PROFILER.with(|p| {
-        let mut slot = p.borrow_mut();
-        let Some(state) = slot.as_mut() else {
-            return PhaseGuard { live: None };
-        };
-        let parent = state.current;
-        let siblings = match parent {
-            Some(pi) => &state.nodes[pi].children,
-            None => &state.roots,
-        };
-        let existing = siblings
-            .iter()
-            .copied()
-            .find(|&c| state.nodes[c].name == name);
-        let idx = existing.unwrap_or_else(|| {
-            let idx = state.nodes.len();
-            state.nodes.push(Node::new(name, parent));
-            match parent {
-                Some(pi) => state.nodes[pi].children.push(idx),
-                None => state.roots.push(idx),
-            }
-            idx
-        });
-        state.nodes[idx].calls += 1;
-        state.current = Some(idx);
-        PhaseGuard {
+/// Opens a node named `name` under the innermost open one, which only
+/// the profiler sees. Returns an inert guard when no profiler is
+/// installed.
+pub fn phase(name: &str) -> SpanGuard<'static> {
+    enter(name, None)
+}
+
+/// Opens node `name` for [`crate::RecorderExt::span`]: `recorder` is the
+/// span's recorder when it is enabled.
+pub(crate) fn enter<'a>(name: &str, recorder: Option<&'a dyn Recorder>) -> SpanGuard<'a> {
+    TREE.with(|t| {
+        let mut tree = t.borrow_mut();
+        let profiler = tree.profiler;
+        if profiler.is_none() && recorder.is_none() {
+            return SpanGuard { live: None };
+        }
+        let idx = tree.child(name);
+        tree.current = Some(idx);
+        let node = &mut tree.nodes[idx];
+        if profiler.is_some() {
+            node.calls += 1;
+        }
+        SpanGuard {
             live: Some(LiveGuard {
-                epoch: state.epoch,
                 idx,
+                profiler,
+                sink: recorder.map(|r| (r, Rc::clone(&node.path))),
                 #[cfg(feature = "prof-alloc")]
-                alloc_enter: prof_alloc::phase_enter(),
+                alloc_enter: profiler.map(|_| prof_alloc::phase_enter()),
                 start: Instant::now(),
             }),
         }
     })
 }
 
-/// Adds `delta` to the named work counter of the active phase. A no-op
-/// when no profiler is installed or no phase is open.
+/// Adds `delta` to the named work counter of the innermost open node. A
+/// no-op when no profiler is installed or no node is open.
 pub fn count(name: &str, delta: u64) {
-    PROFILER.with(|p| {
-        let mut slot = p.borrow_mut();
-        let Some(state) = slot.as_mut() else { return };
-        let Some(cur) = state.current else { return };
-        *state.nodes[cur]
+    TREE.with(|t| {
+        let mut tree = t.borrow_mut();
+        let Some(cur) = tree.current.filter(|_| tree.profiler.is_some()) else {
+            return;
+        };
+        *tree.nodes[cur]
             .counters
             .entry(name.to_string())
             .or_insert(0) += delta;
     });
 }
 
-struct LiveGuard {
-    epoch: u64,
+struct LiveGuard<'a> {
     idx: usize,
+    /// The profiler installed when the guard opened.
+    profiler: Option<u64>,
+    /// The enabled recorder and the path it is told.
+    sink: Option<(&'a dyn Recorder, Rc<str>)>,
     #[cfg(feature = "prof-alloc")]
-    alloc_enter: prof_alloc::PhaseEnter,
+    alloc_enter: Option<prof_alloc::PhaseEnter>,
     start: Instant,
 }
 
-/// RAII guard for one phase occurrence; see [`phase`].
-pub struct PhaseGuard {
-    live: Option<LiveGuard>,
+/// RAII guard for one span or phase occurrence; see the module docs.
+pub struct SpanGuard<'a> {
+    live: Option<LiveGuard<'a>>,
 }
 
-impl Drop for PhaseGuard {
-    fn drop(&mut self) {
-        let Some(live) = self.live.take() else { return };
-        let elapsed = live.start.elapsed().as_nanos() as u64;
-        PROFILER.with(|p| {
-            let mut slot = p.borrow_mut();
-            let Some(state) = slot.as_mut() else { return };
-            if state.epoch != live.epoch {
-                return;
-            }
-            #[cfg(feature = "prof-alloc")]
-            {
-                let (d_allocs, d_bytes, phase_peak) = prof_alloc::phase_exit(&live.alloc_enter);
-                let node = &mut state.nodes[live.idx];
-                node.allocs += d_allocs;
-                node.alloc_bytes += d_bytes;
-                node.peak_bytes = node.peak_bytes.max(phase_peak);
-            }
-            let node = &mut state.nodes[live.idx];
-            node.total_ns += elapsed;
-            state.current = node.parent;
-        });
+impl SpanGuard<'_> {
+    /// Whether anything records this occurrence: an enabled recorder or an
+    /// installed profiler. Sites skip computing probes when it is `false`.
+    pub fn is_live(&self) -> bool {
+        self.live.is_some()
+    }
+
+    /// The full `/`-joined path an enabled recorder is told, or `None`
+    /// when the span has no enabled recorder.
+    pub fn path(&self) -> Option<&str> {
+        self.live.as_ref()?.sink.as_ref().map(|(_, path)| &**path)
     }
 }
 
-/// The recorded phase forest, returned by [`Profiler::finish`].
-#[derive(Debug, Clone)]
+impl Drop for SpanGuard<'_> {
+    fn drop(&mut self) {
+        let Some(live) = self.live.take() else { return };
+        let elapsed = live.start.elapsed().as_nanos() as u64;
+        TREE.with(|t| {
+            let mut tree = t.borrow_mut();
+            let profiled = live.profiler.is_some() && live.profiler == tree.profiler;
+            let node = &mut tree.nodes[live.idx];
+            #[cfg(feature = "prof-alloc")]
+            if let Some(enter) = &live.alloc_enter {
+                let (d_allocs, d_bytes, phase_peak) = prof_alloc::phase_exit(enter);
+                if profiled {
+                    node.allocs += d_allocs;
+                    node.alloc_bytes += d_bytes;
+                    node.peak_bytes = node.peak_bytes.max(phase_peak);
+                }
+            }
+            if profiled {
+                node.total_ns += elapsed;
+            }
+            tree.current = node.parent;
+        });
+        if let Some((recorder, path)) = live.sink {
+            recorder.span_observe(&path, elapsed);
+        }
+    }
+}
+
+/// The recorded node forest, returned by [`Profiler::finish`].
+#[derive(Debug, Clone, Default)]
 pub struct Profile {
     nodes: Vec<Node>,
     roots: Vec<usize>,
@@ -291,7 +336,7 @@ impl Profile {
         self.alloc_tracking
     }
 
-    /// Total milliseconds attributed to root phases (the profiler's view
+    /// Total milliseconds attributed to root nodes (the profiler's view
     /// of the whole profiled region).
     pub fn attributed_ms(&self) -> f64 {
         self.roots
@@ -311,13 +356,19 @@ impl Profile {
         self.nodes[idx].total_ns.saturating_sub(child_total)
     }
 
-    /// Sum of `total_ns` (as ms) over every node with this phase name,
-    /// anywhere in the forest. Phase names in the planner taxonomy do not
-    /// nest under themselves, so no double counting occurs there.
-    pub fn named_total_ms(&self, name: &str) -> f64 {
+    /// Sum of `total_ns` (as ms) over every node whose path ends with the
+    /// whole segments of `path`: `"labeling"` matches every `labeling`
+    /// node, `"concurrent_updown/labeling"` only the reference
+    /// generator's. A name nested under itself would count twice; the
+    /// planner's names never are.
+    pub fn total_ms(&self, path: &str) -> f64 {
         self.nodes
             .iter()
-            .filter(|n| n.name == name)
+            .filter(|n| {
+                n.path
+                    .strip_suffix(path)
+                    .is_some_and(|head| head.is_empty() || head.ends_with('/'))
+            })
             .map(|n| n.total_ns as f64 * 1e-6)
             .sum()
     }
@@ -579,7 +630,7 @@ mod tests {
         let child_total: u64 = plan.children.iter().map(|&c| prof.nodes[c].total_ns).sum();
         assert!(child_total <= plan.total_ns);
         assert!(prof.attributed_ms() > 0.0);
-        assert!(prof.named_total_ms("bfs_sweep") > 0.0);
+        assert!(prof.total_ms("bfs_sweep") > 0.0);
     }
 
     #[test]
@@ -655,5 +706,71 @@ mod tests {
         assert!(active());
         let prof = new.finish();
         assert_eq!(prof.roots.len(), 1);
+    }
+
+    #[test]
+    fn spans_and_phases_share_one_tree() {
+        use crate::{MetricsRecorder, NoopRecorder, RecorderExt};
+        let rec = MetricsRecorder::new();
+        let profiler = Profiler::begin();
+        {
+            let _plan = rec.span("plan");
+            {
+                let _quiet = NoopRecorder.span("labeling");
+                let _p = phase("label_flat");
+            }
+            let tree = rec.span("spanning_tree");
+            assert_eq!(tree.path(), Some("plan/spanning_tree"));
+            let _sweep = phase("bfs_sweep");
+        }
+        let prof = profiler.finish();
+        assert_eq!(
+            prof.collapsed_stacks()
+                .lines()
+                .map(|l| l.rsplit_once(' ').unwrap().0)
+                .collect::<Vec<_>>(),
+            [
+                "plan",
+                "plan;labeling",
+                "plan;labeling;label_flat",
+                "plan;spanning_tree",
+                "plan;spanning_tree;bfs_sweep",
+            ]
+        );
+        // The recorder saw its own spans only, under the same paths.
+        let snap = rec.snapshot();
+        let spans: Vec<&str> = snap["spans"]
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(spans, ["plan", "plan/spanning_tree"]);
+        // Lookups match whole trailing segments of the path.
+        assert!(prof.total_ms("labeling/label_flat") > 0.0);
+        assert!(prof.total_ms("plan/labeling") > 0.0);
+        assert_eq!(prof.total_ms("flat"), 0.0);
+        assert_eq!(prof.total_ms("an/labeling"), 0.0);
+    }
+
+    #[test]
+    fn a_profiler_begun_inside_a_span_keeps_its_path() {
+        use crate::{MetricsRecorder, RecorderExt};
+        let rec = MetricsRecorder::new();
+        let outer = rec.span("run");
+        let profiler = Profiler::begin();
+        {
+            let inner = rec.span("plan");
+            assert_eq!(inner.path(), Some("run/plan"));
+        }
+        let prof = profiler.finish();
+        drop(outer);
+        // Only what was entered under the profiler is reported; the
+        // outer span's node was not, so `plan` is a root.
+        assert_eq!(prof.roots.len(), 1);
+        assert_eq!(prof.nodes[prof.roots[0]].name, "plan");
+        assert_eq!(prof.nodes[prof.roots[0]].calls, 1);
+        let after = rec.span("plan");
+        assert_eq!(after.path(), Some("plan"));
     }
 }
