@@ -15,7 +15,10 @@
 //!   what `gossip serve` pays while scrapeable; also guarded at <5%;
 //! - `flight`: the recorded path (`SimKernel::run_recorded`) with a
 //!   [`FlightRecorder`] capturing every round's transmissions into the
-//!   in-memory `.gfr` ring — what `--flight-out` pays.
+//!   in-memory `.gfr` arena — what `--flight-out` pays. Its rounds
+//!   average about 990 deliveries, above `PIPELINE_ROUND_DELIVERIES`, so
+//!   from two rayon threads on this is the pipelined recorded run: the
+//!   rounds step on a worker thread while the calling thread encodes.
 //!
 //! The threaded online executor gets its own noop/live/flight/alerts
 //! quadruple: its cost is barrier-dominated wall clock, so the recorders —
@@ -27,7 +30,8 @@
 //! transmission) against a replay whose own per-transmission work is a
 //! handful of word-ORs, so its ratio (reported as
 //! `simulate_flight_overhead_pct`) is a statement about the kernel's
-//! speed, not about recording cost — it is context, not a guard.
+//! speed, and about how the pipelined run splits the work between two
+//! cores, not about recording cost — it is context, not a guard.
 //!
 //! The planner phase profiler gets a `plan/noop` vs `plan/profiled` pair
 //! (full construction pipeline, guards inert vs a [`Profiler`] installed)
@@ -35,6 +39,13 @@
 //! always-on. Allocator counting cannot be toggled at runtime — build
 //! with `--features prof-alloc` and compare artifacts; the build flavor
 //! is recorded as `alloc_counting_enabled`, unguarded context.
+//!
+//! Every overhead is measured in alternating pairs: a pair runs the
+//! baseline and the configuration back to back, the baseline first in
+//! even pairs and second in odd ones, so drift and the cost of running
+//! second hit both sides alike. An overhead is the median of the per-pair
+//! time ratios (`*_overhead_pct`), reported with their quartiles
+//! (`*_overhead_q1_pct`, `*_overhead_q3_pct`); a guard judges the median.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gossip_bench::report::{obj, write_bench_json};
@@ -44,7 +55,8 @@ use gossip_model::{CommModel, FlatSchedule, SimKernel};
 use gossip_telemetry::flight::FlightHeader;
 use gossip_telemetry::profile::Profiler;
 use gossip_telemetry::{
-    AlertEngine, FlightRecorder, LiveRegistry, MetricsRecorder, NoopRecorder, RuleSet, Value,
+    AlertEngine, FlightRecorder, Histogram, LiveRegistry, MetricsRecorder, NoopRecorder, RuleSet,
+    Value,
 };
 use gossip_workloads::torus;
 use std::hint::black_box;
@@ -58,23 +70,91 @@ use std::time::Instant;
 #[global_allocator]
 static ALLOC: gossip_telemetry::profile::ProfAlloc = gossip_telemetry::profile::ProfAlloc;
 
-/// Minimum wall-clock seconds per run of each routine, with the routines
-/// interleaved round-robin so slow drift (thermal, background load) hits
-/// every configuration equally. Min-of-N rejects one-sided noise, which is
-/// what an overhead *guard* needs: the true cost is the floor, not the mean.
-fn time_min_interleaved<F: FnMut(usize)>(mut run: F, configs: usize, iters: usize) -> Vec<f64> {
-    for c in 0..configs {
-        run(c); // warm-up
+/// A configuration's cost over its baseline: the median and quartiles of
+/// the per-pair time ratios, in percent.
+#[derive(Debug)]
+struct Overhead {
+    median_pct: f64,
+    q1_pct: f64,
+    q3_pct: f64,
+}
+
+impl Overhead {
+    /// The `<name>_overhead_pct`, `_q1_pct` and `_q3_pct` artifact fields.
+    fn fields(&self, name: &str) -> [(String, Value); 3] {
+        [
+            (
+                format!("{name}_overhead_pct"),
+                Value::from_f64(self.median_pct),
+            ),
+            (
+                format!("{name}_overhead_q1_pct"),
+                Value::from_f64(self.q1_pct),
+            ),
+            (
+                format!("{name}_overhead_q3_pct"),
+                Value::from_f64(self.q3_pct),
+            ),
+        ]
     }
-    let mut best = vec![f64::INFINITY; configs];
-    for _ in 0..iters {
-        for (c, slot) in best.iter_mut().enumerate() {
-            let t0 = Instant::now();
-            run(c);
-            *slot = slot.min(t0.elapsed().as_secs_f64());
+
+    fn ok(&self) -> bool {
+        self.median_pct < 5.0
+    }
+}
+
+/// The `p`-th percentile (nearest rank) of `xs`.
+fn percentile(xs: &[f64], p: f64) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    Histogram::percentile(&sorted, p).unwrap_or(f64::NAN)
+}
+
+/// Times configurations `1..configs` of `run` against configuration 0,
+/// the baseline, in `pairs` alternating pairs each (see the module doc);
+/// every pass takes one pair of every configuration. Returns the median
+/// wall seconds of every configuration (the baseline's over all its runs)
+/// and the overhead of configurations `1..configs`, in order.
+fn paired_overheads<F: FnMut(usize)>(
+    mut run: F,
+    configs: usize,
+    pairs: usize,
+) -> (Vec<f64>, Vec<Overhead>) {
+    let mut time = |c: usize| {
+        let t0 = Instant::now();
+        run(c);
+        t0.elapsed().as_secs_f64()
+    };
+    for c in 0..configs {
+        time(c); // warm-up
+    }
+    let mut walls = vec![Vec::new(); configs];
+    let mut ratios = vec![Vec::new(); configs];
+    for pair in 0..pairs {
+        for c in 1..configs {
+            let (base, this) = if pair % 2 == 0 {
+                let base = time(0);
+                (base, time(c))
+            } else {
+                let this = time(c);
+                (time(0), this)
+            };
+            walls[0].push(base);
+            walls[c].push(this);
+            ratios[c].push(this / base);
         }
     }
-    best
+    let medians = walls.iter().map(|w| percentile(w, 50.0)).collect();
+    let pct = |r: &[f64], p: f64| 100.0 * (percentile(r, p) - 1.0);
+    let overheads = ratios[1..]
+        .iter()
+        .map(|r| Overhead {
+            median_pct: pct(r, 50.0),
+            q1_pct: pct(r, 25.0),
+            q3_pct: pct(r, 75.0),
+        })
+        .collect();
+    (medians, overheads)
 }
 
 fn bench_overhead(c: &mut Criterion) {
@@ -152,12 +232,12 @@ fn bench_overhead(c: &mut Criterion) {
 
     // Independent wall-clock timings for the JSON artifact (the criterion
     // harness prints but does not expose its timings).
-    let iters = if std::env::args().any(|a| a == "--test") {
-        1
-    } else {
-        7
-    };
-    let best = time_min_interleaved(
+    // Pairs per configuration: more for the cheaper stages, whose single
+    // runs jitter more (one pair under `--test`).
+    let test_mode = std::env::args().any(|a| a == "--test");
+    let pairs = |n: usize| if test_mode { 1 } else { n };
+    let (simulate_pairs, online_pairs, plan_pairs) = (pairs(61), pairs(41), pairs(21));
+    let (walls, over) = paired_overheads(
         |config| {
             let mut sim = kernel();
             match config {
@@ -172,12 +252,10 @@ fn bench_overhead(c: &mut Criterion) {
             };
         },
         5,
-        iters,
+        simulate_pairs,
     );
-    let (raw, noop, recorded, live_t, flight_t) = (best[0], best[1], best[2], best[3], best[4]);
-    let overhead_pct = 100.0 * (noop - raw) / raw;
-    let live_overhead_pct = 100.0 * (live_t - raw) / raw;
-    let simulate_flight_overhead_pct = 100.0 * (flight_t - raw) / raw;
+    let [noop_over, metrics_over, live_over, simulate_flight_over]: [Overhead; 4] =
+        over.try_into().unwrap();
 
     // The threaded online executor: per-round wall clock is dominated by
     // the barrier, so live instrumentation must vanish into it. This is
@@ -195,7 +273,7 @@ fn bench_overhead(c: &mut Criterion) {
         fault_digest: 0,
         origins: online_origins.iter().map(|&o| o as u32).collect(),
     };
-    let online_best = time_min_interleaved(
+    let (online_walls, online_over) = paired_overheads(
         |config| {
             match config {
                 0 => black_box(run_online_threaded_recorded(&online_tree, &NoopRecorder)),
@@ -216,17 +294,10 @@ fn bench_overhead(c: &mut Criterion) {
             };
         },
         4,
-        iters,
+        online_pairs,
     );
-    let (online_noop, online_live, online_flight, online_alerts) = (
-        online_best[0],
-        online_best[1],
-        online_best[2],
-        online_best[3],
-    );
-    let online_live_overhead_pct = 100.0 * (online_live - online_noop) / online_noop;
-    let flight_overhead_pct = 100.0 * (online_flight - online_noop) / online_noop;
-    let alerts_overhead_pct = 100.0 * (online_alerts - online_noop) / online_noop;
+    let [online_live_over, flight_over, alerts_over]: [Overhead; 3] =
+        online_over.try_into().unwrap();
 
     // The planner profiler pair for the artifact. Allocator counting is a
     // process-global build decision (`--features prof-alloc`), so it
@@ -234,7 +305,7 @@ fn bench_overhead(c: &mut Criterion) {
     // separately by comparing a prof-alloc build's artifact against a
     // default build's, and reported unguarded as context via
     // `alloc_counting_enabled`.
-    let plan_best = time_min_interleaved(
+    let (plan_walls, plan_over) = paired_overheads(
         |config| match config {
             0 => plan_pipeline(&g),
             _ => {
@@ -244,65 +315,81 @@ fn bench_overhead(c: &mut Criterion) {
             }
         },
         2,
-        iters,
+        plan_pairs,
     );
-    let (plan_noop, plan_profiled) = (plan_best[0], plan_best[1]);
-    let profile_overhead_pct = 100.0 * (plan_profiled - plan_noop) / plan_noop;
+    let profile_over = &plan_over[0];
     let alloc_counting = Profiler::begin().finish().alloc_tracking();
 
-    let payload = obj(vec![
-        ("experiment", Value::String("telemetry_overhead".into())),
-        ("n", Value::from_u64(g.n() as u64)),
-        ("iters", Value::from_u64(iters as u64)),
-        ("simulate_raw_ms", Value::from_f64(raw * 1e3)),
-        ("simulate_noop_ms", Value::from_f64(noop * 1e3)),
-        ("simulate_metrics_ms", Value::from_f64(recorded * 1e3)),
-        ("simulate_live_ms", Value::from_f64(live_t * 1e3)),
-        ("simulate_flight_ms", Value::from_f64(flight_t * 1e3)),
-        ("noop_overhead_pct", Value::from_f64(overhead_pct)),
-        ("live_overhead_pct", Value::from_f64(live_overhead_pct)),
+    let ms = |secs: f64| Value::from_f64(secs * 1e3);
+    let mut fields: Vec<(String, Value)> = vec![
         (
-            "simulate_flight_overhead_pct",
-            Value::from_f64(simulate_flight_overhead_pct),
+            "experiment".into(),
+            Value::String("telemetry_overhead".into()),
         ),
-        ("online_n", Value::from_u64(online_tree.n() as u64)),
-        ("online_noop_ms", Value::from_f64(online_noop * 1e3)),
-        ("online_live_ms", Value::from_f64(online_live * 1e3)),
-        ("online_flight_ms", Value::from_f64(online_flight * 1e3)),
-        ("online_alerts_ms", Value::from_f64(online_alerts * 1e3)),
+        ("n".into(), Value::from_u64(g.n() as u64)),
         (
-            "online_live_overhead_pct",
-            Value::from_f64(online_live_overhead_pct),
+            "simulate_pairs".into(),
+            Value::from_u64(simulate_pairs as u64),
         ),
-        ("flight_overhead_pct", Value::from_f64(flight_overhead_pct)),
-        ("alerts_overhead_pct", Value::from_f64(alerts_overhead_pct)),
-        ("plan_noop_ms", Value::from_f64(plan_noop * 1e3)),
-        ("plan_profiled_ms", Value::from_f64(plan_profiled * 1e3)),
+        ("online_pairs".into(), Value::from_u64(online_pairs as u64)),
+        ("plan_pairs".into(), Value::from_u64(plan_pairs as u64)),
+        ("simulate_raw_ms".into(), ms(walls[0])),
+        ("simulate_noop_ms".into(), ms(walls[1])),
+        ("simulate_metrics_ms".into(), ms(walls[2])),
+        ("simulate_live_ms".into(), ms(walls[3])),
+        ("simulate_flight_ms".into(), ms(walls[4])),
+        ("online_n".into(), Value::from_u64(online_tree.n() as u64)),
+        ("online_noop_ms".into(), ms(online_walls[0])),
+        ("online_live_ms".into(), ms(online_walls[1])),
+        ("online_flight_ms".into(), ms(online_walls[2])),
+        ("online_alerts_ms".into(), ms(online_walls[3])),
+        ("plan_noop_ms".into(), ms(plan_walls[0])),
+        ("plan_profiled_ms".into(), ms(plan_walls[1])),
+    ];
+    for (name, over) in [
+        ("noop", &noop_over),
+        ("metrics", &metrics_over),
+        ("live", &live_over),
+        ("simulate_flight", &simulate_flight_over),
+        ("online_live", &online_live_over),
+        ("flight", &flight_over),
+        ("alerts", &alerts_over),
+        ("profile", profile_over),
+    ] {
+        fields.extend(over.fields(name));
+    }
+    fields.extend([
+        ("alloc_counting_enabled".into(), Value::Bool(alloc_counting)),
+        ("guard_pct".into(), Value::from_f64(5.0)),
+        ("guard_ok".into(), Value::Bool(noop_over.ok())),
+        ("live_guard_ok".into(), Value::Bool(live_over.ok())),
+        ("flight_guard_ok".into(), Value::Bool(flight_over.ok())),
         (
-            "profile_overhead_pct",
-            Value::from_f64(profile_overhead_pct),
+            "online_live_guard_ok".into(),
+            Value::Bool(online_live_over.ok()),
         ),
-        ("alloc_counting_enabled", Value::Bool(alloc_counting)),
-        ("guard_pct", Value::from_f64(5.0)),
-        ("guard_ok", Value::Bool(overhead_pct < 5.0)),
-        ("live_guard_ok", Value::Bool(live_overhead_pct < 5.0)),
-        ("flight_guard_ok", Value::Bool(flight_overhead_pct < 5.0)),
-        (
-            "online_live_guard_ok",
-            Value::Bool(online_live_overhead_pct < 5.0),
-        ),
-        ("profile_guard_ok", Value::Bool(profile_overhead_pct < 5.0)),
-        ("alerts_guard_ok", Value::Bool(alerts_overhead_pct < 5.0)),
+        ("profile_guard_ok".into(), Value::Bool(profile_over.ok())),
+        ("alerts_guard_ok".into(), Value::Bool(alerts_over.ok())),
     ]);
+    let payload = obj(fields
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.clone()))
+        .collect());
     if let Some(path) = write_bench_json("telemetry_overhead", &payload) {
+        let show =
+            |o: &Overhead| format!("{:.2}% [{:.2}, {:.2}]", o.median_pct, o.q1_pct, o.q3_pct);
         println!(
-            "noop overhead: {overhead_pct:.2}%, live registry: {live_overhead_pct:.2}%, \
-             online live: {online_live_overhead_pct:.2}%, \
-             online flight: {flight_overhead_pct:.2}%, \
-             online alerts: {alerts_overhead_pct:.2}%, \
-             plan profiler: {profile_overhead_pct:.2}% (guard < 5%; \
-             dense-capture context: {simulate_flight_overhead_pct:.2}%; \
-             alloc counting: {alloc_counting}), wrote {path}"
+            "overhead, median [quartiles] of alternating pairs: noop {}, \
+             live registry {}, online live {}, online flight {}, online alerts {}, \
+             plan profiler {} (guard: median < 5%; dense-capture context: {}; \
+             alloc counting: {alloc_counting}), wrote {path}",
+            show(&noop_over),
+            show(&live_over),
+            show(&online_live_over),
+            show(&flight_over),
+            show(&alerts_over),
+            show(profile_over),
+            show(&simulate_flight_over),
         );
     }
 }

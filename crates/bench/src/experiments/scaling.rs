@@ -147,6 +147,27 @@ impl Trend {
     }
 }
 
+/// Validates `flat` and replays it through a fresh kernel, timing the two
+/// apart: `(validate, replay, outcome)`.
+fn validate_and_replay(
+    g: &gossip_graph::Graph,
+    flat: &FlatSchedule,
+    origins: &[usize],
+) -> (
+    std::time::Duration,
+    std::time::Duration,
+    gossip_model::SimOutcome,
+) {
+    let t0 = Instant::now();
+    flat.validate(g, CommModel::Multicast, origins.len())
+        .unwrap();
+    let validate = t0.elapsed();
+    let t1 = Instant::now();
+    let mut kernel = SimKernel::with_origins(g, CommModel::Multicast, origins).unwrap();
+    let outcome = kernel.run_prevalidated(flat).unwrap();
+    (validate, t1.elapsed(), outcome)
+}
+
 /// Times the pipeline stages (tree construction sequential and parallel,
 /// schedule generation, oracle simulation, kernel replay, and the fast
 /// planner) across sizes.
@@ -177,7 +198,9 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
         "tree (seq) ms",
         "schedule ms",
         "simulate ms",
-        "kernel ms",
+        "flatten ms",
+        "validate ms",
+        "replay ms",
         "plan (fast) ms",
         "schedule events",
     ]);
@@ -264,12 +287,8 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
                 assert!(o.complete);
                 let t4 = Instant::now();
                 let flat = FlatSchedule::from_schedule(&schedule);
-                flat.validate(&g, CommModel::Multicast, origins.len())
-                    .unwrap();
-                let mut kernel =
-                    SimKernel::with_origins(&g, CommModel::Multicast, &origins).unwrap();
-                let ko = kernel.run_prevalidated(&flat).unwrap();
-                let kernelt = t4.elapsed();
+                let flatten = t4.elapsed();
+                let (validate, replay, ko) = validate_and_replay(&g, &flat, &origins);
                 assert!(ko.complete);
                 assert_eq!(ko.completion_time, o.completion_time);
                 // The fast planner on the same graph: the before/after
@@ -279,10 +298,10 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
                 let tree_f =
                     min_depth_spanning_tree_fast_recorded(&g, ChildOrder::ById, &recorder).unwrap();
                 let flat_f = gossip_core::concurrent_updown_flat_recorded(&tree_f, &recorder);
+                let fast = t5.elapsed();
                 flat_f
                     .validate(&g, CommModel::Multicast, origins.len())
                     .unwrap();
-                let fast = t5.elapsed();
                 assert_eq!(tree_f.height(), tree.height());
                 assert_eq!(flat_f.rounds(), flat.rounds());
                 if tree_f == tree {
@@ -292,7 +311,9 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
                     ms(seq),
                     ms(gen),
                     ms(simt),
-                    ms(kernelt),
+                    ms(flatten),
+                    ms(validate),
+                    ms(replay),
                     ms(fast),
                     schedule.stats().deliveries.to_string(),
                 ]);
@@ -300,10 +321,9 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
                     ("tree_seq_ms", Value::from_f64(seq.as_secs_f64() * 1e3)),
                     ("schedule_ms", Value::from_f64(gen.as_secs_f64() * 1e3)),
                     ("simulate_ms", Value::from_f64(simt.as_secs_f64() * 1e3)),
-                    (
-                        "kernel_sim_ms",
-                        Value::from_f64(kernelt.as_secs_f64() * 1e3),
-                    ),
+                    ("flatten_ms", Value::from_f64(flatten.as_secs_f64() * 1e3)),
+                    ("validate_ms", Value::from_f64(validate.as_secs_f64() * 1e3)),
+                    ("replay_ms", Value::from_f64(replay.as_secs_f64() * 1e3)),
                     ("plan_fast_ms", Value::from_f64(fast.as_secs_f64() * 1e3)),
                     (
                         "deliveries",
@@ -317,28 +337,22 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
                     min_depth_spanning_tree_fast_recorded(&g, ChildOrder::ById, &recorder).unwrap();
                 let flat = gossip_core::concurrent_updown_flat_recorded(&tree, &recorder);
                 let origins = gossip_core::tree_origins(&tree);
-                flat.validate(&g, CommModel::Multicast, origins.len())
-                    .unwrap();
                 let fast = t0.elapsed();
-                let t1 = Instant::now();
-                let mut kernel =
-                    SimKernel::with_origins(&g, CommModel::Multicast, &origins).unwrap();
-                let ko = kernel.run_prevalidated(&flat).unwrap();
-                let kernelt = t1.elapsed();
+                let (validate, replay, ko) = validate_and_replay(&g, &flat, &origins);
                 assert!(ko.complete);
                 cells.extend([
                     "—".into(),
                     "—".into(),
                     "—".into(),
-                    ms(kernelt),
+                    "—".into(),
+                    ms(validate),
+                    ms(replay),
                     ms(fast),
                     flat.deliveries().to_string(),
                 ]);
                 fields.extend([
-                    (
-                        "kernel_sim_ms",
-                        Value::from_f64(kernelt.as_secs_f64() * 1e3),
-                    ),
+                    ("validate_ms", Value::from_f64(validate.as_secs_f64() * 1e3)),
+                    ("replay_ms", Value::from_f64(replay.as_secs_f64() * 1e3)),
                     ("plan_fast_ms", Value::from_f64(fast.as_secs_f64() * 1e3)),
                     ("deliveries", Value::from_u64(flat.deliveries() as u64)),
                 ]);
@@ -356,6 +370,8 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
                     "destination arena alone exceeds sweep memory budget"
                 };
                 cells.extend([
+                    "—".into(),
+                    "—".into(),
                     "—".into(),
                     "—".into(),
                     "—".into(),
@@ -421,10 +437,11 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
          tree construction is the O(mn) term (the rayon sweep tracks core count);\n\
          schedule generation and simulation scale with the Θ(n²) schedule size,\n\
          i.e. O(1) work per delivered message — the paper's \"all other steps take\n\
-         O(n) time\" per processor. `kernel ms` is the flat-CSR bitset replay\n\
-         (build + word-parallel validate + run) of the same schedule. `plan\n\
-         (fast) ms` is the fast planner (pruned multi-source tree sweep +\n\
-         CSR-direct generation + validate); `fast-full` rows run only it, and\n\
+         O(n) time\" per processor. `flatten`, `validate` and `replay ms` are\n\
+         the flat-CSR build, the structural check and the prevalidated bitset\n\
+         replay of the same schedule. `plan (fast) ms` is the fast planner\n\
+         (pruned multi-source tree sweep + CSR-direct generation); `fast-full`\n\
+         rows run only it, with no flatten, and\n\
          `plan-only` rows stop after tree + labels — the schedule itself is\n\
          unrepresentable there (u32 CSR offsets / memory).\n",
         t.render(),
@@ -453,7 +470,9 @@ mod tests {
         assert!(report.contains("schedule events"));
         let rows = payload.get("rows").and_then(|r| r.as_array()).unwrap();
         assert_eq!(rows.len(), 2);
-        assert!(rows[1].get("kernel_sim_ms").is_some());
+        for field in ["flatten_ms", "validate_ms", "replay_ms"] {
+            assert!(rows[1].get(field).is_some(), "{field}");
+        }
         // The phase-attribution columns ride along and carry real time:
         // the profiled "spanning_tree" node is the sequential sweep measured by
         // tree_seq_ms, so it can never exceed that stopwatch by much.
@@ -507,7 +526,9 @@ mod tests {
                 .unwrap()
                 > 0.0
         );
-        assert!(rows[0].get("kernel_sim_ms").is_some());
+        assert!(rows[0].get("validate_ms").is_some());
+        assert!(rows[0].get("replay_ms").is_some());
+        assert!(rows[0].get("flatten_ms").is_none());
         assert!(rows[0].get("schedule_ms").is_none());
         assert!(rows[0].get("deliveries").and_then(|v| v.as_u64()).unwrap() > 0);
         // PlanOnly: tree + labels only, with the explicit reason.
@@ -518,7 +539,8 @@ mod tests {
                 .unwrap()
                 > 0.0
         );
-        assert!(rows[1].get("kernel_sim_ms").is_none());
+        assert!(rows[1].get("validate_ms").is_none());
+        assert!(rows[1].get("replay_ms").is_none());
         assert!(rows[1]
             .get("schedule_skipped_reason")
             .and_then(|v| v.as_str())

@@ -14,11 +14,14 @@
 //! any in-range destination since `Graph` caps `n` well below that, are
 //! saturated and thus still rejected as out-of-range by the validators).
 //!
-//! [`FlatSchedule::validate`] is the rayon round-parallel structural rule
-//! check of the tentpole: rounds are independent for every rule except the
-//! hold-set one (rule 4, execution-state dependent, enforced by the kernel
-//! during replay), so each round is checked on its own core with
-//! word-parallel sender/receiver dedup bitmaps.
+//! [`FlatSchedule::validate`] is the round-parallel structural rule check:
+//! rounds are independent for every rule except the hold-set one (rule 4,
+//! execution-state dependent, enforced by the kernel during replay), so
+//! contiguous round ranges are checked on separate cores. Each range runs
+//! `RoundRules`, the one structural checker the kernel's strict and lossy
+//! steps run too: adjacency is tested against an `n * ceil(n / 64)`-word
+//! bitmap, and one send and one receive per processor per round against
+//! round-stamped tables, in the oracle's rule order.
 //!
 //! [`FlatSchedule::from_round_fill`] is the matching assembly for
 //! generators that know each transmission's round before they write it:
@@ -501,16 +504,30 @@ impl FlatSchedule {
         }
     }
 
+    /// Transmission and delivery counts of every round, the weights
+    /// [`round_ranges`] cuts by.
+    fn round_counts(&self) -> (Vec<u32>, Vec<u32>) {
+        (0..self.rounds())
+            .map(|t| {
+                let txs = self.round_range(t);
+                let dests = self.dest_offsets[txs.end] - self.dest_offsets[txs.start];
+                (txs.len() as u32, dests)
+            })
+            .unzip()
+    }
+
     /// Round-parallel structural validation: every rule of the paper's §1
     /// model that does not depend on execution state — index ranges, empty
     /// and duplicate destinations, one send and one receive per processor
-    /// per round (word-parallel dedup bitmaps), adjacency, and the
-    /// model-specific fan-out restriction. The one state-dependent rule,
-    /// sender-holds-message, is enforced by [`crate::SimKernel`] at replay.
+    /// per round, adjacency, and the model-specific fan-out restriction.
+    /// The one state-dependent rule, sender-holds-message, is enforced by
+    /// [`crate::SimKernel`] at replay.
     ///
-    /// Rounds are checked concurrently; the reported error is the first
-    /// failing rule of the earliest failing round. For a schedule whose
-    /// earliest failing round only violates the hold-set rule, the oracle
+    /// The rounds are cut as [`FlatSchedule::from_round_fill`] cuts them
+    /// and the ranges are checked concurrently, each by the checker the
+    /// kernel's strict step runs; the reported error is the first failing
+    /// rule of the earliest failing round. For a schedule whose earliest
+    /// failing round only violates the hold-set rule, the oracle
     /// [`crate::Simulator`] and this pass therefore disagree on *which*
     /// error surfaces — use [`crate::SimKernel::run`] when byte-identical
     /// oracle errors matter.
@@ -525,142 +542,191 @@ impl FlatSchedule {
                 schedule_n: self.n,
             });
         }
-        (0..self.rounds())
+        let rules = RoundRules::new(g, model, n_msgs);
+        let (tx, dv) = self.round_counts();
+        let ranges = round_ranges(&tx, &dv, rayon::current_num_threads());
+        let check = |range: Range<usize>| {
+            let mut marks = rules.marks();
+            range
+                .into_iter()
+                .try_for_each(|t| rules.check(self, t, t, &mut marks, |_, _| true))
+        };
+        ranges
             .into_par_iter()
-            .map(|t| self.validate_round(t, g, model, n_msgs))
-            .collect::<Result<Vec<()>, ModelError>>()?;
-        Ok(())
+            .map(check)
+            .collect::<Result<Vec<()>, ModelError>>()
+            .map(drop)
+    }
+}
+
+/// The structural rules of the paper's §1 model over one graph, model and
+/// message count, checked one round at a time: index ranges, empty and
+/// duplicate destinations, one send and one receive per processor per
+/// round, adjacency and the fan-out restriction, in the oracle
+/// [`crate::Simulator`]'s per-transmission order. The hold-set rule sits
+/// in that order too, behind a caller-supplied test. [`FlatSchedule::validate`]
+/// and [`crate::SimKernel`]'s strict and lossy steps all check through it.
+///
+/// Adjacency is an `n * ceil(n / 64)`-word bitmap, so a delivery's rule-3
+/// test is one AND whatever the sender's degree or the order of its
+/// destinations.
+#[derive(Debug, Clone)]
+pub(crate) struct RoundRules<'g> {
+    g: &'g Graph,
+    model: CommModel,
+    n_msgs: usize,
+    /// Words per adjacency row (`ceil(n / 64)`).
+    row_words: usize,
+    /// `n * row_words` adjacency bitmap; row `u` holds `u`'s neighbours.
+    adj: Vec<u64>,
+}
+
+/// The senders and receivers of the round being checked: processor `v`
+/// sent (received) in it iff `sent[v]` (`received[v]`) equals `stamp`,
+/// which [`RoundRules::check`] bumps at each round, so no table is ever
+/// cleared.
+#[derive(Debug, Clone)]
+pub(crate) struct RoundMarks {
+    sent: Vec<u64>,
+    received: Vec<u64>,
+    stamp: u64,
+}
+
+impl<'g> RoundRules<'g> {
+    /// The rules for schedules over `g` with `n_msgs` messages under
+    /// `model`; builds the adjacency bitmap.
+    pub(crate) fn new(g: &'g Graph, model: CommModel, n_msgs: usize) -> RoundRules<'g> {
+        let n = g.n();
+        let row_words = n.div_ceil(64);
+        let mut adj = vec![0u64; n * row_words];
+        for v in 0..n {
+            let row = &mut adj[v * row_words..][..row_words];
+            for &u in g.neighbors_raw(v) {
+                set_bit(row, u as usize);
+            }
+        }
+        RoundRules {
+            g,
+            model,
+            n_msgs,
+            row_words,
+            adj,
+        }
     }
 
-    /// Structural checks for one round, in the oracle's per-transmission
-    /// check order (minus the hold-set rule).
-    ///
-    /// Adjacency is a merge-walk of the destination list against the
-    /// sender's sorted neighbour list instead of one binary search per
-    /// delivery: a cursor moves forward through the neighbours by
-    /// [`skip_below`], which costs a short branch-free count when the
-    /// destination lies within the next few neighbours and O(log deg)
-    /// when it does not. Destinations are normally ascending
-    /// (`Transmission::new` sorts them); a descending one restarts the
-    /// cursor, so every list is checked destination by destination in the
-    /// oracle's order and gets the error a per-destination lookup would.
-    fn validate_round(
+    /// Empty marks for [`RoundRules::check`].
+    pub(crate) fn marks(&self) -> RoundMarks {
+        RoundMarks {
+            sent: vec![0; self.g.n()],
+            received: vec![0; self.g.n()],
+            stamp: 0,
+        }
+    }
+
+    /// Checks round `r` of `flat` (a schedule over this graph's `n`),
+    /// stamping errors with `round`. `held(from, msg)` is the
+    /// hold-set rule, asked once per transmission between the duplicate
+    /// sender and fan-out checks; pass `|_, _| true` to skip it.
+    pub(crate) fn check(
         &self,
-        t: usize,
-        g: &Graph,
-        model: CommModel,
-        n_msgs: usize,
+        flat: &FlatSchedule,
+        r: usize,
+        round: usize,
+        marks: &mut RoundMarks,
+        held: impl Fn(usize, u32) -> bool,
     ) -> Result<(), ModelError> {
-        let n = self.n;
-        let words = n.div_ceil(64);
-        let mut sent = vec![0u64; words];
-        let mut received = vec![0u64; words];
-        for i in self.round_range(t) {
-            let from = self.tx_from[i] as usize;
+        let n = self.g.n();
+        marks.stamp += 1;
+        let stamp = marks.stamp;
+        for i in flat.round_range(r) {
+            let from = flat.from_of(i) as usize;
             if from >= n {
                 return Err(ModelError::ProcessorOutOfRange {
-                    round: t,
+                    round,
                     proc: from,
                     n,
                 });
             }
-            let msg = self.tx_msg[i];
-            if msg as usize >= n_msgs {
+            let msg = flat.msg_of(i);
+            if msg as usize >= self.n_msgs {
                 return Err(ModelError::MessageOutOfRange {
-                    round: t,
+                    round,
                     msg,
-                    n: n_msgs,
+                    n: self.n_msgs,
                 });
             }
-            let dests = self.dests_of(i);
+            let dests = flat.dests_of(i);
             if dests.is_empty() {
                 return Err(ModelError::EmptyDestination {
-                    round: t,
+                    round,
                     sender: from,
                 });
             }
-            let (w, b) = (from / 64, 1u64 << (from % 64));
-            if sent[w] & b != 0 {
+            if std::mem::replace(&mut marks.sent[from], stamp) == stamp {
                 return Err(ModelError::DuplicateSender {
-                    round: t,
+                    round,
                     sender: from,
                 });
             }
-            sent[w] |= b;
-            model
-                .check_fanout(g.degree(from), dests.len())
+            if !held(from, msg) {
+                return Err(ModelError::MessageNotHeld {
+                    round,
+                    sender: from,
+                    msg,
+                });
+            }
+            self.model
+                .check_fanout(self.g.degree(from), dests.len())
                 .map_err(|reason| ModelError::ModelViolation {
-                    round: t,
+                    round,
                     sender: from,
                     reason,
                 })?;
-            let neighbors = g.neighbors_raw(from);
-            let mut cursor = 0;
-            let mut prev: Option<u32> = None;
+            let adj = &self.adj[from * self.row_words..][..self.row_words];
+            let mut prev: Option<usize> = None;
             for &d32 in dests {
                 let d = d32 as usize;
                 if d >= n {
-                    return Err(ModelError::ProcessorOutOfRange {
-                        round: t,
-                        proc: d,
-                        n,
-                    });
+                    return Err(ModelError::ProcessorOutOfRange { round, proc: d, n });
                 }
-                if prev == Some(d32) {
+                if prev == Some(d) {
                     return Err(ModelError::DuplicateDestination {
-                        round: t,
+                        round,
                         sender: from,
                         receiver: d,
                     });
                 }
-                if prev.is_some_and(|p| d32 < p) {
-                    cursor = 0;
-                }
-                prev = Some(d32);
-                cursor += skip_below(&neighbors[cursor..], d32);
-                if neighbors.get(cursor) != Some(&d32) {
+                prev = Some(d);
+                if adj[d / 64] & (1u64 << (d % 64)) == 0 {
                     return Err(ModelError::NotAdjacent {
-                        round: t,
+                        round,
                         sender: from,
                         receiver: d,
                     });
                 }
-                cursor += 1;
-                let (w, b) = (d / 64, 1u64 << (d % 64));
-                if received[w] & b != 0 {
-                    return Err(ModelError::DuplicateReceiver {
-                        round: t,
-                        receiver: d,
-                    });
+                if std::mem::replace(&mut marks.received[d], stamp) == stamp {
+                    return Err(ModelError::DuplicateReceiver { round, receiver: d });
                 }
-                received[w] |= b;
             }
         }
         Ok(())
     }
 }
 
-/// Index of the first entry of the sorted `xs` that is not below `d`
-/// (`xs.len()` if none). When the answer lies in the first
-/// [`SKIP_WINDOW`] entries, as it does when a destination list covers much
-/// of a neighbourhood, it is a branch-free count over them; otherwise a
-/// binary search over all of `xs`, so a far destination costs O(log |xs|).
-fn skip_below(xs: &[u32], d: u32) -> usize {
-    match xs.first_chunk::<SKIP_WINDOW>() {
-        Some(window) if window[SKIP_WINDOW - 1] >= d => {
-            window.iter().map(|&x| usize::from(x < d)).sum()
-        }
-        _ => xs.partition_point(|&x| x < d),
-    }
+/// Sets bit `i` of `words`; returns 1 if it was newly set, else 0.
+#[inline]
+pub(crate) fn set_bit(words: &mut [u64], i: usize) -> usize {
+    let (w, b) = (i / 64, 1u64 << (i % 64));
+    let newly = words[w] & b == 0;
+    words[w] |= b;
+    newly as usize
 }
-
-/// Neighbours [`skip_below`] counts through before it binary-searches.
-const SKIP_WINDOW: usize = 8;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::round::Transmission;
+    use crate::SimKernel;
 
     fn ring(n: usize) -> Graph {
         Graph::from_edges(n, &(0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>()).unwrap()
@@ -825,9 +891,11 @@ mod tests {
         assert!(flat.validate(&ring(4), CommModel::Multicast, 4).is_ok());
     }
 
-    /// The validator before the merge-walk: one `has_edge` binary search per
-    /// delivery, rounds checked in order. `validate` must match it error for
-    /// error.
+    /// The reference validator: one `has_edge` binary search per delivery,
+    /// a fresh `bool` table per round, rounds checked in order. `validate`
+    /// must match it error for error. (The two proptests below were written
+    /// for the neighbour-list merge walk the bitmap checker replaced; they
+    /// hold the checker to the same oracle.)
     fn oracle_validate(
         flat: &FlatSchedule,
         g: &Graph,
@@ -1053,20 +1121,10 @@ mod tests {
         }
     }
 
-    /// Per-round transmission and delivery counts of `flat`.
-    fn round_counts(flat: &FlatSchedule) -> (Vec<u32>, Vec<u32>) {
-        (0..flat.rounds())
-            .map(|t| {
-                let batch = flat.round_batch(t);
-                (batch.len() as u32, batch.deliveries() as u32)
-            })
-            .unzip()
-    }
-
     /// Refills `flat` through `fill_ranges` over `ranges`, pushing every
     /// round's transmissions in order.
     fn refill(flat: &FlatSchedule, ranges: &[Range<usize>]) -> FlatSchedule {
-        let (tx, dv) = round_counts(flat);
+        let (tx, dv) = flat.round_counts();
         FlatSchedule::fill_ranges(flat.n, &tx, &dv, ranges.to_vec(), |fill| {
             for t in fill.rounds() {
                 for i in flat.round_range(t) {
@@ -1191,23 +1249,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn skip_below_finds_the_lower_bound() {
-        for len in 0..40u32 {
-            let xs: Vec<u32> = (0..len).map(|i| 3 * i + 1).collect();
-            for d in 0..3 * len + 3 {
-                assert_eq!(
-                    skip_below(&xs, d),
-                    xs.partition_point(|&x| x < d),
-                    "{len} {d}"
-                );
-            }
-        }
-    }
-
-    /// The random cases reach the accepting path and every structural error
-    /// the merge-walk could get wrong, so the oracle comparison above is not
-    /// vacuous.
+    /// The random cases reach the accepting path and every structural
+    /// error, so the oracle comparison above is not vacuous.
     #[test]
     fn random_cases_cover_every_structural_verdict() {
         let mut seen = std::collections::BTreeSet::new();
@@ -1231,7 +1274,7 @@ mod tests {
     }
 
     #[test]
-    fn unsorted_destinations_restart_the_walk() {
+    fn unsorted_destinations_are_checked_one_by_one() {
         // Star: 0 is adjacent to 1..=4 and not to itself.
         let g = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]).unwrap();
         let from_zero = |to: Vec<u32>| {
@@ -1256,5 +1299,116 @@ mod tests {
                 receiver: 0
             })
         );
+    }
+
+    /// A telephone gossip plan on the star around `center` of `g`: each
+    /// leaf sends its own message to the center, one leaf per round, then
+    /// the center unicasts every message to every leaf that lacks it, one
+    /// transmission per round — about n² single-destination transmissions
+    /// from one sender of degree n − 1, the shape of a telephone plan on a
+    /// star, and on a complete graph, whose minimum-depth tree is a star.
+    fn telephone_star_plan(n: usize, center: usize) -> FlatSchedule {
+        let mut s = Schedule::new(n);
+        let leaves = (0..n).filter(|&v| v != center);
+        let mut t = 0;
+        for leaf in leaves.clone() {
+            s.add_transmission(t, Transmission::unicast(leaf as u32, leaf, center));
+            t += 1;
+        }
+        for m in 0..n {
+            for leaf in leaves.clone().filter(|&leaf| leaf != m) {
+                s.add_transmission(t, Transmission::unicast(m as u32, center, leaf));
+                t += 1;
+            }
+        }
+        FlatSchedule::from_schedule(&s)
+    }
+
+    /// A round's transmissions as `(msg, from, dests)` triples.
+    type Txs = Vec<(u32, u32, Vec<u32>)>;
+
+    /// `flat` with the transmissions of round `t` rewritten by `edit`.
+    fn edit_round(flat: &FlatSchedule, t: usize, mut edit: impl FnMut(&mut Txs)) -> FlatSchedule {
+        let (mut round_offsets, mut tx_msg, mut tx_from) = (vec![0u32], Vec::new(), Vec::new());
+        let (mut dest_offsets, mut dests) = (vec![0u32], Vec::new());
+        for r in 0..flat.rounds() {
+            let mut txs: Txs = flat
+                .round_range(r)
+                .map(|i| (flat.msg_of(i), flat.from_of(i), flat.dests_of(i).to_vec()))
+                .collect();
+            if r == t {
+                edit(&mut txs);
+            }
+            for (msg, from, to) in txs {
+                tx_msg.push(msg);
+                tx_from.push(from);
+                dests.extend(to);
+                dest_offsets.push(dests.len() as u32);
+            }
+            round_offsets.push(tx_msg.len() as u32);
+        }
+        FlatSchedule::from_raw_parts(flat.n, round_offsets, tx_msg, tx_from, dest_offsets, dests)
+    }
+
+    /// High-degree senders with short destination lists: `validate` gives
+    /// the oracle's `Result` on a star and on a complete graph, clean and
+    /// mutated, and the kernel's strict run reports the same structural
+    /// errors.
+    #[test]
+    fn validate_matches_oracle_on_telephone_plans_around_a_hub() {
+        let n = 512;
+        let center = 0;
+        let star = Graph::from_edges(n, &(1..n).map(|v| (0, v)).collect::<Vec<_>>()).unwrap();
+        let mut complete = gossip_graph::GraphBuilder::new(n);
+        for u in 0..n {
+            for v in u + 1..n {
+                complete.add_edge_unchecked(u, v).unwrap();
+            }
+        }
+        let complete = complete.build();
+        let plan = telephone_star_plan(n, center);
+        let (up, mid) = (n / 2, n + n * n / 2);
+        let mutants = [
+            (
+                "out-of-range sender",
+                edit_round(&plan, mid, |txs| txs[0].1 = 512),
+            ),
+            (
+                "duplicate destination",
+                edit_round(&plan, mid, |txs| {
+                    let d = txs[0].2[0];
+                    txs[0].2.push(d);
+                }),
+            ),
+            (
+                "non-adjacent receiver",
+                edit_round(&plan, mid, |txs| txs[0].2[0] = 0),
+            ),
+            // A second leaf sends its own message to the center in the
+            // same round.
+            (
+                "duplicate receiver",
+                edit_round(&plan, up, |txs| {
+                    let leaf = txs[0].1 + 1;
+                    txs.push((leaf, leaf, vec![0]));
+                }),
+            ),
+        ];
+        for g in [&star, &complete] {
+            let origins: Vec<usize> = (0..n).collect();
+            for model in [CommModel::Telephone, CommModel::Multicast] {
+                assert_eq!(plan.validate(g, model, n), Ok(()));
+                assert_eq!(oracle_validate(&plan, g, model, n), Ok(()));
+            }
+            let mut kernel = SimKernel::new(g, CommModel::Telephone, &origins).unwrap();
+            assert!(kernel.run(&plan).unwrap().complete);
+            for (what, bad) in &mutants {
+                let want = oracle_validate(bad, g, CommModel::Multicast, n);
+                assert!(want.is_err(), "{what}: the oracle accepts it");
+                assert_eq!(bad.validate(g, CommModel::Multicast, n), want, "{what}");
+                let mut kernel = SimKernel::new(g, CommModel::Multicast, &origins).unwrap();
+                assert_eq!(kernel.run(bad).map(drop), want, "{what}: strict kernel run");
+            }
+        }
     }
 }

@@ -12,10 +12,11 @@
 //!   is a popcount-maintained counter, and the processor-major views —
 //!   [`SimKernel::hold_bitsets`], [`SimKernel::residual`] — are produced by
 //!   a 64×64 block bit transpose);
-//! - adjacency as a precomputed bitmap, so the rule-3 check is one AND
-//!   instead of a binary search over neighbour lists;
-//! - per-round send/receive dedup via round-stamped tables, exactly as the
-//!   oracle.
+//! - the structural rules checked by the one checker
+//!   [`FlatSchedule::validate`] also runs: adjacency as a precomputed
+//!   bitmap, so the rule-3 check is one AND instead of a binary search
+//!   over neighbour lists, and per-round send/receive dedup via
+//!   round-stamped tables.
 //!
 //! Checks run in the oracle's exact per-transmission order, so any invalid
 //! schedule is rejected with the *identical* [`ModelError`] the oracle
@@ -25,9 +26,14 @@
 //! structural checks and replays with only the state-dependent hold-set
 //! rule plus the word-OR applies — the amortized replay mode benchmarks
 //! and `gossip plan --planner fast` use. Every clean run goes through one
-//! loop; [`SimKernel::run_recorded`] streams it into a recorder, and
-//! [`SimKernel::run_probed`] collects the per-round [`RoundProbe`]s that
-//! `--metrics` and the knowledge curves report.
+//! emission loop; [`SimKernel::run_recorded`] streams it into a recorder,
+//! and [`SimKernel::run_probed`] collects the per-round [`RoundProbe`]s
+//! that `--metrics` and the knowledge curves report. A recorded run into
+//! a transmission-hungry recorder (a flight capture) whose rounds average
+//! at least [`PIPELINE_ROUND_DELIVERIES`] deliveries steps its rounds on a
+//! scoped worker thread when rayon has more than one thread, while the
+//! calling thread emits the unchanged stream, so the capture's encoding
+//! overlaps the replay.
 //!
 //! Lossy mode ([`SimKernel::run_lossy`]) replicates the oracle's
 //! [`crate::Simulator::step_lossy`] bit for bit, including its in-round
@@ -40,34 +46,45 @@
 use crate::bitset::BitSet;
 use crate::error::ModelError;
 use crate::fault_plan::FaultPlan;
-use crate::flat_schedule::FlatSchedule;
+use crate::flat_schedule::{set_bit, FlatSchedule, RoundMarks, RoundRules};
 use crate::lossy::{LossCause, LossyOutcome, LostDelivery};
 use crate::models::CommModel;
 use crate::simulator::SimOutcome;
 use gossip_graph::Graph;
 use gossip_telemetry::{NoopRecorder, Recorder, RecorderExt, Value};
 
+/// The average deliveries per round from which [`SimKernel::run_recorded`]
+/// pipelines a recorder that wants transmissions. Each round costs the
+/// pipeline a handoff between two threads, and the run one thread spawn,
+/// while the overlap saves at most the smaller of the round's replay and
+/// its encoding, both linear in its deliveries. A capture and its
+/// `finish` timed both ways on a 2-vCPU Xeon, median per-pair ratio of
+/// pipelined over one loop (deliveries per round in brackets): 4.6–7.6×
+/// on C_8 and fig4 (5, 13), 1.3–1.5× on the 8×8 torus (56), 1.13–1.18× on
+/// telephone plans around a hub up to n = 1024 (1), 0.99–1.43× on
+/// G(256, 18/n) (252), 0.79–1.23× on G(512, 18/n) (508), 0.74–0.82× on
+/// G(600, 18/n) and G(800, 18/n) (596, 796) and 0.54–0.78× from
+/// G(1024, 18/n) to G(4096, 18/n).
+pub const PIPELINE_ROUND_DELIVERIES: usize = 512;
+
 /// Word-parallel schedule replayer over flat hold-set and adjacency
 /// bitmaps. Mirrors the [`crate::Simulator`] API where the two overlap.
 #[derive(Debug, Clone)]
 pub struct SimKernel<'g> {
-    g: &'g Graph,
-    model: CommModel,
+    /// The structural rules, with the adjacency bitmap they test.
+    rules: RoundRules<'g>,
+    /// The senders and receivers of the round being checked.
+    marks: RoundMarks,
     n: usize,
     n_msgs: usize,
-    /// Words per row of both arenas (`ceil(n / 64)`): every row is a bitmap
-    /// over processors.
+    /// Words per hold row (`ceil(n / 64)`): every row is a bitmap over
+    /// processors.
     row_words: usize,
     /// `n_msgs * row_words` message-major arena: bit `v` of row `m`
     /// (`hold[m * row_words ..][.. row_words]`) is set iff processor `v`
     /// holds message `m`.
     hold: Vec<u64>,
-    /// `n * row_words` adjacency bitmap; row `u` holds `u`'s neighbours.
-    adj: Vec<u64>,
     time: usize,
-    send_stamp: Vec<u64>,
-    recv_stamp: Vec<u64>,
-    round_stamp: u64,
     known_pairs: usize,
 }
 
@@ -125,28 +142,16 @@ impl<'g> SimKernel<'g> {
     /// Assembles a kernel at time 0 around a filled message-major hold
     /// arena.
     fn from_arena(g: &'g Graph, model: CommModel, n_msgs: usize, hold: Vec<u64>) -> Self {
-        let n = g.n();
-        let row_words = n.div_ceil(64);
-        let mut adj = vec![0u64; n * row_words];
-        for v in 0..n {
-            let row = v * row_words;
-            for u in g.neighbors(v) {
-                adj[row + u / 64] |= 1u64 << (u % 64);
-            }
-        }
+        let rules = RoundRules::new(g, model, n_msgs);
         let known_pairs = hold.iter().map(|w| w.count_ones() as usize).sum();
         SimKernel {
-            g,
-            model,
-            n,
+            marks: rules.marks(),
+            rules,
+            n: g.n(),
             n_msgs,
-            row_words,
+            row_words: g.n().div_ceil(64),
             hold,
-            adj,
             time: 0,
-            send_stamp: vec![0; n],
-            recv_stamp: vec![0; n],
-            round_stamp: 0,
             known_pairs,
         }
     }
@@ -194,9 +199,7 @@ impl<'g> SimKernel<'g> {
     /// pairs are never held.
     #[inline]
     pub fn contains(&self, p: usize, m: usize) -> bool {
-        p < self.n
-            && m < self.n_msgs
-            && self.hold[m * self.row_words + p / 64] & (1u64 << (p % 64)) != 0
+        p < self.n && m < self.n_msgs && holds(&self.hold, self.row_words, p, m)
     }
 
     /// The hold set of processor `p` as a [`BitSet`], for oracle-parity
@@ -259,11 +262,6 @@ impl<'g> SimKernel<'g> {
         }
     }
 
-    #[inline]
-    fn adjacent(&self, u: usize, v: usize) -> bool {
-        self.adj[u * self.row_words + v / 64] & (1u64 << (v % 64)) != 0
-    }
-
     /// Executes round `r` of `flat` with full rule validation in the
     /// oracle's exact check order; on error the kernel state is unchanged.
     /// Errors are stamped with the kernel's absolute time, exactly as
@@ -275,97 +273,18 @@ impl<'g> SimKernel<'g> {
     /// Checks every rule of round `r` that [`crate::Simulator::step`]
     /// checks, in its exact per-transmission order and with its errors;
     /// the hold-set rule (a sender holds its message) only under
-    /// `hold_rule`. Touches nothing but the round-stamp tables.
+    /// `hold_rule`. Touches nothing but the round marks.
     fn check_round(
         &mut self,
         flat: &FlatSchedule,
         r: usize,
         hold_rule: bool,
     ) -> Result<(), ModelError> {
-        let n = self.n;
-        let t = self.time;
-        self.round_stamp += 1;
-        let stamp = self.round_stamp;
-        for i in flat.round_range(r) {
-            let from = flat.from_of(i) as usize;
-            if from >= n {
-                return Err(ModelError::ProcessorOutOfRange {
-                    round: t,
-                    proc: from,
-                    n,
-                });
-            }
-            let msg = flat.msg_of(i);
-            if msg as usize >= self.n_msgs {
-                return Err(ModelError::MessageOutOfRange {
-                    round: t,
-                    msg,
-                    n: self.n_msgs,
-                });
-            }
-            let dests = flat.dests_of(i);
-            if dests.is_empty() {
-                return Err(ModelError::EmptyDestination {
-                    round: t,
-                    sender: from,
-                });
-            }
-            if self.send_stamp[from] == stamp {
-                return Err(ModelError::DuplicateSender {
-                    round: t,
-                    sender: from,
-                });
-            }
-            self.send_stamp[from] = stamp;
-            if hold_rule && !self.contains(from, msg as usize) {
-                return Err(ModelError::MessageNotHeld {
-                    round: t,
-                    sender: from,
-                    msg,
-                });
-            }
-            self.model
-                .check_fanout(self.g.degree(from), dests.len())
-                .map_err(|reason| ModelError::ModelViolation {
-                    round: t,
-                    sender: from,
-                    reason,
-                })?;
-            let mut prev: Option<usize> = None;
-            for &d32 in dests {
-                let d = d32 as usize;
-                if d >= n {
-                    return Err(ModelError::ProcessorOutOfRange {
-                        round: t,
-                        proc: d,
-                        n,
-                    });
-                }
-                if prev == Some(d) {
-                    return Err(ModelError::DuplicateDestination {
-                        round: t,
-                        sender: from,
-                        receiver: d,
-                    });
-                }
-                prev = Some(d);
-                if !self.adjacent(from, d) {
-                    return Err(ModelError::NotAdjacent {
-                        round: t,
-                        sender: from,
-                        receiver: d,
-                    });
-                }
-                if self.recv_stamp[d] == stamp {
-                    return Err(ModelError::DuplicateReceiver {
-                        round: t,
-                        receiver: d,
-                    });
-                }
-                self.recv_stamp[d] = stamp;
-            }
-        }
-        Ok(())
+        let (hold, row_words) = (&self.hold, self.row_words);
+        self.rules
+            .check(flat, r, self.time, &mut self.marks, |p, m| {
+                !hold_rule || holds(hold, row_words, p, m as usize)
+            })
     }
 
     fn step_inner(
@@ -440,6 +359,15 @@ impl<'g> SimKernel<'g> {
     /// that opt into `wants_transmissions` (the flight recorder) also get
     /// each round's transmissions as one batch before it executes. With a
     /// disabled recorder this is exactly [`SimKernel::run`].
+    ///
+    /// When the recorder wants transmissions, the rounds average at least
+    /// [`PIPELINE_ROUND_DELIVERIES`] deliveries and
+    /// [`rayon::current_num_threads`] is above 1, the rounds execute on a
+    /// scoped worker thread while the calling thread emits the stream, so
+    /// a capture's encoding overlaps the replay. The recorder sees the
+    /// same calls in the same order, on the calling thread, and the result
+    /// and the kernel's final state are those of the one-thread loop. A
+    /// panic in the recorder or in the worker reaches the caller.
     pub fn run_recorded(
         &mut self,
         flat: &FlatSchedule,
@@ -455,37 +383,33 @@ impl<'g> SimKernel<'g> {
         recorder: &dyn Recorder,
     ) -> Result<SimOutcome, ModelError> {
         self.check_size(flat)?;
-        let enabled = recorder.enabled();
-        let wants_tx = enabled && recorder.wants_transmissions();
-        let mut completion_time = self.gossip_complete().then_some(self.time);
-        let rounds = flat.rounds();
-        for r in 0..rounds {
-            let t = self.time;
-            if enabled {
-                recorder.event("round_start", &[("round", Value::from_u64(t as u64))]);
-                if wants_tx {
-                    recorder.transmissions(t, flat.round_batch(r));
-                }
-            }
-            self.step_inner(flat, r, structural)?;
-            if completion_time.is_none() && self.gossip_complete() {
-                completion_time = Some(self.time);
-            }
-            if enabled {
-                let delivered = flat.round_batch(r).deliveries() as u64;
-                recorder.counter("exec/deliveries", delivered);
-                recorder.gauge("round_current", self.time as f64);
-                recorder.gauge("known_pairs", self.known_pairs as f64);
-                recorder.event(
-                    "round_end",
-                    &[
-                        ("round", Value::from_u64(t as u64)),
-                        ("delivered", Value::from_u64(delivered)),
-                        ("known_pairs", Value::from_u64(self.known_pairs as u64)),
-                    ],
-                );
-            }
-        }
+        let stream = RoundStream {
+            flat,
+            start: self.time,
+            total_pairs: self.n * self.n_msgs,
+            complete_at_start: self.gossip_complete(),
+            recorder,
+        };
+        let pipelined = recorder.enabled()
+            && recorder.wants_transmissions()
+            && flat.deliveries() / flat.rounds().max(1) >= PIPELINE_ROUND_DELIVERIES
+            && rayon::current_num_threads() > 1;
+        let completion_time = if pipelined {
+            let kernel = &mut *self;
+            pipelined_rounds(
+                flat.rounds(),
+                move |r| {
+                    kernel.step_inner(flat, r, structural)?;
+                    Ok(kernel.known_pairs)
+                },
+                |next| stream.emit(next),
+            )
+        } else {
+            stream.emit(&mut |r| {
+                self.step_inner(flat, r, structural)?;
+                Ok(self.known_pairs)
+            })
+        }?;
         Ok(self.outcome(flat, completion_time))
     }
 
@@ -772,6 +696,114 @@ impl<'g> SimKernel<'g> {
     }
 }
 
+/// The per-round stream of a clean recorded run: one emission loop for
+/// the one-thread and the pipelined runs.
+struct RoundStream<'a> {
+    flat: &'a FlatSchedule,
+    /// The kernel's time before the first round.
+    start: usize,
+    /// `n * n_msgs`: the known-pair count of a complete run.
+    total_pairs: usize,
+    complete_at_start: bool,
+    recorder: &'a dyn Recorder,
+}
+
+impl RoundStream<'_> {
+    /// Executes every round through `step` — which runs round `r` and
+    /// returns the known-pair count after it — and emits the round's
+    /// stream around it: `round_start` and the batch before, the counter,
+    /// the gauges and `round_end` after. Returns the completion time, or
+    /// the first step error once its round's `round_start` and batch are
+    /// out.
+    fn emit(
+        &self,
+        step: &mut dyn FnMut(usize) -> Result<usize, ModelError>,
+    ) -> Result<Option<usize>, ModelError> {
+        let rec = self.recorder;
+        let enabled = rec.enabled();
+        let wants_tx = enabled && rec.wants_transmissions();
+        let mut completion_time = self.complete_at_start.then_some(self.start);
+        for r in 0..self.flat.rounds() {
+            let t = self.start + r;
+            if enabled {
+                rec.event("round_start", &[("round", Value::from_u64(t as u64))]);
+                if wants_tx {
+                    rec.transmissions(t, self.flat.round_batch(r));
+                }
+            }
+            let known_pairs = step(r)?;
+            if completion_time.is_none() && known_pairs == self.total_pairs {
+                completion_time = Some(t + 1);
+            }
+            if enabled {
+                let delivered = self.flat.round_batch(r).deliveries() as u64;
+                rec.counter("exec/deliveries", delivered);
+                rec.gauge("round_current", (t + 1) as f64);
+                rec.gauge("known_pairs", known_pairs as f64);
+                rec.event(
+                    "round_end",
+                    &[
+                        ("round", Value::from_u64(t as u64)),
+                        ("delivered", Value::from_u64(delivered)),
+                        ("known_pairs", Value::from_u64(known_pairs as u64)),
+                    ],
+                );
+            }
+        }
+        Ok(completion_time)
+    }
+}
+
+/// Runs `step(0)`, `step(1)`, … `step(rounds - 1)` on a scoped worker
+/// thread, stopping after the first error, while `consume` runs on the
+/// calling thread. `consume` gets a `next` function that returns the
+/// results in round order (its argument is ignored), blocking on a
+/// channel until the worker has published the next one. If `consume`
+/// returns or unwinds early, the worker stops at its next round; a
+/// worker panic is resumed on the calling thread, at the `next` call
+/// that finds the channel closed or once `consume` returns.
+fn pipelined_rounds<T>(
+    rounds: usize,
+    mut step: impl FnMut(usize) -> Result<usize, ModelError> + Send,
+    consume: impl FnOnce(&mut dyn FnMut(usize) -> Result<usize, ModelError>) -> T,
+) -> T {
+    std::thread::scope(|scope| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut worker = Some(scope.spawn(move || {
+            for r in 0..rounds {
+                let result = step(r);
+                let failed = result.is_err();
+                if tx.send(result).is_err() || failed {
+                    return;
+                }
+            }
+        }));
+        fn rejoin(worker: &mut Option<std::thread::ScopedJoinHandle<'_, ()>>) {
+            if let Some(Err(payload)) = worker.take().map(|w| w.join()) {
+                std::panic::resume_unwind(payload);
+            }
+        }
+        let out = consume(&mut |_| match rx.recv() {
+            Ok(result) => result,
+            Err(_) => {
+                // The worker hung up before the round asked for, which
+                // only a panic does.
+                rejoin(&mut worker);
+                unreachable!("the replay worker stopped without a result or a panic")
+            }
+        });
+        drop(rx);
+        rejoin(&mut worker);
+        out
+    })
+}
+
+/// Whether bit `p` of hold row `m` is set.
+#[inline]
+fn holds(hold: &[u64], row_words: usize, p: usize, m: usize) -> bool {
+    hold[m * row_words + p / 64] & (1u64 << (p % 64)) != 0
+}
+
 /// Per-round observation collected by [`SimKernel::run_probed`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundProbe {
@@ -814,15 +846,6 @@ pub fn missing_pairs(by_proc: &[u64], n_msgs: usize, alive: &[bool]) -> Vec<(u32
         }
     }
     out
-}
-
-/// Sets bit `i` of `words`; returns 1 if it was newly set, else 0.
-#[inline]
-fn set_bit(words: &mut [u64], i: usize) -> usize {
-    let (w, b) = (i / 64, 1u64 << (i % 64));
-    let newly = words[w] & b == 0;
-    words[w] |= b;
-    newly as usize
 }
 
 /// Transposes a `rows × cols` bit matrix stored as rows of
@@ -1152,6 +1175,56 @@ mod tests {
             }
             assert_eq!(transpose_bits(&dst, cols, rows), src, "{rows}x{cols}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "step 2 failed")]
+    fn a_panicking_pipeline_worker_reaches_the_caller() {
+        pipelined_rounds(
+            5,
+            |r| {
+                assert!(r != 2, "step {r} failed");
+                Ok(r)
+            },
+            |next| (0..5).map(next).collect::<Vec<_>>(),
+        );
+    }
+
+    #[test]
+    fn the_pipeline_stops_at_the_first_error_and_when_its_consumer_does() {
+        let err = ModelError::EmptyDestination {
+            round: 1,
+            sender: 0,
+        };
+        let stepped = std::sync::atomic::AtomicUsize::new(0);
+        let results = pipelined_rounds(
+            4,
+            |r| {
+                stepped.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if r == 1 {
+                    Err(err.clone())
+                } else {
+                    Ok(r)
+                }
+            },
+            |next| [next(0), next(1)],
+        );
+        assert_eq!(results, [Ok(0), Err(err.clone())]);
+        assert_eq!(stepped.into_inner(), 2, "the worker stops after an error");
+        // A consumer that stops early drops the channel, so the worker
+        // stops too instead of stepping a million rounds.
+        let stepped = std::sync::atomic::AtomicUsize::new(0);
+        let first = pipelined_rounds(
+            1_000_000,
+            |r| {
+                stepped.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                std::thread::sleep(std::time::Duration::from_micros(50));
+                Ok(r)
+            },
+            |next| next(0),
+        );
+        assert_eq!(first, Ok(0));
+        assert!(stepped.into_inner() < 1_000_000);
     }
 
     #[test]

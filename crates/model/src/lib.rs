@@ -58,7 +58,7 @@ pub use error::ModelError;
 pub use fault_plan::{Crash, FaultPlan, LinkOutage, FAULT_PLAN_SCHEMA_VERSION};
 pub use faults::{inject_fault, Fault};
 pub use flat_schedule::{FlatSchedule, RoundFill, GRAIN};
-pub use kernel::{missing_pairs, RoundProbe, SimKernel};
+pub use kernel::{missing_pairs, RoundProbe, SimKernel, PIPELINE_ROUND_DELIVERIES};
 pub use lossy::{LossCause, LossyOutcome, LostDelivery};
 pub use models::CommModel;
 pub use provenance::{

@@ -15,9 +15,12 @@
 //!   [`Recorder::wants_transmissions`], so executors that normally skip
 //!   per-delivery detail emit it only when a flight recorder is listening,
 //!   and it encodes a whole round of multicasts per
-//!   [`Recorder::transmissions`] call. It keeps every record; the
-//!   trailing `End` record's eviction count (from the format's retired
-//!   ring-buffer writer) is always 0 in its captures.
+//!   [`Recorder::transmissions`] call. Its arena is laid out as the file
+//!   from [`FlightRecorder::new`] on — the header first, then the records
+//!   — so [`FlightRecorder::finish`] appends `End` and hands the arena
+//!   over instead of copying it. It keeps every record; the trailing
+//!   `End` record's eviction count (from the format's retired ring-buffer
+//!   writer) is always 0 in its captures.
 //! - [`FlightLog`] decodes a `.gfr` byte stream losslessly — re-encoding a
 //!   decoded log reproduces the input byte for byte (golden-tested), which
 //!   is what makes the format safe to archive.
@@ -889,10 +892,10 @@ impl FlightLog {
     }
 }
 
-/// Encoded records, oldest first, concatenated into one arena — recording
-/// is on the executor's hot path, so a capture must not allocate per
-/// record.
-#[derive(Default)]
+/// The capture laid out as the file: the encoded header, then the
+/// encoded records, oldest first, in one arena — recording is on the
+/// executor's hot path, so a capture must not allocate per record, and
+/// [`FlightRecorder::finish`] only has to append `End`.
 struct FlightBuf {
     data: Vec<u8>,
     /// Record count.
@@ -945,11 +948,14 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder that keeps every record.
+    /// A recorder that keeps every record; its arena starts with the
+    /// encoded header.
     pub fn new(header: FlightHeader) -> FlightRecorder {
+        let mut data = Vec::new();
+        header.encode_into(&mut data);
         FlightRecorder {
             header,
-            buf: Mutex::new(FlightBuf::default()),
+            buf: Mutex::new(FlightBuf { data, count: 0 }),
         }
     }
 
@@ -957,7 +963,7 @@ impl FlightRecorder {
         self.buf.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Records captured so far.
+    /// Records captured so far, across every [`FlightRecorder::finish`].
     pub fn len(&self) -> usize {
         self.buf().count
     }
@@ -967,13 +973,16 @@ impl FlightRecorder {
         self.buf().count == 0
     }
 
-    /// The complete `.gfr` byte stream captured so far (header, records,
-    /// `End`). Non-destructive, so a capture can be written mid-run.
+    /// Ends the capture and returns it as a complete `.gfr` byte stream
+    /// (header, records, `End`): the arena is already laid out as the
+    /// file, so it is handed over with `End` appended, not copied. The
+    /// recorder starts a new capture under the same header, so records
+    /// that arrive later come out of the next `finish`, which also
+    /// decodes; [`FlightRecorder::len`] keeps counting them all.
     pub fn finish(&self) -> Vec<u8> {
-        let buf = self.buf();
-        let mut out = Vec::with_capacity(64 + buf.data.len() + 8);
-        self.header.encode_into(&mut out);
-        out.extend_from_slice(&buf.data);
+        let mut next = Vec::new();
+        self.header.encode_into(&mut next);
+        let mut out = std::mem::replace(&mut self.buf().data, next);
         out.push(TAG_END);
         push_varint(&mut out, 0); // no record was evicted
         out
@@ -1284,6 +1293,30 @@ mod tests {
         assert!(err.contains("schema"), "{err}");
         assert!(!FlightLog::sniff(b"JSON"));
         assert!(FlightLog::sniff(&FlightRecorder::new(header()).finish()));
+    }
+
+    #[test]
+    fn finish_ends_the_capture_and_later_records_start_the_next() {
+        let rec = FlightRecorder::new(header());
+        rec.transmission(0, 0, 0, &[1, 2]);
+        round_end(&rec, 0);
+        let first = rec.finish();
+        let log = FlightLog::decode(&first).expect("first capture decodes");
+        assert_eq!(log.header, header());
+        assert_eq!(log.records.len(), 2);
+        assert_eq!(log.encode(), first);
+        // A second finish right away: a complete, empty capture.
+        let empty = FlightLog::decode(&rec.finish()).expect("empty capture decodes");
+        assert_eq!((empty.header, empty.records.len()), (header(), 0));
+        // Records after a finish land in the next capture; `len` counts
+        // every record since the recorder was made.
+        rec.transmission(1, 3, 1, &[0]);
+        round_end(&rec, 1);
+        let later = FlightLog::decode(&rec.finish()).expect("later capture decodes");
+        assert_eq!(later.header, header());
+        assert_eq!(later.known_pairs_curve(), vec![(1, 3)]);
+        assert_eq!(later.txs().len(), 1);
+        assert_eq!(rec.len(), 4);
     }
 
     #[test]
