@@ -190,7 +190,7 @@ pub fn exp_scaling_full() -> (String, gossip_telemetry::Value) {
 /// sweep is [`DEFAULT_SIZES`]).
 pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry::Value) {
     use crate::report::obj;
-    use gossip_telemetry::{MetricsRecorder, Value};
+    use gossip_telemetry::{MetricsRecorder, RecorderExt, Value};
     let mut t = TextTable::new(vec![
         "n",
         "m",
@@ -297,7 +297,11 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
                 let t5 = Instant::now();
                 let tree_f =
                     min_depth_spanning_tree_fast_recorded(&g, ChildOrder::ById, &recorder).unwrap();
-                let flat_f = gossip_core::concurrent_updown_flat_recorded(&tree_f, &recorder);
+                let labels = {
+                    let _s = recorder.span("labeling");
+                    gossip_core::FlatLabels::new(&tree_f)
+                };
+                let flat_f = gossip_core::concurrent_updown_flat_on(&labels, &recorder);
                 let fast = t5.elapsed();
                 flat_f
                     .validate(&g, CommModel::Multicast, origins.len())
@@ -335,8 +339,12 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
                 let t0 = Instant::now();
                 let tree =
                     min_depth_spanning_tree_fast_recorded(&g, ChildOrder::ById, &recorder).unwrap();
-                let flat = gossip_core::concurrent_updown_flat_recorded(&tree, &recorder);
-                let origins = gossip_core::tree_origins(&tree);
+                let labels = {
+                    let _s = recorder.span("labeling");
+                    gossip_core::FlatLabels::new(&tree)
+                };
+                let flat = gossip_core::concurrent_updown_flat_on(&labels, &recorder);
+                let origins = labels.origins();
                 let fast = t0.elapsed();
                 let (validate, replay, ko) = validate_and_replay(&g, &flat, &origins);
                 assert!(ko.complete);

@@ -10,7 +10,8 @@
 //! per-vertex event walk that generates the schedule, so the two cannot
 //! drift apart.
 
-use crate::fast_planner::{walk, FlatLabels};
+use crate::fast_planner::walk;
+use crate::labeling::FlatLabels;
 use gossip_graph::RootedTree;
 use gossip_model::{Schedule, Transmission};
 use std::collections::BTreeMap;
@@ -106,7 +107,6 @@ pub fn annotated_to_schedule(annotated: &[AnnotatedTransmission], n: usize) -> S
 mod tests {
     use super::*;
     use crate::concurrent::concurrent_updown;
-    use crate::labeling::LabelView;
     use gossip_graph::{RootedTree, NO_PARENT};
 
     fn fig5() -> RootedTree {
@@ -153,10 +153,10 @@ mod tests {
     #[test]
     fn rules_fire_inside_their_paper_windows() {
         let tree = fig5();
-        let lv = LabelView::new(&tree);
+        let fl = FlatLabels::new(&tree);
         for a in annotated_concurrent_updown(&tree) {
             let label = tree.label(a.transmission.from);
-            let p = lv.params(label);
+            let p = fl.params(label);
             let (i, j, k) = (p.i as usize, p.j as usize, p.k as usize);
             let t = a.time;
             match a.rule {
@@ -169,7 +169,7 @@ mod tests {
                 Rule::D2Forward => {
                     // D2's send windows: [2, i-k-1] and [j-k+3, n+k].
                     let early = t >= 2 && t < i.saturating_sub(k);
-                    let late = t >= j - k + 3 && t <= lv.n() + k;
+                    let late = t >= j - k + 3 && t <= fl.n() + k;
                     assert!(early || late, "{a:?} (i={i}, j={j}, k={k})");
                 }
                 Rule::D2Deferred => {

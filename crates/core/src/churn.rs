@@ -609,6 +609,8 @@ impl<'a> ChurnExecutor<'a> {
                 for round in pending.rounds.iter_mut().skip(time) {
                     round.transmissions.clear();
                 }
+                #[cfg(debug_assertions)]
+                self.check_splice(&graph, &holds, &scratch_plan.schedule, "full-replan");
                 pending.merge_at(time, scratch_plan.schedule);
                 full_replans += 1;
                 if !present.iter().all(|&p| p) {
@@ -631,6 +633,8 @@ impl<'a> ChurnExecutor<'a> {
                 let completion = plan_completion(&graph, &projected, &present);
                 let tail = completion.schedule.stats().deliveries;
                 if tail > 0 {
+                    #[cfg(debug_assertions)]
+                    self.check_splice(&graph, &projected, &completion.schedule, "incremental");
                     let start = pending.makespan().max(time);
                     pending.merge_at(start, completion.schedule);
                 }
@@ -698,6 +702,8 @@ impl<'a> ChurnExecutor<'a> {
                     round.transmissions.clear();
                 }
                 fallback_entries = remapped.stats().deliveries;
+                #[cfg(debug_assertions)]
+                self.check_splice(&graph, &holds, &remapped, "fallback");
                 pending.merge_at(time, remapped);
                 self.recorder
                     .counter("churn/replanned", fallback_entries as u64);
@@ -731,6 +737,8 @@ impl<'a> ChurnExecutor<'a> {
                 break;
             }
             retransmissions += completion.schedule.stats().deliveries;
+            #[cfg(debug_assertions)]
+            self.check_splice(&graph, &holds, &completion.schedule, "completion");
             pending.merge_at(time, completion.schedule);
             let end = pending.makespan().max(time);
             time = self.advance(
@@ -830,6 +838,21 @@ impl<'a> ChurnExecutor<'a> {
             .collect();
         transcript.merge_at(from, executed);
         Ok(to)
+    }
+
+    /// Replays `splice` strictly from `planned_from`, the holds it was
+    /// planned from, before it merges into the pending schedule; panics
+    /// naming the splice `kind` if any send is unheld or illegal. Execution
+    /// itself is lossy and would only book such a send as a `not_held`
+    /// loss, so this is what catches a splice planned wrongly. Test builds
+    /// only: release builds compile it out.
+    #[cfg(debug_assertions)]
+    fn check_splice(&self, graph: &Graph, planned_from: &[BitSet], splice: &Schedule, kind: &str) {
+        let replay = SimKernel::with_holds(graph, self.model, planned_from)
+            .and_then(|mut sim| sim.run(&FlatSchedule::from_schedule(splice)));
+        if let Err(e) = replay {
+            panic!("{kind} splice fails a strict replay: {e}");
+        }
     }
 
     /// Drops every pending delivery the patched topology can no longer

@@ -29,7 +29,8 @@
 //! `{parent} ∪ children` — the observation the paper's Theorem 1 proof
 //! hinges on.
 
-use crate::fast_planner::{walk, FlatLabels};
+use crate::fast_planner::walk;
+use crate::labeling::FlatLabels;
 use gossip_graph::RootedTree;
 use gossip_model::{CommRound, Schedule, Transmission};
 use gossip_telemetry::{NoopRecorder, Recorder, RecorderExt};
@@ -38,7 +39,7 @@ use gossip_telemetry::{NoopRecorder, Recorder, RecorderExt};
 ///
 /// The returned schedule is in *vertex space* (transmissions name original
 /// vertex ids); message `m` is the one originating at the vertex with DFS
-/// label `m`, i.e. the origin table is [`crate::LabelView::origins`] /
+/// label `m`, i.e. the origin table is [`FlatLabels::origins`] /
 /// [`tree_origins`].
 ///
 /// The makespan is exactly `n + r` for `n >= 2` (and 0 for `n = 1`), where
@@ -67,9 +68,9 @@ pub fn concurrent_updown(tree: &RootedTree) -> Schedule {
 /// transmissions, deliveries, and merged U4+D3 multicasts scheduled.
 ///
 /// The overlay is the fast planner's per-vertex event walk over
-/// [`FlatLabels`], so this schedule and
-/// [`concurrent_updown_flat`](crate::concurrent_updown_flat)'s CSR are one
-/// event sequence in two representations.
+/// [`FlatLabels`], the one label arena, so this schedule and
+/// [`concurrent_updown_flat_on`](crate::concurrent_updown_flat_on)'s CSR
+/// are one event sequence in two representations.
 ///
 /// # Panics
 ///

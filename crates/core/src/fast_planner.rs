@@ -7,9 +7,9 @@
 //! module emits the *same* schedule straight into [`FlatSchedule`] CSR
 //! arenas. Both generators share one event walk ([`walk`]):
 //!
-//! - [`FlatLabels`] packs the per-label parameters (`j`, `k`, parent, child
-//!   lists) into flat arrays — the arena-backed replacement for
-//!   [`LabelView`](crate::LabelView)'s `Vec<Vec<u32>>` children;
+//! - it reads the one label arena, [`FlatLabels`] (`j`, `k`, parent and
+//!   child lists in flat arrays), which every label-space generator
+//!   shares;
 //! - the per-vertex Propagate-Up (U3/U4) and Propagate-Down (D3/D2) event
 //!   sequences are each generated *in nondecreasing time order* by O(1)
 //!   state machines, so a three-way merge replaces a per-vertex
@@ -39,10 +39,10 @@
 //! both against an independent `BTreeMap` overlay of the paper's rules.
 
 use crate::annotated::Rule;
-use crate::concurrent::tree_origins;
+use crate::labeling::FlatLabels;
 use gossip_graph::{RootedTree, NO_PARENT};
 use gossip_model::FlatSchedule;
-use gossip_telemetry::{NoopRecorder, Recorder, RecorderExt};
+use gossip_telemetry::{Recorder, RecorderExt};
 
 /// A scheduled down-multicast (or a pending event during the merge):
 /// message `msg` leaves the vertex at time `t`.
@@ -64,122 +64,7 @@ pub(crate) enum Down {
     Except(u32),
 }
 
-/// The per-label parameter arena: everything the generator reads, packed
-/// into flat arrays indexed by DFS label (children as CSR).
-#[derive(Debug, Clone)]
-pub struct FlatLabels {
-    /// Subtree range end `j` per label (`i..=j` is the subtree).
-    j: Vec<u32>,
-    /// Level `k` per label (root = 0).
-    k: Vec<u32>,
-    /// Parent label per label; [`NO_PARENT`] for the root.
-    parent: Vec<u32>,
-    /// Original vertex id per label.
-    vertex: Vec<u32>,
-    /// CSR offsets into `child_labels`, length n + 1.
-    child_offsets: Vec<u32>,
-    /// Children as labels, ascending within each vertex (DFS order).
-    child_labels: Vec<u32>,
-    /// Tree height (max level).
-    height: u32,
-}
-
 impl FlatLabels {
-    /// Packs `tree` into the flat label-space arena (the fast planner's
-    /// `label_flat` phase).
-    pub fn new(tree: &RootedTree) -> Self {
-        let _phase = gossip_telemetry::profile::phase("label_flat");
-        Self::build(tree)
-    }
-
-    /// [`FlatLabels::new`] without a profiler phase of its own, for callers
-    /// that attribute the packing to theirs.
-    pub(crate) fn build(tree: &RootedTree) -> Self {
-        let n = tree.n();
-        let mut j = Vec::with_capacity(n);
-        let mut k = Vec::with_capacity(n);
-        let mut parent = Vec::with_capacity(n);
-        let mut vertex = Vec::with_capacity(n);
-        let mut child_offsets = Vec::with_capacity(n + 1);
-        let mut child_labels = Vec::with_capacity(n.saturating_sub(1));
-        child_offsets.push(0u32);
-        for label in 0..n as u32 {
-            let v = tree.vertex_of_label(label);
-            let (i0, j0) = tree.subtree_range(v);
-            debug_assert_eq!(i0, label);
-            j.push(j0);
-            k.push(tree.level(v));
-            parent.push(match tree.parent(v) {
-                Some(p) => tree.label(p),
-                None => NO_PARENT,
-            });
-            vertex.push(v as u32);
-            for &c in tree.children(v) {
-                child_labels.push(tree.label(c as usize));
-            }
-            child_offsets.push(child_labels.len() as u32);
-        }
-        debug_assert!(
-            child_offsets
-                .windows(2)
-                .all(|w| child_labels[w[0] as usize..w[1] as usize].is_sorted()),
-            "DFS child labels must ascend within each vertex"
-        );
-        FlatLabels {
-            j,
-            k,
-            parent,
-            vertex,
-            child_offsets,
-            child_labels,
-            height: tree.height(),
-        }
-    }
-
-    /// Number of vertices (= messages).
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.vertex.len()
-    }
-
-    /// Tree height.
-    #[inline]
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
-    /// Subtree range end `j` of `label`.
-    #[inline]
-    fn j(&self, label: u32) -> u32 {
-        self.j[label as usize]
-    }
-
-    /// Level `k` of `label`.
-    #[inline]
-    fn k(&self, label: u32) -> u32 {
-        self.k[label as usize]
-    }
-
-    /// Parent label of `label` ([`NO_PARENT`] for the root).
-    #[inline]
-    pub(crate) fn parent(&self, label: u32) -> u32 {
-        self.parent[label as usize]
-    }
-
-    /// Original vertex id of `label`.
-    #[inline]
-    pub(crate) fn vertex(&self, label: u32) -> u32 {
-        self.vertex[label as usize]
-    }
-
-    /// Children of `label` as labels, ascending.
-    #[inline]
-    pub(crate) fn children(&self, label: u32) -> &[u32] {
-        let lo = self.child_offsets[label as usize] as usize;
-        let hi = self.child_offsets[label as usize + 1] as usize;
-        &self.child_labels[lo..hi]
-    }
-
     /// The destination vertices of a walk event at `label`: the parent
     /// when `to_parent`, then the children `down` selects.
     pub(crate) fn dests(&self, label: u32, to_parent: bool, down: Down) -> Vec<usize> {
@@ -198,12 +83,6 @@ impl FlatLabels {
             ),
         }
         dests
-    }
-
-    /// The origin table for the simulator (same as
-    /// [`tree_origins`](crate::tree_origins)).
-    pub fn origins(&self) -> Vec<usize> {
-        self.vertex.iter().map(|&v| v as usize).collect()
     }
 }
 
@@ -519,10 +398,15 @@ pub(crate) fn walk<F: FnMut(u32, u32, u32, bool, Down, Rule)>(fl: &FlatLabels, o
     }
 }
 
-/// CSR-direct ConcurrentUpDown on a prebuilt [`FlatLabels`] arena.
+/// CSR-direct ConcurrentUpDown on a prebuilt [`FlatLabels`] arena: a
+/// `concurrent_updown_flat` span over the `count_pass` / `emit_pass`
+/// phases, and the same `generate/*` counters the reference generator
+/// records.
 ///
-/// Byte-identical to `FlatSchedule::from_schedule(&concurrent_updown(tree))`
-/// on the same tree, in O(output) time and O(output + n·height) memory.
+/// Byte-identical (including [`FlatSchedule::digest`]) to flattening
+/// [`concurrent_updown`](crate::concurrent_updown) on the same tree, in
+/// O(output) time and O(output + n·height) memory, without ever
+/// materializing the intermediate `Schedule`.
 ///
 /// The emit pass fills contiguous round ranges of the CSR on the rayon
 /// workers ([`FlatSchedule::from_round_fill`]); a schedule below one
@@ -534,6 +418,20 @@ pub(crate) fn walk<F: FnMut(u32, u32, u32, bool, Down, Rule)>(fl: &FlatLabels, o
 /// `u32::MAX - 1` transmissions or deliveries — gossiping delivers exactly
 /// `n(n-1)` messages, so this caps at n = 65536), or when the walk finds
 /// an overlay conflict, on whichever worker meets it.
+///
+/// # Examples
+///
+/// ```
+/// use gossip_graph::{RootedTree, NO_PARENT};
+/// use gossip_core::{concurrent_updown, concurrent_updown_flat_on, FlatLabels};
+/// use gossip_model::FlatSchedule;
+/// use gossip_telemetry::NoopRecorder;
+///
+/// let tree = RootedTree::from_parents(0, &[NO_PARENT, 0, 1, 2, 3]).unwrap();
+/// let fast = concurrent_updown_flat_on(&FlatLabels::new(&tree), &NoopRecorder);
+/// let reference = FlatSchedule::from_schedule(&concurrent_updown(&tree));
+/// assert_eq!(fast, reference);
+/// ```
 pub fn concurrent_updown_flat_on(fl: &FlatLabels, recorder: &dyn Recorder) -> FlatSchedule {
     let _span = recorder.span("concurrent_updown_flat");
     let n = fl.n();
@@ -643,39 +541,6 @@ fn child_dests(fl: &FlatLabels, label: u32, down: Down) -> usize {
     }
 }
 
-/// Builds the ConcurrentUpDown schedule for `tree` directly in
-/// [`FlatSchedule`] form — equal (including [`FlatSchedule::digest`]) to
-/// flattening [`concurrent_updown`](crate::concurrent_updown), without ever
-/// materializing the intermediate `Schedule`.
-///
-/// # Examples
-///
-/// ```
-/// use gossip_graph::{RootedTree, NO_PARENT};
-/// use gossip_core::{concurrent_updown, concurrent_updown_flat};
-/// use gossip_model::FlatSchedule;
-///
-/// let tree = RootedTree::from_parents(0, &[NO_PARENT, 0, 1, 2, 3]).unwrap();
-/// let fast = concurrent_updown_flat(&tree);
-/// let reference = FlatSchedule::from_schedule(&concurrent_updown(&tree));
-/// assert_eq!(fast, reference);
-/// ```
-pub fn concurrent_updown_flat(tree: &RootedTree) -> FlatSchedule {
-    concurrent_updown_flat_recorded(tree, &NoopRecorder)
-}
-
-/// [`concurrent_updown_flat`] with telemetry: a `labeling` span over the
-/// `label_flat` phase, a `concurrent_updown_flat` span over the
-/// `count_pass` / `emit_pass` phases, and the same `generate/*` counters
-/// the reference generator records.
-pub fn concurrent_updown_flat_recorded(tree: &RootedTree, recorder: &dyn Recorder) -> FlatSchedule {
-    let labels = {
-        let _s = recorder.span("labeling");
-        FlatLabels::new(tree)
-    };
-    concurrent_updown_flat_on(&labels, recorder)
-}
-
 /// A complete fast-path gossip plan: like
 /// [`GossipPlan`](crate::GossipPlan) but carrying the schedule in flat CSR
 /// form (the `Vec`-of-`Vec` `Schedule` is never built).
@@ -707,23 +572,12 @@ impl FastGossipPlan {
     }
 }
 
-/// Builds a [`FastGossipPlan`] on a caller-supplied spanning tree.
-pub(crate) fn fast_plan_on_tree(tree: RootedTree, recorder: &dyn Recorder) -> FastGossipPlan {
-    let schedule = concurrent_updown_flat_recorded(&tree, recorder);
-    FastGossipPlan {
-        origin_of_message: tree_origins(&tree),
-        radius: tree.height(),
-        tree,
-        schedule,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::concurrent::concurrent_updown;
-    use gossip_graph::NO_PARENT;
+    use crate::concurrent::{concurrent_updown, tree_origins};
     use gossip_model::CommModel;
+    use gossip_telemetry::NoopRecorder;
 
     fn fig5() -> RootedTree {
         let mut p = vec![0u32; 16];
@@ -751,7 +605,7 @@ mod tests {
     }
 
     fn assert_matches_reference(tree: &RootedTree) {
-        let fast = concurrent_updown_flat(tree);
+        let fast = concurrent_updown_flat_on(&FlatLabels::new(tree), &NoopRecorder);
         let reference = FlatSchedule::from_schedule(&concurrent_updown(tree));
         assert_eq!(fast, reference, "CSR mismatch on {tree:?}");
         assert_eq!(fast.digest(), reference.digest());
@@ -763,7 +617,7 @@ mod tests {
     fn matches_reference_flatten_on_fig5() {
         let tree = fig5();
         assert_matches_reference(&tree);
-        let fast = concurrent_updown_flat(&tree);
+        let fast = concurrent_updown_flat_on(&FlatLabels::new(&tree), &NoopRecorder);
         assert_eq!(fast.rounds(), 16 + 3); // n + r
     }
 
@@ -813,7 +667,7 @@ mod tests {
     #[test]
     fn singleton_is_empty() {
         let t = RootedTree::from_parents(0, &[NO_PARENT]).unwrap();
-        let fast = concurrent_updown_flat(&t);
+        let fast = concurrent_updown_flat_on(&FlatLabels::new(&t), &NoopRecorder);
         assert_eq!(fast.rounds(), 0);
         assert_eq!(fast.tx_count(), 0);
         assert_eq!(fast, FlatSchedule::from_schedule(&concurrent_updown(&t)));

@@ -16,7 +16,8 @@
 //! the chosen message in one round; the telephone variant serves exactly one
 //! child per round.
 
-use crate::labeling::LabelView;
+use crate::labeling::FlatLabels;
+use crate::simple::up_phase;
 use gossip_graph::RootedTree;
 use gossip_model::{Schedule, Transmission};
 use std::collections::BTreeSet;
@@ -32,68 +33,55 @@ const ROUND_LIMIT_FACTOR: usize = 8;
 /// every down transmission to a single destination (telephone-legal — and
 /// the up phase is unicast by construction).
 pub(crate) fn eager_flood_gossip(tree: &RootedTree, multicast: bool) -> Schedule {
-    let lv = LabelView::new(tree);
-    let n = lv.n();
+    let fl = FlatLabels::new(tree);
+    let n = fl.n();
     let mut schedule = Schedule::new(n);
     if n <= 1 {
         return schedule;
     }
-    let r = lv.height() as usize;
+    let r = fl.height() as usize;
 
-    // --- Fixed up phase (identical to algorithm Simple's phase 1). ---
-    for label in lv.labels() {
-        let p = lv.params(label);
-        if p.is_root() {
-            continue;
-        }
-        let vertex = lv.vertex(label);
-        let parent = lv.vertex(p.parent_i);
-        for m in p.i..=p.j {
-            let t = (m - p.k) as usize;
-            schedule.add_transmission(t, Transmission::unicast(m, vertex, parent));
-        }
-    }
+    // --- Fixed up phase (algorithm Simple's phase 1). ---
+    up_phase(&fl, &mut schedule);
 
     // Busy calendars from the up phase. send_busy[v][t] / recv_busy[v][t]
     // grow on demand as the down phase commits transmissions.
     let horizon_guess = 2 * n + r + 4;
     let mut send_busy = vec![vec![false; horizon_guess]; n];
     let mut recv_busy = vec![vec![false; horizon_guess]; n];
-    for label in lv.labels() {
-        let p = lv.params(label);
+    for label in fl.labels() {
+        let p = fl.params(label);
         if !p.is_root() {
             for m in p.i..=p.j {
                 send_busy[label as usize][(m - p.k) as usize] = true;
             }
         }
-        if !p.is_leaf() {
-            // Receives of the up phase: message m in (i, j] arrives at m - k.
-            for m in (p.i + 1)..=p.j {
-                recv_busy[label as usize][(m - p.k) as usize] = true;
-            }
+        // Up-phase receives: message m in (i, j] (none at a leaf) at m - k.
+        for m in (p.i + 1)..=p.j {
+            recv_busy[label as usize][(m - p.k) as usize] = true;
         }
     }
 
     // acquired[v] = (time, msg) log; undelivered[v][c_idx] = messages not
     // yet pushed to child c, ordered by acquisition time (oldest first).
     let mut undelivered: Vec<Vec<BTreeSet<(usize, u32)>>> = (0..n as u32)
-        .map(|label| vec![BTreeSet::new(); lv.children(label).len()])
+        .map(|label| vec![BTreeSet::new(); fl.children(label).len()])
         .collect();
 
     // Seed: every vertex acquires its own message at 0 and its up-phase
     // receives at their fixed times; each acquisition is owed to every child
     // whose subtree does not contain it. Returns how many debts were added.
     fn owe(
-        lv: &LabelView,
+        fl: &FlatLabels,
         und: &mut [Vec<BTreeSet<(usize, u32)>>],
         label: u32,
         t: usize,
         m: u32,
     ) -> usize {
         let mut added = 0;
-        for (ci, &c) in lv.children(label).iter().enumerate() {
-            let cp = lv.params(c);
-            if m < cp.i || m > cp.j {
+        for (ci, &c) in fl.children(label).iter().enumerate() {
+            // Child `c`'s subtree is the label range `[c, j(c)]`.
+            if m < c || m > fl.j(c) {
                 let fresh = und[label as usize][ci].insert((t, m));
                 debug_assert!(fresh, "double acquisition of {m} at vertex {label}");
                 added += 1;
@@ -101,11 +89,11 @@ pub(crate) fn eager_flood_gossip(tree: &RootedTree, multicast: bool) -> Schedule
         }
         added
     }
-    for label in lv.labels() {
-        let p = lv.params(label);
-        owe(&lv, &mut undelivered, label, 0, p.i);
+    for label in fl.labels() {
+        let p = fl.params(label);
+        owe(&fl, &mut undelivered, label, 0, p.i);
         for m in (p.i + 1)..=p.j {
-            owe(&lv, &mut undelivered, label, (m - p.k) as usize, m);
+            owe(&fl, &mut undelivered, label, (m - p.k) as usize, m);
         }
     }
 
@@ -124,13 +112,13 @@ pub(crate) fn eager_flood_gossip(tree: &RootedTree, multicast: bool) -> Schedule
     let mut t = 0usize;
     while remaining > 0 {
         assert!(t < limit, "down flood failed to converge (bug)");
-        for label in lv.labels() {
+        for label in fl.labels() {
             let v = label as usize;
             ensure(&mut send_busy[v], t);
             if send_busy[v][t] {
                 continue;
             }
-            let kids = lv.children(label);
+            let kids = fl.children(label);
             // Free children with something deliverable now, keyed by their
             // oldest owed acquisition.
             let mut best: Option<(usize, u32)> = None;
@@ -155,17 +143,17 @@ pub(crate) fn eager_flood_gossip(tree: &RootedTree, multicast: bool) -> Schedule
                 }
                 remaining -= 1;
                 recv_busy[c as usize][t + 1] = true;
-                dests.push(c);
+                dests.push(fl.vertex(c) as usize);
                 // The child now owes this message to its own children.
-                remaining += owe(&lv, &mut undelivered, c, t + 1, msg);
+                remaining += owe(&fl, &mut undelivered, c, t + 1, msg);
                 if !multicast {
                     break;
                 }
             }
             debug_assert!(!dests.is_empty());
             send_busy[v][t] = true;
-            let dest_vertices: Vec<usize> = dests.iter().map(|&c| lv.vertex(c)).collect();
-            schedule.add_transmission(t, Transmission::new(msg, lv.vertex(label), dest_vertices));
+            let from = fl.vertex(label) as usize;
+            schedule.add_transmission(t, Transmission::new(msg, from, dests));
         }
         t += 1;
     }

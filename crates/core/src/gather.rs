@@ -9,7 +9,7 @@
 //! optimal (the root receives at most one message per round).
 
 use crate::fast_planner::UpSeq;
-use crate::labeling::LabelView;
+use crate::labeling::FlatLabels;
 use gossip_graph::RootedTree;
 use gossip_model::{Schedule, Transmission};
 
@@ -29,14 +29,14 @@ use gossip_model::{Schedule, Transmission};
 /// assert_eq!(s.makespan(), 3); // n - 1
 /// ```
 pub fn gather_schedule(tree: &RootedTree) -> Schedule {
-    let lv = LabelView::new(tree);
-    let mut schedule = Schedule::new(lv.n());
-    for label in lv.labels() {
-        let p = lv.params(label);
+    let fl = FlatLabels::new(tree);
+    let mut schedule = Schedule::new(fl.n());
+    for label in fl.labels() {
+        let p = fl.params(label);
         if p.is_root() {
             continue;
         }
-        let (vertex, parent) = (lv.vertex(label), lv.vertex(p.parent_i));
+        let (vertex, parent) = (fl.vertex(label) as usize, fl.vertex(p.parent_i) as usize);
         // (U3) the lip-message at time 0, then (U4) the rip-messages.
         for (e, _) in UpSeq::new(p.i, p.j, p.k, p.parent_i) {
             let tx = Transmission::unicast(e.msg, vertex, parent);

@@ -1,13 +1,13 @@
-//! Label-space view of a rooted tree.
+//! The label-space arena of a rooted tree.
 //!
 //! The paper's algorithms never mention original vertex ids: after the DFS
 //! relabeling, every rule is stated in terms of a vertex's label `i`, its
 //! subtree range `[i, j]`, its level `k`, and its parent's label `i'` and
-//! range end `j'`. [`LabelView`] precomputes exactly those quantities,
-//! indexed by label, plus the mapping back to original vertex ids that the
-//! emitted schedules use.
+//! range end `j'`. [`FlatLabels`], the one label arena every generator
+//! reads, packs those quantities into flat arrays indexed by label, plus
+//! the mapping back to the original vertex ids that emitted schedules use.
 
-use gossip_graph::RootedTree;
+use gossip_graph::{RootedTree, NO_PARENT};
 
 /// Per-label scheduling parameters (the paper's `i`, `j`, `k`, `i'`, `j'`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,55 +60,75 @@ impl VertexParams {
     }
 }
 
-/// A rooted tree re-indexed by DFS label, with per-label parameters and the
-/// label ↔ vertex translation used to emit schedules in vertex space.
+/// The per-label arena: a rooted tree re-indexed by DFS label, packed into
+/// flat arrays (children as CSR), with the label → vertex translation used
+/// to emit schedules in vertex space.
 #[derive(Debug, Clone)]
-pub struct LabelView {
-    n: usize,
-    params: Vec<VertexParams>,
-    /// Children (as labels, ascending — DFS order) of each label.
-    children: Vec<Vec<u32>>,
-    /// Original vertex id of each label.
-    vertex_of_label: Vec<u32>,
-    /// Tree height (= max level).
+pub struct FlatLabels {
+    /// Subtree range end `j` per label (`i..=j` is the subtree).
+    j: Vec<u32>,
+    /// Level `k` per label (root = 0).
+    k: Vec<u32>,
+    /// Parent label per label; [`NO_PARENT`] for the root.
+    parent: Vec<u32>,
+    /// Original vertex id per label.
+    vertex: Vec<u32>,
+    /// CSR offsets into `child_labels`, length n + 1.
+    child_offsets: Vec<u32>,
+    /// Children as labels, ascending within each vertex (DFS order).
+    child_labels: Vec<u32>,
+    /// Tree height (max level).
     height: u32,
 }
 
-impl LabelView {
-    /// Builds the label-space view of `tree`.
+impl FlatLabels {
+    /// Packs `tree` into the flat label-space arena (the `label_flat`
+    /// profiler phase).
     pub fn new(tree: &RootedTree) -> Self {
-        let _phase = gossip_telemetry::profile::phase("label");
+        let _phase = gossip_telemetry::profile::phase("label_flat");
+        Self::build(tree)
+    }
+
+    /// [`FlatLabels::new`] without a profiler phase of its own, for callers
+    /// that attribute the packing to theirs.
+    pub(crate) fn build(tree: &RootedTree) -> Self {
         let n = tree.n();
-        let mut params = Vec::with_capacity(n);
-        let mut children = vec![Vec::new(); n];
-        let mut vertex_of_label = Vec::with_capacity(n);
+        let mut j = Vec::with_capacity(n);
+        let mut k = Vec::with_capacity(n);
+        let mut parent = Vec::with_capacity(n);
+        let mut vertex = Vec::with_capacity(n);
+        let mut child_offsets = Vec::with_capacity(n + 1);
+        let mut child_labels = Vec::with_capacity(n.saturating_sub(1));
+        child_offsets.push(0u32);
         for label in 0..n as u32 {
             let v = tree.vertex_of_label(label);
-            vertex_of_label.push(v as u32);
-            let (i, j) = tree.subtree_range(v);
-            debug_assert_eq!(i, label);
-            let (parent_i, parent_j) = match tree.parent(v) {
-                Some(p) => tree.subtree_range(p),
-                None => (u32::MAX, u32::MAX),
-            };
-            params.push(VertexParams {
-                i,
-                j,
-                k: tree.level(v),
-                parent_i,
-                parent_j,
+            let (i0, j0) = tree.subtree_range(v);
+            debug_assert_eq!(i0, label);
+            j.push(j0);
+            k.push(tree.level(v));
+            parent.push(match tree.parent(v) {
+                Some(p) => tree.label(p),
+                None => NO_PARENT,
             });
-            children[label as usize] = tree
-                .children(v)
-                .iter()
-                .map(|&c| tree.label(c as usize))
-                .collect();
+            vertex.push(v as u32);
+            for &c in tree.children(v) {
+                child_labels.push(tree.label(c as usize));
+            }
+            child_offsets.push(child_labels.len() as u32);
         }
-        LabelView {
-            n,
-            params,
-            children,
-            vertex_of_label,
+        debug_assert!(
+            child_offsets
+                .windows(2)
+                .all(|w| child_labels[w[0] as usize..w[1] as usize].is_sorted()),
+            "DFS child labels must ascend within each vertex"
+        );
+        FlatLabels {
+            j,
+            k,
+            parent,
+            vertex,
+            child_offsets,
+            child_labels,
             height: tree.height(),
         }
     }
@@ -116,7 +136,7 @@ impl LabelView {
     /// Number of vertices (= messages).
     #[inline]
     pub fn n(&self) -> usize {
-        self.n
+        self.vertex.len()
     }
 
     /// Tree height (the `r` in the `n + r` bound when the tree is a
@@ -126,54 +146,73 @@ impl LabelView {
         self.height
     }
 
-    /// Scheduling parameters of the vertex with label `i`.
-    #[inline]
-    pub fn params(&self, label: u32) -> VertexParams {
-        self.params[label as usize]
+    /// Labels in `0..n` (ascending label = DFS preorder).
+    pub fn labels(&self) -> std::ops::Range<u32> {
+        0..self.n() as u32
     }
 
-    /// Children labels of the vertex with label `i`, in DFS order (which in
-    /// label space is simply ascending).
+    /// Scheduling parameters of the vertex with label `label`.
     #[inline]
-    pub fn children(&self, label: u32) -> &[u32] {
-        &self.children[label as usize]
+    pub fn params(&self, label: u32) -> VertexParams {
+        let parent_i = self.parent(label);
+        let parent_j = if parent_i == NO_PARENT {
+            u32::MAX
+        } else {
+            self.j(parent_i)
+        };
+        VertexParams {
+            i: label,
+            j: self.j(label),
+            k: self.k(label),
+            parent_i,
+            parent_j,
+        }
+    }
+
+    /// Subtree range end `j` of `label`.
+    #[inline]
+    pub(crate) fn j(&self, label: u32) -> u32 {
+        self.j[label as usize]
+    }
+
+    /// Level `k` of `label`.
+    #[inline]
+    pub(crate) fn k(&self, label: u32) -> u32 {
+        self.k[label as usize]
+    }
+
+    /// Parent label of `label` ([`NO_PARENT`] for the root).
+    #[inline]
+    pub fn parent(&self, label: u32) -> u32 {
+        self.parent[label as usize]
     }
 
     /// Original vertex id of `label`.
     #[inline]
-    pub fn vertex(&self, label: u32) -> usize {
-        self.vertex_of_label[label as usize] as usize
+    pub fn vertex(&self, label: u32) -> u32 {
+        self.vertex[label as usize]
+    }
+
+    /// Children of `label` as labels, in DFS order (which in label space
+    /// is simply ascending).
+    #[inline]
+    pub fn children(&self, label: u32) -> &[u32] {
+        let lo = self.child_offsets[label as usize] as usize;
+        let hi = self.child_offsets[label as usize + 1] as usize;
+        &self.child_labels[lo..hi]
     }
 
     /// The origin table for the simulator: message `m` originates at
-    /// `origins()[m]` (the original vertex whose label is `m`).
+    /// `origins()[m]` (the original vertex whose label is `m`; same as
+    /// [`tree_origins`](crate::tree_origins)).
     pub fn origins(&self) -> Vec<usize> {
-        self.vertex_of_label.iter().map(|&v| v as usize).collect()
-    }
-
-    /// The child of `label` whose subtree contains message `m`, if any.
-    pub fn child_containing(&self, label: u32, m: u32) -> Option<u32> {
-        let kids = &self.children[label as usize];
-        // Children ranges partition (i, j]; in label space the child with
-        // the largest start <= m contains m iff m <= its range end.
-        let idx = kids.partition_point(|&c| c <= m);
-        if idx == 0 {
-            return None;
-        }
-        let c = kids[idx - 1];
-        (m <= self.params[c as usize].j).then_some(c)
-    }
-
-    /// Labels in `0..n` (ascending label = DFS preorder).
-    pub fn labels(&self) -> impl Iterator<Item = u32> {
-        0..self.n as u32
+        self.vertex.iter().map(|&v| v as usize).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_graph::{RootedTree, NO_PARENT};
 
     /// The reconstructed Fig 5 tree (vertex id == label by construction).
     fn fig5() -> RootedTree {
@@ -203,7 +242,7 @@ mod tests {
 
     #[test]
     fn params_of_fig5_vertices() {
-        let lv = LabelView::new(&fig5());
+        let lv = FlatLabels::new(&fig5());
         let p0 = lv.params(0);
         assert!(p0.is_root());
         assert_eq!((p0.i, p0.j, p0.k), (0, 15, 0));
@@ -230,25 +269,15 @@ mod tests {
 
     #[test]
     fn children_in_label_space() {
-        let lv = LabelView::new(&fig5());
+        let lv = FlatLabels::new(&fig5());
         assert_eq!(lv.children(0), &[1, 4, 11]);
         assert_eq!(lv.children(4), &[5, 8]);
         assert_eq!(lv.children(3), &[] as &[u32]);
     }
 
     #[test]
-    fn child_containing() {
-        let lv = LabelView::new(&fig5());
-        assert_eq!(lv.child_containing(0, 9), Some(4));
-        assert_eq!(lv.child_containing(0, 0), None);
-        assert_eq!(lv.child_containing(4, 7), Some(5));
-        assert_eq!(lv.child_containing(4, 8), Some(8));
-        assert_eq!(lv.child_containing(4, 11), None);
-    }
-
-    #[test]
     fn origins_identity_when_ids_equal_labels() {
-        let lv = LabelView::new(&fig5());
+        let lv = FlatLabels::new(&fig5());
         assert_eq!(lv.origins(), (0..16).collect::<Vec<usize>>());
     }
 
@@ -256,7 +285,7 @@ mod tests {
     fn label_view_with_permuted_ids() {
         // A path 2 - 0 - 1 rooted at 2: labels 2->0, 0->1, 1->2.
         let t = RootedTree::from_parents(2, &[2, 0, NO_PARENT]).unwrap();
-        let lv = LabelView::new(&t);
+        let lv = FlatLabels::new(&t);
         assert_eq!(lv.vertex(0), 2);
         assert_eq!(lv.vertex(1), 0);
         assert_eq!(lv.vertex(2), 1);
@@ -267,7 +296,7 @@ mod tests {
 
     #[test]
     fn leaf_detection() {
-        let lv = LabelView::new(&fig5());
+        let lv = FlatLabels::new(&fig5());
         assert!(lv.params(3).is_leaf());
         assert!(lv.params(15).is_leaf());
         assert!(!lv.params(12).is_leaf());

@@ -13,7 +13,7 @@
 //! | Hamiltonian-circuit gossip | [`ring`] | `n - 1` (optimal) when a circuit exists |
 //! | Offline broadcast | [`broadcast`] | eccentricity of the source |
 //!
-//! Supporting machinery: DFS-label views ([`labeling`]), the o/b/s/l/r
+//! Supporting machinery: the DFS-label arena ([`labeling`]), the o/b/s/l/r
 //! message taxonomy ([`mod@classify`]), lower bounds including the cut-vertex
 //! generalization of the paper's line argument ([`bounds`]), exact optimal
 //! search on tiny networks ([`exact`]), randomized schedule search and the
@@ -89,12 +89,9 @@ pub use churn::{ChurnEpoch, ChurnError, ChurnExecutor, ChurnReport, RepairDecisi
 pub use classify::{classify, is_lip, is_rip, MessageClass};
 pub use concurrent::{concurrent_updown, concurrent_updown_recorded, tree_origins};
 pub use exact::{optimal_gossip_schedule, optimal_gossip_time, ExactResult};
-pub use fast_planner::{
-    concurrent_updown_flat, concurrent_updown_flat_on, concurrent_updown_flat_recorded,
-    FastGossipPlan, FlatLabels,
-};
+pub use fast_planner::{concurrent_updown_flat_on, FastGossipPlan};
 pub use gather::gather_schedule;
-pub use labeling::{LabelView, VertexParams};
+pub use labeling::{FlatLabels, VertexParams};
 pub use line::{line_gossip_schedule, MAX_LINE_N};
 pub use maintenance::{EdgeOp, MaintenanceOutcome, TreeMaintainer};
 pub use multi_broadcast::multi_broadcast_schedule;

@@ -23,7 +23,7 @@
 //! paper's online-adaptation claim made executable.
 
 use crate::fast_planner::{d2_slot, Ev, OwnSeq, UpSeq};
-use crate::labeling::{LabelView, VertexParams};
+use crate::labeling::{FlatLabels, VertexParams};
 use gossip_graph::RootedTree;
 use gossip_model::{Schedule, Transmission};
 use gossip_telemetry::{ChromeTrace, NoopRecorder, Recorder, RecorderExt, Value};
@@ -166,17 +166,23 @@ impl OnlineVertex {
 }
 
 /// Builds the per-label protocol states for a tree.
-fn protocols(lv: &LabelView) -> Vec<OnlineVertex> {
-    lv.labels()
+fn protocols(fl: &FlatLabels) -> Vec<OnlineVertex> {
+    fl.labels()
         .map(|label| {
-            let children = lv
-                .children(label)
-                .iter()
-                .map(|&c| (c, lv.params(c).j))
-                .collect();
-            OnlineVertex::new(lv.params(label), children)
+            let children = fl.children(label).iter().map(|&c| (c, fl.j(c))).collect();
+            OnlineVertex::new(fl.params(label), children)
         })
         .collect()
+}
+
+/// `send` by the vertex labelled `label`, as a vertex-space transmission.
+fn transmission(fl: &FlatLabels, label: u32, send: &OnlineSend) -> Transmission {
+    let mut dests = Vec::with_capacity(send.to_children.len() + 1);
+    if send.to_parent {
+        dests.push(fl.vertex(fl.parent(label)) as usize);
+    }
+    dests.extend(send.to_children.iter().map(|&c| fl.vertex(c) as usize));
+    Transmission::new(send.msg, fl.vertex(label) as usize, dests)
 }
 
 /// Runs the online protocol in deterministic lock-step (single thread) and
@@ -185,26 +191,22 @@ fn protocols(lv: &LabelView) -> Vec<OnlineVertex> {
 /// The schedule equals `concurrent_updown(tree)` normalized — the
 /// executable form of the paper's online claim.
 pub fn run_online(tree: &RootedTree) -> Schedule {
-    let lv = LabelView::new(tree);
-    let n = lv.n();
+    let fl = FlatLabels::new(tree);
+    let n = fl.n();
     let mut schedule = Schedule::new(n);
     if n <= 1 {
         return schedule;
     }
-    let mut vertices = protocols(&lv);
-    let horizon = n + lv.height() as usize;
+    let mut vertices = protocols(&fl);
+    let horizon = n + fl.height() as usize;
     // in_flight[label] = message arriving from the parent this round.
     let mut arriving: Vec<Option<u32>> = vec![None; n];
     for t in 0..horizon {
         let mut next_arriving: Vec<Option<u32>> = vec![None; n];
-        for label in lv.labels() {
+        for label in fl.labels() {
             let Some(send) = vertices[label as usize].on_round(t, arriving[label as usize]) else {
                 continue;
             };
-            let mut dests = Vec::with_capacity(send.to_children.len() + 1);
-            if send.to_parent {
-                dests.push(lv.vertex(lv.params(label).parent_i));
-            }
             for &c in &send.to_children {
                 assert!(
                     next_arriving[c as usize].is_none(),
@@ -212,9 +214,8 @@ pub fn run_online(tree: &RootedTree) -> Schedule {
                     t + 1
                 );
                 next_arriving[c as usize] = Some(send.msg);
-                dests.push(lv.vertex(c));
             }
-            schedule.add_transmission(t, Transmission::new(send.msg, lv.vertex(label), dests));
+            schedule.add_transmission(t, transmission(&fl, label, &send));
         }
         arriving = next_arriving;
     }
@@ -342,12 +343,12 @@ fn run_online_threaded_impl(
     timings: Option<&Mutex<Vec<ThreadRounds>>>,
 ) -> Schedule {
     let _span = recorder.span("online_threaded");
-    let lv = LabelView::new(tree);
-    let n = lv.n();
+    let fl = FlatLabels::new(tree);
+    let n = fl.n();
     if n <= 1 {
         return Schedule::new(n);
     }
-    let horizon = n + lv.height() as usize;
+    let horizon = n + fl.height() as usize;
     let epoch = Instant::now();
 
     // Channels: one per non-root vertex, carrying Option<u32> per round.
@@ -370,21 +371,21 @@ fn run_online_threaded_impl(
     let wants_tx = recorder.wants_transmissions();
 
     std::thread::scope(|scope| {
-        for (label, mut vertex) in lv.labels().zip(protocols(&lv)) {
-            let my_rx = if lv.params(label).is_root() {
+        for (label, mut vertex) in fl.labels().zip(protocols(&fl)) {
+            let is_root = fl.params(label).is_root();
+            let my_rx = if is_root {
                 None
             } else {
                 receivers[label as usize].take()
             };
-            let child_txs: Vec<(u32, crossbeam::channel::Sender<Option<u32>>)> = lv
+            let child_txs: Vec<(u32, crossbeam::channel::Sender<Option<u32>>)> = fl
                 .children(label)
                 .iter()
                 .map(|&c| (c, senders[c as usize].take().expect("one parent")))
                 .collect();
             let barrier = &barrier;
             let log = Arc::clone(&log);
-            let lv_ref = &lv;
-            let is_root = lv.params(label).is_root();
+            let fl = &fl;
             scope.spawn(move || {
                 let _poison = PoisonOnPanic(barrier);
                 let mut sends = 0u64;
@@ -410,12 +411,7 @@ fn run_online_threaded_impl(
                                 let payload = s.to_children.contains(c).then_some(s.msg);
                                 tx.send(payload).expect("child alive");
                             }
-                            let mut dests = Vec::with_capacity(s.to_children.len() + 1);
-                            if s.to_parent {
-                                dests.push(lv_ref.vertex(lv_ref.params(label).parent_i));
-                            }
-                            dests.extend(s.to_children.iter().map(|&c| lv_ref.vertex(c)));
-                            let tx_rec = Transmission::new(s.msg, lv_ref.vertex(label), dests);
+                            let tx_rec = transmission(fl, label, s);
                             if wants_tx {
                                 // Emitted from each sender thread at send
                                 // time; flight records carry their round, so
@@ -450,7 +446,7 @@ fn run_online_threaded_impl(
                 }
                 if let Some(sink) = timings {
                     sink.lock().push(ThreadRounds {
-                        vertex: lv_ref.vertex(label),
+                        vertex: fl.vertex(label) as usize,
                         rounds: my_rounds,
                     });
                 }
@@ -460,7 +456,7 @@ fn run_online_threaded_impl(
                         "online_thread",
                         &[
                             ("label", Value::from_u64(label as u64)),
-                            ("vertex", Value::from_u64(lv_ref.vertex(label) as u64)),
+                            ("vertex", Value::from_u64(fl.vertex(label) as u64)),
                             ("sends", Value::from_u64(sends)),
                             (
                                 "done_ns",

@@ -40,7 +40,7 @@
 //!
 //! | Paper concept | Code |
 //! |---|---|
-//! | levels `k`, DFS labels, subtree ranges `[i, j]` | [`gossip_graph::RootedTree`], [`crate::LabelView`] |
+//! | levels `k`, DFS labels, subtree ranges `[i, j]` | [`gossip_graph::RootedTree`], [`crate::FlatLabels`] (the one label arena) |
 //! | o/b/s/l/r-message taxonomy; lip/rip | [`crate::classify()`](crate::classify()), [`crate::is_lip`], [`crate::is_rip`] |
 //! | algorithm Simple, Lemma 1 (`2n + r - 3`) | [`crate::simple_gossip`] |
 //! | algorithm UpDown \[15\] | [`crate::updown_gossip`] (reconstruction; see DESIGN.md §3) |

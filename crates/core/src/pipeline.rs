@@ -2,7 +2,8 @@
 //! → communication schedule, exactly the paper's two-step procedure (§3).
 
 use crate::concurrent::{concurrent_updown_recorded, tree_origins};
-use crate::fast_planner::{fast_plan_on_tree, FastGossipPlan};
+use crate::fast_planner::{concurrent_updown_flat_on, FastGossipPlan};
+use crate::labeling::FlatLabels;
 use crate::simple::simple_gossip_recorded;
 use crate::telephone::telephone_tree_gossip;
 use crate::updown::updown_gossip_recorded;
@@ -195,7 +196,7 @@ impl<'g> GossipPlanner<'g> {
     /// The fast planning path: pruned multi-source bitset sweep for the
     /// tree ([`min_depth_spanning_tree_fast_recorded`]) followed by the
     /// CSR-direct ConcurrentUpDown generator
-    /// ([`concurrent_updown_flat_recorded`](crate::concurrent_updown_flat_recorded)).
+    /// ([`concurrent_updown_flat_on`]).
     /// On the same tree the resulting schedule is byte-identical to
     /// flattening [`plan`](GossipPlanner::plan)'s; the tree itself may
     /// differ from the reference construction only when root-candidate
@@ -219,7 +220,16 @@ impl<'g> GossipPlanner<'g> {
     /// Builds a fast-path plan on a caller-supplied spanning tree.
     pub fn plan_fast_on_tree(&self, tree: RootedTree) -> FastGossipPlan {
         debug_assert!(tree.is_spanning_tree_of(self.g));
-        let plan = fast_plan_on_tree(tree, self.recorder);
+        let labels = {
+            let _s = self.recorder.span("labeling");
+            FlatLabels::new(&tree)
+        };
+        let plan = FastGossipPlan {
+            schedule: concurrent_updown_flat_on(&labels, self.recorder),
+            origin_of_message: labels.origins(),
+            radius: tree.height(),
+            tree,
+        };
         if self.recorder.enabled() {
             self.recorder.gauge("plan/radius", plan.radius as f64);
             self.recorder.gauge("plan/makespan", plan.makespan() as f64);

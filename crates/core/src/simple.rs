@@ -11,7 +11,8 @@
 //! children in the same round it arrives. The last delivery is message
 //! `n - 1` reaching level `r` at time `2n + r - 3`.
 
-use crate::labeling::LabelView;
+use crate::fast_planner::Down;
+use crate::labeling::FlatLabels;
 use crate::pipeline::record_generated;
 use gossip_graph::RootedTree;
 use gossip_model::{Schedule, Transmission};
@@ -45,30 +46,16 @@ pub fn simple_gossip(tree: &RootedTree) -> Schedule {
 /// and deliveries scheduled.
 pub fn simple_gossip_recorded(tree: &RootedTree, recorder: &dyn Recorder) -> Schedule {
     let span = recorder.span("simple");
-    let lv = LabelView::new(tree);
-    let n = lv.n();
+    let fl = FlatLabels::new(tree);
+    let n = fl.n();
     let mut schedule = Schedule::new(n);
     if n <= 1 {
         return schedule;
     }
 
-    // Phase 1 — up. Vertex with label v (level k) relays every message of
-    // its subtree except its own... including its own: it sends message m
-    // (for m in [i, j], m >= 1) to its parent at time m - k.
     {
         let _up = recorder.span("phase_up");
-        for label in lv.labels() {
-            let p = lv.params(label);
-            if p.is_root() {
-                continue;
-            }
-            let vertex = lv.vertex(label);
-            let parent = lv.vertex(p.parent_i);
-            for m in p.i..=p.j {
-                let t = (m - p.k) as usize;
-                schedule.add_transmission(t, Transmission::unicast(m, vertex, parent));
-            }
-        }
+        up_phase(&fl, &mut schedule);
     }
 
     // Phase 2 — down. Vertex at level k multicasts message m to all its
@@ -76,13 +63,13 @@ pub fn simple_gossip_recorded(tree: &RootedTree, recorder: &dyn Recorder) -> Sch
     // forward on arrival).
     {
         let _down = recorder.span("phase_down");
-        for label in lv.labels() {
-            let p = lv.params(label);
+        for label in fl.labels() {
+            let p = fl.params(label);
             if p.is_leaf() {
                 continue;
             }
-            let vertex = lv.vertex(label);
-            let dests: Vec<usize> = lv.children(label).iter().map(|&c| lv.vertex(c)).collect();
+            let vertex = fl.vertex(label) as usize;
+            let dests = fl.dests(label, false, Down::All);
             for m in 0..n as u32 {
                 let t = n - 2 + m as usize + p.k as usize;
                 schedule.add_transmission(t, Transmission::new(m, vertex, dests.clone()));
@@ -93,6 +80,24 @@ pub fn simple_gossip_recorded(tree: &RootedTree, recorder: &dyn Recorder) -> Sch
     schedule.trim();
     record_generated(&span, recorder, &schedule, None);
     schedule
+}
+
+/// Phase 1 — up, shared with the eager-flood baselines: every non-root
+/// vertex (label `i`, level `k`) sends each message `m` of its subtree
+/// `[i, j]`, its own included, to its parent at time `m - k`.
+pub(crate) fn up_phase(fl: &FlatLabels, schedule: &mut Schedule) {
+    for label in fl.labels() {
+        let p = fl.params(label);
+        if p.is_root() {
+            continue;
+        }
+        let vertex = fl.vertex(label) as usize;
+        let parent = fl.vertex(p.parent_i) as usize;
+        for m in p.i..=p.j {
+            let t = (m - p.k) as usize;
+            schedule.add_transmission(t, Transmission::unicast(m, vertex, parent));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 
 use gossip_core::{
     classify, concurrent_updown, gather_schedule, is_lip, is_rip, tree_origins, weighted_gossip,
-    LabelView, MessageClass,
+    FlatLabels, MessageClass,
 };
 use gossip_graph::{RootedTree, NO_PARENT};
 use gossip_model::{analyze_schedule, inject_fault, simulate_gossip, Fault};
@@ -31,10 +31,10 @@ proptest! {
     /// cardinalities the paper's definitions imply.
     #[test]
     fn classification_partitions(tree in arb_tree(24)) {
-        let lv = LabelView::new(&tree);
-        let n = lv.n() as u32;
-        for label in lv.labels() {
-            let p = lv.params(label);
+        let fl = FlatLabels::new(&tree);
+        let n = fl.n() as u32;
+        for label in fl.labels() {
+            let p = fl.params(label);
             let mut counts = [0usize; 4];
             for m in 0..n {
                 match classify(&p, m) {

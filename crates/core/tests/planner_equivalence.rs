@@ -1,18 +1,20 @@
 //! Planner equivalence. Both ConcurrentUpDown generators and the
 //! rule-tagged one run one event walk, so each is checked against an
 //! independent oracle: the paper's rules overlaid per vertex in a
-//! `BTreeMap`, built from the public [`LabelView`] alone. On the same tree
+//! `BTreeMap`, with every label read straight off [`RootedTree`], so it
+//! shares no code with the label arena it checks. On the same tree
 //! both generators must equal it (`Schedule` `==` and flattened digest),
 //! the tagged generator must equal its tagged list, and through the full
 //! pipeline (fast tree sweep included) the fast plan must validate with
 //! the same `n + r` makespan.
 
 use gossip_core::{
-    annotated_concurrent_updown, concurrent_updown, concurrent_updown_flat, AnnotatedTransmission,
-    GossipPlanner, LabelView, Rule,
+    annotated_concurrent_updown, concurrent_updown, concurrent_updown_flat_on,
+    AnnotatedTransmission, FlatLabels, GossipPlanner, Rule,
 };
 use gossip_graph::{min_depth_spanning_tree, ChildOrder, Graph, RootedTree, NO_PARENT};
 use gossip_model::{CommModel, FlatSchedule, Schedule, SimKernel, Transmission};
+use gossip_telemetry::NoopRecorder;
 use gossip_workloads::{fig5_tree, random_connected};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -22,8 +24,8 @@ use std::collections::BTreeMap;
 struct PendingSend {
     msg: u32,
     to_parent: bool,
-    /// Destination children, as labels.
-    child_dests: Vec<u32>,
+    /// Destination children, as vertices.
+    child_dests: Vec<usize>,
     /// The paper steps that fired at this time.
     rules: Vec<Rule>,
 }
@@ -41,8 +43,7 @@ struct Oracle {
 /// send is tagged with its one rule, or `U4D3Merged` when an up rule and a
 /// down rule fire together.
 fn overlay_oracle(tree: &RootedTree) -> Oracle {
-    let lv = LabelView::new(tree);
-    let n = lv.n();
+    let n = tree.n();
     let mut schedule = Schedule::new(n);
     let mut annotated = Vec::new();
     if n <= 1 {
@@ -51,16 +52,18 @@ fn overlay_oracle(tree: &RootedTree) -> Oracle {
             annotated,
         };
     }
-    // recv_from_parent[label] = (arrival time, message) pairs, filled while
-    // the parent (smaller label: DFS preorder) is processed.
+    // recv_from_parent[v] = (arrival time, message) pairs, filled while
+    // v's parent (smaller label: DFS preorder) is processed.
     let mut recv_from_parent: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-    for label in lv.labels() {
-        let p = lv.params(label);
-        let (i, j, k) = (p.i as usize, p.j as usize, p.k as usize);
+    for label in 0..n as u32 {
+        let v = tree.vertex_of_label(label);
+        let (i, j) = tree.subtree_range(v);
+        let k = tree.level(v);
+        let children: Vec<usize> = tree.children(v).iter().map(|&c| c as usize).collect();
         let mut sends: BTreeMap<usize, PendingSend> = BTreeMap::new();
-        let mut add = |t: usize, msg: u32, to_parent: bool, child_dests: Vec<u32>, rule: Rule| {
+        let mut add = |t: u32, msg: u32, to_parent: bool, child_dests: Vec<usize>, rule: Rule| {
             sends
-                .entry(t)
+                .entry(t as usize)
                 .and_modify(|e| {
                     assert_eq!(
                         e.msg, msg,
@@ -77,31 +80,33 @@ fn overlay_oracle(tree: &RootedTree) -> Oracle {
                     rules: vec![rule],
                 });
         };
-        if !p.is_root() {
-            // (U3): the lip-message goes up at time 0.
-            if p.has_lip() {
-                add(0, p.i, true, Vec::new(), Rule::U3Lip);
+        if let Some(parent) = tree.parent(v) {
+            let parent_i = tree.label(parent);
+            // (U3): the lip-message (i = i' + 1) goes up at time 0.
+            if i == parent_i + 1 {
+                add(0, i, true, Vec::new(), Rule::U3Lip);
             }
-            // (U4): rip-messages go up at time m - k.
-            for m in p.rip_start()..=p.j {
-                add(m as usize - k, m, true, Vec::new(), Rule::U4Rip);
+            // (U4): rip-messages, m in [max(i, i' + 2), j], go up at time
+            // m - k.
+            for m in i.max(parent_i + 2)..=j {
+                add(m - k, m, true, Vec::new(), Rule::U4Rip);
             }
         }
-        if !p.is_leaf() {
+        if !children.is_empty() {
             // (D3): own-subtree messages go down at time m - k, skipping the
             // child that already has them; the i = k exception defers the own
             // message to time j - k + 1.
-            for m in i as u32..=j as u32 {
-                let (t, rule) = if m as usize == i && i == k {
+            for m in i..=j {
+                let (t, rule) = if m == i && i == k {
                     (j - k + 1, Rule::D3DeferredOwn)
                 } else {
-                    (m as usize - k, Rule::D3Down)
+                    (m - k, Rule::D3Down)
                 };
-                let dests: Vec<u32> = lv
-                    .children(label)
+                let owner = tree.child_containing_label(v, m);
+                let dests: Vec<usize> = children
                     .iter()
                     .copied()
-                    .filter(|&c| lv.child_containing(label, m) != Some(c))
+                    .filter(|&c| owner != Some(c))
                     .collect();
                 if !dests.is_empty() {
                     add(t, m, false, dests, rule);
@@ -109,11 +114,12 @@ fn overlay_oracle(tree: &RootedTree) -> Oracle {
             }
             // (D2): forward o-messages from the parent on arrival, with the
             // two deferred slots.
-            for &(t_arrive, m) in &recv_from_parent[label as usize] {
+            for &(t_arrive, m) in &recv_from_parent[v] {
                 assert!(
-                    (m as usize) < i || (m as usize) > j,
+                    m < i || m > j,
                     "vertex {label} received own-subtree message {m} from its parent"
                 );
+                let t_arrive = t_arrive as u32;
                 let (t_send, rule) = if t_arrive == i - k {
                     (j - k + 1, Rule::D2Deferred)
                 } else if t_arrive == i - k + 1 {
@@ -121,20 +127,19 @@ fn overlay_oracle(tree: &RootedTree) -> Oracle {
                 } else {
                     (t_arrive, Rule::D2Forward)
                 };
-                add(t_send, m, false, lv.children(label).to_vec(), rule);
+                add(t_send, m, false, children.clone(), rule);
             }
         }
-        let vertex = lv.vertex(label);
         for (t, ev) in sends {
             let mut dests: Vec<usize> = Vec::with_capacity(ev.child_dests.len() + 1);
             if ev.to_parent {
-                dests.push(lv.vertex(p.parent_i));
+                dests.push(tree.parent(v).expect("only a non-root sends up"));
             }
             for &c in &ev.child_dests {
-                recv_from_parent[c as usize].push((t + 1, ev.msg));
-                dests.push(lv.vertex(c));
+                recv_from_parent[c].push((t + 1, ev.msg));
+                dests.push(c);
             }
-            let tx = Transmission::new(ev.msg, vertex, dests);
+            let tx = Transmission::new(ev.msg, v, dests);
             schedule.add_transmission(t, tx.clone());
             let rule = match ev.rules[..] {
                 [rule] => rule,
@@ -182,7 +187,7 @@ fn assert_generators_match_oracle(tree: &RootedTree) {
     let reference = concurrent_updown(tree);
     assert_eq!(reference, oracle.schedule, "Schedule mismatch on {tree:?}");
     let oracle_flat = FlatSchedule::from_schedule(&oracle.schedule);
-    let fast = concurrent_updown_flat(tree);
+    let fast = concurrent_updown_flat_on(&FlatLabels::new(tree), &NoopRecorder);
     if let Some(d) = diff_flat(&fast, &oracle_flat) {
         panic!("CSR mismatch on n = {}: {d}", tree.n());
     }

@@ -10,6 +10,7 @@
 use crate::error::GraphError;
 use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 
 /// The most vertices a [`Graph`] holds. CSR ids are `u32`, and `u32::MAX`
 /// is reserved for the `NO_PARENT` / `UNREACHABLE` sentinels, so ids run
@@ -195,11 +196,16 @@ impl Graph {
     /// Fails on the same conditions as [`GraphBuilder::add_edge`]
     /// (duplicate, self-loop, out of range).
     pub fn with_edge(&self, u: usize, v: usize) -> Result<Graph, GraphError> {
+        // The other edges are copied in unchecked, so the builder cannot
+        // see a duplicate of them.
+        if self.has_edge(u, v) {
+            return Err(GraphError::DuplicateEdge { u, v });
+        }
         let mut b = GraphBuilder::with_capacity(self.n, self.m + 1);
         for (x, y) in self.edges() {
             b.add_edge_unchecked(x, y)?;
         }
-        b.add_edge(u, v)?;
+        b.add_edge_unchecked(u, v)?;
         Ok(b.build())
     }
 
@@ -336,6 +342,9 @@ impl Deserialize for Graph {
 pub struct GraphBuilder {
     n: usize,
     edges: Vec<(u32, u32)>,
+    /// The edges [`GraphBuilder::add_edge`] accepted, for its duplicate
+    /// check.
+    checked: HashSet<(u32, u32)>,
 }
 
 impl GraphBuilder {
@@ -344,6 +353,7 @@ impl GraphBuilder {
         GraphBuilder {
             n,
             edges: Vec::new(),
+            checked: HashSet::new(),
         }
     }
 
@@ -352,6 +362,7 @@ impl GraphBuilder {
         GraphBuilder {
             n,
             edges: Vec::with_capacity(m),
+            checked: HashSet::new(),
         }
     }
 
@@ -362,24 +373,25 @@ impl GraphBuilder {
 
     /// Adds the undirected edge `(u, v)`.
     ///
-    /// Duplicate detection is linear in the number of edges added so far;
-    /// use [`GraphBuilder::add_edge_unchecked`] in bulk loads that are known
-    /// duplicate-free.
+    /// Fails with [`GraphError::DuplicateEdge`] when an earlier `add_edge`
+    /// call added the same edge (in either orientation); the check is one
+    /// hash lookup. Edges from [`GraphBuilder::add_edge_unchecked`] are not
+    /// in it.
     pub fn add_edge(&mut self, u: usize, v: usize) -> Result<(), GraphError> {
         self.validate_endpoints(u, v)?;
         let key = Self::canonical(u, v);
-        if self.edges.contains(&key) {
+        if !self.checked.insert(key) {
             return Err(GraphError::DuplicateEdge { u, v });
         }
         self.edges.push(key);
         Ok(())
     }
 
-    /// Adds the undirected edge `(u, v)` without the linear duplicate scan.
+    /// Adds the undirected edge `(u, v)` without the duplicate check.
     ///
-    /// Endpoint range and self-loop checks still apply; duplicates are
-    /// rejected later, by [`GraphBuilder::build`]'s sort-and-dedup pass
-    /// panicking in debug builds and silently deduplicating in release.
+    /// Endpoint range and self-loop checks still apply; a duplicate is not
+    /// an error: [`GraphBuilder::build`]'s sort-and-dedup pass drops it
+    /// silently, in every build.
     pub fn add_edge_unchecked(&mut self, u: usize, v: usize) -> Result<(), GraphError> {
         self.validate_endpoints(u, v)?;
         self.edges.push(Self::canonical(u, v));
@@ -525,6 +537,46 @@ mod tests {
         assert_eq!(
             Graph::from_edges(3, &[(0, 1), (1, 0)]),
             Err(GraphError::DuplicateEdge { u: 1, v: 0 })
+        );
+    }
+
+    fn complete_edges(n: usize) -> Vec<(usize, usize)> {
+        (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+            .collect()
+    }
+
+    /// K_512 (130,816 edges) through the duplicate-checked path equals the
+    /// unchecked build of the same edges.
+    #[test]
+    fn checked_build_of_a_dense_graph_matches_unchecked() {
+        let edges = complete_edges(512);
+        let mut b = GraphBuilder::new(512);
+        for &(u, v) in &edges {
+            b.add_edge_unchecked(u, v).unwrap();
+        }
+        assert_eq!(Graph::from_edges(512, &edges).unwrap(), b.build());
+    }
+
+    /// A repeat after K_448's 100,128 edges is named as given.
+    #[test]
+    fn duplicate_deep_in_a_long_list_is_rejected() {
+        let mut edges = complete_edges(448);
+        edges.push((447, 0));
+        assert_eq!(
+            Graph::from_edges(448, &edges),
+            Err(GraphError::DuplicateEdge { u: 447, v: 0 })
+        );
+    }
+
+    /// `with_edge` copies the present edges in unchecked, so it must reject
+    /// a present edge itself, named as given.
+    #[test]
+    fn with_edge_rejects_a_present_edge() {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2)]).unwrap();
+        assert_eq!(
+            g.with_edge(2, 1),
+            Err(GraphError::DuplicateEdge { u: 2, v: 1 })
         );
     }
 

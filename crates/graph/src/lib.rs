@@ -52,10 +52,7 @@ pub use error::GraphError;
 pub use graph::{Graph, GraphBuilder, MAX_VERTICES};
 pub use hamiltonian::{find_hamiltonian_circuit, is_hamiltonian, verify_circuit};
 pub use io::{parse_edge_list, write_edge_list};
-pub use metrics::{
-    all_pairs_distances, bfs_from_all_sources, diameter, distance_metrics,
-    distance_metrics_parallel, radius, DistanceMetrics,
-};
+pub use metrics::{all_pairs_distances, diameter, distance_metrics, radius, DistanceMetrics};
 pub use render::render_tree;
 pub use spanning::fast::{min_depth_spanning_tree_fast, min_depth_spanning_tree_fast_recorded};
 pub use spanning::{

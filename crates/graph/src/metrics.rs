@@ -3,11 +3,11 @@
 //! The paper's schedule length is `n + r` with `r` the network *radius*: the
 //! least `r` such that some vertex is within `r` hops of every other vertex.
 //! Computing `r` exactly requires the eccentricity of every vertex — an
-//! n-source BFS sweep, `O(mn)` total, which this module provides both
-//! sequentially and in parallel (one BFS per rayon task; sweeps share
-//! nothing, so the parallelism is embarrassingly clean).
+//! n-source BFS sweep, `O(mn)` total, which [`distance_metrics`] runs
+//! sequentially with one reused scratch buffer. (The spanning-tree
+//! constructions run their own sweeps.)
 
-use crate::bfs::{bfs, bfs_into, BfsResult};
+use crate::bfs::{bfs, bfs_into};
 use crate::error::GraphError;
 use crate::graph::Graph;
 use rayon::prelude::*;
@@ -61,21 +61,6 @@ pub fn distance_metrics(g: &Graph) -> Result<DistanceMetrics, GraphError> {
     Ok(DistanceMetrics::from_eccentricities(ecc))
 }
 
-/// Computes all eccentricities with a rayon-parallel n-source BFS sweep.
-///
-/// Semantically identical to [`distance_metrics`]; each source is an
-/// independent task with its own scratch buffers.
-pub fn distance_metrics_parallel(g: &Graph) -> Result<DistanceMetrics, GraphError> {
-    if g.n() == 0 {
-        return Err(GraphError::EmptyGraph);
-    }
-    let ecc: Result<Vec<u32>, GraphError> = (0..g.n())
-        .into_par_iter()
-        .map(|v| bfs(g, v).eccentricity().ok_or(GraphError::Disconnected))
-        .collect();
-    Ok(DistanceMetrics::from_eccentricities(ecc?))
-}
-
 /// The radius of a connected graph (sequential sweep).
 pub fn radius(g: &Graph) -> Result<u32, GraphError> {
     Ok(distance_metrics(g)?.radius)
@@ -96,14 +81,6 @@ pub fn all_pairs_distances(g: &Graph) -> Result<Vec<Vec<u32>>, GraphError> {
         return Err(GraphError::EmptyGraph);
     }
     Ok((0..g.n()).into_par_iter().map(|v| bfs(g, v).dist).collect())
-}
-
-/// One BFS sweep from every source, returned whole.
-///
-/// Used by minimum-depth spanning tree construction, which needs parents —
-/// not just eccentricities — from each sweep.
-pub fn bfs_from_all_sources(g: &Graph) -> Vec<BfsResult> {
-    (0..g.n()).into_par_iter().map(|v| bfs(g, v)).collect()
 }
 
 #[cfg(test)]
@@ -172,17 +149,6 @@ mod tests {
     fn disconnected_errors() {
         let g = Graph::from_edges(3, &[(0, 1)]).unwrap();
         assert_eq!(distance_metrics(&g), Err(GraphError::Disconnected));
-        assert_eq!(distance_metrics_parallel(&g), Err(GraphError::Disconnected));
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        for g in [path(11), cycle(9)] {
-            assert_eq!(
-                distance_metrics(&g).unwrap(),
-                distance_metrics_parallel(&g).unwrap()
-            );
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! lemmas over randomly generated trees and graphs.
 
 use gossip_core::{
-    concurrent_updown, run_online, simple_gossip, tree_origins, updown_gossip, LabelView,
+    concurrent_updown, run_online, simple_gossip, tree_origins, updown_gossip, FlatLabels,
 };
 use gossip_graph::{RootedTree, NO_PARENT};
 use gossip_model::simulate_gossip;
@@ -79,22 +79,22 @@ proptest! {
     /// contiguous subtree ranges, exactly one lip per non-first child set.
     #[test]
     fn labeling_invariants(tree in arb_tree(48)) {
-        let lv = LabelView::new(&tree);
-        for label in lv.labels() {
-            let p = lv.params(label);
+        let fl = FlatLabels::new(&tree);
+        for label in fl.labels() {
+            let p = fl.params(label);
             prop_assert!(p.i >= p.k, "label {} < level {}", p.i, p.k);
             prop_assert!(p.j >= p.i);
             // Children ranges tile (i, j] exactly.
             let mut cursor = p.i + 1;
-            for &c in lv.children(label) {
-                let cp = lv.params(c);
+            for &c in fl.children(label) {
+                let cp = fl.params(c);
                 prop_assert_eq!(cp.i, cursor, "gap in subtree ranges");
                 cursor = cp.j + 1;
             }
             prop_assert_eq!(cursor, p.j + 1, "ranges do not cover the subtree");
             // First child (and only it) carries the lip-message.
-            for (idx, &c) in lv.children(label).iter().enumerate() {
-                prop_assert_eq!(lv.params(c).has_lip(), idx == 0);
+            for (idx, &c) in fl.children(label).iter().enumerate() {
+                prop_assert_eq!(fl.params(c).has_lip(), idx == 0);
             }
         }
     }
