@@ -179,7 +179,7 @@ pub fn exp_scaling() -> String {
 /// `BENCH_scaling.json`: per-size stage timings, per-phase profiler
 /// attribution (`plan_tree_ms` / `plan_label_ms` / `plan_generate_ms` /
 /// `plan_flatten_ms` plus the fast planner's `plan_tree_fast_ms` /
-/// `plan_label_flat_ms` / `plan_generate_csr_ms` / `plan_peak_bytes`),
+/// `plan_label_flat_ms` / `plan_generate_csr_ms`),
 /// explicit rows for any budget-skipped sizes, and a full telemetry
 /// snapshot (BFS-sweep histograms, per-stage spans) from a recorded run.
 pub fn exp_scaling_full() -> (String, gossip_telemetry::Value) {
@@ -406,9 +406,7 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
         trends[mode.index()].push(n as f64, elapsed_ms);
         t.row(cells);
         // Profiler attribution of the same size: the planner phases
-        // (bench-diff gates these like any other wall field) plus the
-        // peak live bytes (0 unless the prof-alloc allocator is
-        // registered in the binary).
+        // (bench-diff gates these like any other wall field).
         for (field, phase) in [
             ("plan_tree_ms", "spanning_tree"),
             ("plan_label_ms", "concurrent_updown/labeling"),
@@ -423,7 +421,6 @@ pub fn exp_scaling_full_with(sizes: &[SizeBudget]) -> (String, gossip_telemetry:
             }
         }
         fields.extend([
-            ("plan_peak_bytes", Value::from_u64(profile.peak_bytes())),
             ("budget_ms", Value::from_f64(budget_ms)),
             ("within_budget", Value::Bool(within_budget)),
         ]);
@@ -499,7 +496,6 @@ mod tests {
             );
             assert!(row.get("plan_label_ms").is_some());
             assert!(row.get("plan_flatten_ms").is_some());
-            assert!(row.get("plan_peak_bytes").is_some());
             // Full rows also time the fast planner and attribute its
             // phases for the before/after comparison.
             assert!(row.get("plan_fast_ms").and_then(|v| v.as_f64()).unwrap() > 0.0);

@@ -7,10 +7,10 @@
 //! debugging of reconstructed rules against the paper's timing formulas,
 //! and the structural assertions in this module's tests (each rule fires
 //! only inside its published time window). The tags come from the same
-//! per-vertex event walk that generates the schedule, so the two cannot
-//! drift apart.
+//! lock-step engine that generates the schedule — each vertex machine's
+//! step reports the rule of its send — so the two cannot drift apart.
 
-use crate::fast_planner::walk;
+use crate::fast_planner::Lockstep;
 use crate::labeling::FlatLabels;
 use gossip_graph::RootedTree;
 use gossip_model::{Schedule, Transmission};
@@ -70,14 +70,19 @@ pub struct AnnotatedTransmission {
 pub fn annotated_concurrent_updown(tree: &RootedTree) -> Vec<AnnotatedTransmission> {
     let fl = FlatLabels::build(tree);
     let mut out = Vec::new();
-    walk(&fl, &mut |label, t, msg, to_parent, down, rule| {
-        let dests = fl.dests(label, to_parent, down);
-        out.push(AnnotatedTransmission {
-            time: t as usize,
-            transmission: Transmission::new(msg, fl.vertex(label) as usize, dests),
-            rule,
-        });
-    });
+    let engine = Lockstep::new(&fl);
+    engine.run(
+        0..engine.horizon(),
+        &mut |label, t, msg, to_parent, down, rule| {
+            let dests = fl.dests(label, to_parent, down);
+            out.push(AnnotatedTransmission {
+                time: t as usize,
+                transmission: Transmission::new(msg, fl.vertex(label) as usize, dests),
+                rule,
+            });
+        },
+    );
+    // Round-major already; within a round, labels become vertex ids.
     out.sort_by_key(|a| (a.time, a.transmission.from));
     out
 }

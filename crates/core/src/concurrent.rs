@@ -28,8 +28,13 @@
 //! the same message `m`, so they merge into a single multicast to
 //! `{parent} ∪ children` — the observation the paper's Theorem 1 proof
 //! hinges on.
+//!
+//! Every vertex's two protocols are one machine of the fast planner's
+//! lock-step engine (`fast_planner.rs`), which steps all of them once per
+//! round — the paper's §4 online execution — so the schedule is produced
+//! round by round, each round's sends in ascending sender label.
 
-use crate::fast_planner::walk;
+use crate::fast_planner::Lockstep;
 use crate::labeling::FlatLabels;
 use gossip_graph::RootedTree;
 use gossip_model::{CommRound, Schedule, Transmission};
@@ -67,10 +72,11 @@ pub fn concurrent_updown(tree: &RootedTree) -> Schedule {
 /// `labeling` / `overlay` child spans, and `generate/*` counters for the
 /// transmissions, deliveries, and merged U4+D3 multicasts scheduled.
 ///
-/// The overlay is the fast planner's per-vertex event walk over
+/// The overlay is the fast planner's lock-step engine over
 /// [`FlatLabels`], the one label arena, so this schedule and
 /// [`concurrent_updown_flat_on`](crate::concurrent_updown_flat_on)'s CSR
-/// are one event sequence in two representations.
+/// are one event sequence in two representations. The engine produces
+/// the sends round by round, so each round is filled in turn.
 ///
 /// # Panics
 ///
@@ -89,21 +95,26 @@ pub fn concurrent_updown_recorded(tree: &RootedTree, recorder: &dyn Recorder) ->
     }
     let _overlay = recorder.span("overlay");
     let mut merged_multicasts = 0u64;
-    // The makespan is n + height (Theorem 1); two slack rounds, trimmed
-    // below, keep `add_transmission` from ever growing the round list.
+    // The makespan is n + height (Theorem 1); the engine's slack round,
+    // trimmed below, keeps `add_transmission` from ever growing the round
+    // list.
+    let engine = Lockstep::new(&fl);
     schedule
         .rounds
-        .resize_with(n + fl.height() as usize + 2, CommRound::new);
-    walk(&fl, &mut |label, t, msg, to_parent, down, _rule| {
-        let dests = fl.dests(label, to_parent, down);
-        if to_parent && dests.len() > 1 {
-            merged_multicasts += 1;
-        }
-        schedule.add_transmission(
-            t as usize,
-            Transmission::new(msg, fl.vertex(label) as usize, dests),
-        );
-    });
+        .resize_with(engine.horizon() as usize, CommRound::new);
+    engine.run(
+        0..engine.horizon(),
+        &mut |label, t, msg, to_parent, down, _rule| {
+            let dests = fl.dests(label, to_parent, down);
+            if to_parent && dests.len() > 1 {
+                merged_multicasts += 1;
+            }
+            schedule.add_transmission(
+                t as usize,
+                Transmission::new(msg, fl.vertex(label) as usize, dests),
+            );
+        },
+    );
 
     schedule.trim();
     crate::pipeline::record_generated(&span, recorder, &schedule, Some(merged_multicasts));

@@ -18,7 +18,7 @@
 
 use crate::labeling::FlatLabels;
 use crate::simple::up_phase;
-use gossip_graph::RootedTree;
+use gossip_graph::{RootedTree, NO_PARENT};
 use gossip_model::{Schedule, Transmission};
 use std::collections::BTreeSet;
 
@@ -44,26 +44,24 @@ pub(crate) fn eager_flood_gossip(tree: &RootedTree, multicast: bool) -> Schedule
     // --- Fixed up phase (algorithm Simple's phase 1). ---
     up_phase(&fl, &mut schedule);
 
-    // Busy calendars from the up phase. send_busy[v][t] / recv_busy[v][t]
-    // grow on demand as the down phase commits transmissions.
-    let horizon_guess = 2 * n + r + 4;
-    let mut send_busy = vec![vec![false; horizon_guess]; n];
-    let mut recv_busy = vec![vec![false; horizon_guess]; n];
-    for label in fl.labels() {
-        let p = fl.params(label);
-        if !p.is_root() {
-            for m in p.i..=p.j {
-                send_busy[label as usize][(m - p.k) as usize] = true;
-            }
-        }
-        // Up-phase receives: message m in (i, j] (none at a leaf) at m - k.
-        for m in (p.i + 1)..=p.j {
-            recv_busy[label as usize][(m - p.k) as usize] = true;
-        }
-    }
+    // The up phase keeps a non-root vertex (label `i`, subtree `[i, j]`,
+    // level `k`) sending at `[i - k, j - k]`, and every vertex receiving
+    // at `[i - k + 1, j - k]`. The down phase needs no calendar of its
+    // own: a vertex sends at most once per round, and only its parent
+    // sends down to it.
+    let sends_up = |label: u32, t: usize| {
+        let k = fl.k(label);
+        fl.parent(label) != NO_PARENT
+            && (label - k) as usize <= t
+            && t <= (fl.j(label) - k) as usize
+    };
+    let receives_up = |label: u32, t: usize| {
+        let k = fl.k(label);
+        (label + 1 - k) as usize <= t && t <= (fl.j(label) - k) as usize
+    };
 
-    // acquired[v] = (time, msg) log; undelivered[v][c_idx] = messages not
-    // yet pushed to child c, ordered by acquisition time (oldest first).
+    // undelivered[v][c_idx] = messages not yet pushed to child c, ordered
+    // by acquisition time (oldest first).
     let mut undelivered: Vec<Vec<BTreeSet<(usize, u32)>>> = (0..n as u32)
         .map(|label| vec![BTreeSet::new(); fl.children(label).len()])
         .collect();
@@ -97,25 +95,26 @@ pub(crate) fn eager_flood_gossip(tree: &RootedTree, multicast: bool) -> Schedule
         }
     }
 
-    let ensure = |cal: &mut Vec<bool>, t: usize| {
-        if cal.len() <= t {
-            cal.resize(t + 1, false);
-        }
-    };
-
     // --- Greedy down phase. ---
+    // Each round visits, in ascending label order, the vertices that owed
+    // a child a message when it began: a debt gained mid-round dates from
+    // round t + 1, so it could not be sent in this one anyway.
     let limit = ROUND_LIMIT_FACTOR * (n * n + n + r + 8);
-    let mut remaining: usize = undelivered
-        .iter()
-        .flat_map(|per_child| per_child.iter().map(BTreeSet::len))
-        .sum();
+    let owes = |und: &[Vec<BTreeSet<(usize, u32)>>], label: u32| {
+        und[label as usize]
+            .iter()
+            .any(|per_child| !per_child.is_empty())
+    };
+    let mut active: BTreeSet<u32> = fl.labels().filter(|&l| owes(&undelivered, l)).collect();
+    let mut visit: Vec<u32> = Vec::new();
     let mut t = 0usize;
-    while remaining > 0 {
+    while !active.is_empty() {
         assert!(t < limit, "down flood failed to converge (bug)");
-        for label in fl.labels() {
+        visit.clear();
+        visit.extend(&active);
+        for &label in &visit {
             let v = label as usize;
-            ensure(&mut send_busy[v], t);
-            if send_busy[v][t] {
+            if sends_up(label, t) {
                 continue;
             }
             let kids = fl.children(label);
@@ -123,8 +122,7 @@ pub(crate) fn eager_flood_gossip(tree: &RootedTree, multicast: bool) -> Schedule
             // oldest owed acquisition.
             let mut best: Option<(usize, u32)> = None;
             for (ci, &c) in kids.iter().enumerate() {
-                ensure(&mut recv_busy[c as usize], t + 1);
-                if recv_busy[c as usize][t + 1] {
+                if receives_up(c, t + 1) {
                     continue;
                 }
                 if let Some(&(ta, m)) = undelivered[v][ci].first() {
@@ -138,20 +136,22 @@ pub(crate) fn eager_flood_gossip(tree: &RootedTree, multicast: bool) -> Schedule
             // the telephone restriction).
             let mut dests = Vec::new();
             for (ci, &c) in kids.iter().enumerate() {
-                if recv_busy[c as usize][t + 1] || !undelivered[v][ci].remove(&(ta, msg)) {
+                if receives_up(c, t + 1) || !undelivered[v][ci].remove(&(ta, msg)) {
                     continue;
                 }
-                remaining -= 1;
-                recv_busy[c as usize][t + 1] = true;
                 dests.push(fl.vertex(c) as usize);
                 // The child now owes this message to its own children.
-                remaining += owe(&fl, &mut undelivered, c, t + 1, msg);
+                if owe(&fl, &mut undelivered, c, t + 1, msg) > 0 {
+                    active.insert(c);
+                }
                 if !multicast {
                     break;
                 }
             }
             debug_assert!(!dests.is_empty());
-            send_busy[v][t] = true;
+            if !owes(&undelivered, label) {
+                active.remove(&label);
+            }
             let from = fl.vertex(label) as usize;
             schedule.add_transmission(t, Transmission::new(msg, from, dests));
         }

@@ -10,10 +10,10 @@
 //! round, decides the one multicast to emit — using only its own `(i, j,
 //! k)`, its parent's label (to know whether it is the first child), and its
 //! children's subtree ranges (to know which child already owns a message).
-//! No vertex ever inspects another vertex's state. Its send times are the
-//! offline planner's own per-vertex event sequences, stepped one round at
-//! a time, so the online and offline protocols share one definition of
-//! the rules.
+//! No vertex ever inspects another vertex's state. It is the offline
+//! planner's own per-vertex machine: the offline engine steps the same
+//! machines in lock-step, one round at a time, so the online and offline
+//! protocols share one definition of the rules and one step.
 //!
 //! Two harnesses execute the protocol: [`run_online`] (deterministic
 //! lock-step rounds in one thread) and [`run_online_threaded`] (one OS
@@ -22,7 +22,7 @@
 //! schedule to the offline [`crate::concurrent_updown`], which is the
 //! paper's online-adaptation claim made executable.
 
-use crate::fast_planner::{d2_slot, Ev, OwnSeq, UpSeq};
+use crate::fast_planner::{Down, VertexMachine, NONE};
 use crate::labeling::{FlatLabels, VertexParams};
 use gossip_graph::RootedTree;
 use gossip_model::{Schedule, Transmission};
@@ -42,48 +42,28 @@ pub struct OnlineSend {
     pub to_children: Vec<u32>,
 }
 
-/// The per-processor online protocol state: the offline planner's
-/// Propagate-Up and own-subtree event sequences, stepped one round at a
-/// time, plus the D2 arrivals parked until their deferred slots.
+/// The per-processor online protocol state: one of the offline engine's
+/// vertex machines (its Propagate-Up and own-subtree event sequences, the
+/// D2 arrivals parked until their deferred slots), stepped by the same
+/// per-round step.
 #[derive(Debug, Clone)]
 pub struct OnlineVertex {
-    p: VertexParams,
-    /// Children labels and their subtree range ends.
-    children: Vec<(u32, u32)>,
-    up: UpSeq,
-    own: OwnSeq,
-    /// The next (U3/U4) and (D3) events, `None` once a sequence is done.
-    up_head: Option<Ev>,
-    own_head: Option<Ev>,
-    /// O-messages received at times `i - k` and `i - k + 1`, each with
-    /// the deferred slot it leaves at.
-    parked: [Option<Ev>; 2],
+    machine: VertexMachine,
+    /// Children labels, and their subtree range ends.
+    kids: Vec<u32>,
+    ends: Vec<u32>,
 }
 
 impl OnlineVertex {
     /// Builds the protocol state from purely local information: this
     /// vertex's parameters and its children's `(label, range end)` pairs.
     pub fn new(p: VertexParams, children: Vec<(u32, u32)>) -> Self {
-        let mut up = UpSeq::new(p.i, p.j, p.k, p.parent_i);
-        let mut own = OwnSeq::new(p.i, p.j, p.k);
+        let (kids, ends) = children.into_iter().unzip();
         OnlineVertex {
-            p,
-            children,
-            up_head: up.next().map(|(e, _)| e),
-            own_head: own.next().map(|(e, _)| e),
-            up,
-            own,
-            parked: [None, None],
+            machine: VertexMachine::new(p.i, p.j, p.k, p.parent_i),
+            kids,
+            ends,
         }
-    }
-
-    /// All children except the one whose subtree contains `m`.
-    fn children_except_owner(&self, m: u32) -> Vec<u32> {
-        self.children
-            .iter()
-            .filter(|&&(c, end)| !(c <= m && m <= end))
-            .map(|&(c, _)| c)
-            .collect()
     }
 
     /// Advances one round: `t` is the current time, `from_parent` the
@@ -95,73 +75,28 @@ impl OnlineVertex {
     ///
     /// Panics if the protocol derives two sends for one round that do not
     /// merge — a forward and any other send, or U4 and D3 with different
-    /// messages. Theorem 1 rules that out, so a panic indicates corrupted
-    /// inputs (e.g. a `from_parent` stream not produced by this protocol).
+    /// messages — or a third deferred arrival, or if a round in which this
+    /// vertex had a send due was skipped. Theorem 1 rules the conflicts
+    /// out, so a panic indicates corrupted inputs (e.g. a `from_parent`
+    /// stream not produced by this protocol).
     pub fn on_round(&mut self, t: usize, from_parent: Option<u32>) -> Option<OnlineSend> {
         // Every send happens before n + r, which fits in u32.
         let Ok(t) = u32::try_from(t) else {
             return None;
         };
-
-        // (D2) forward the arrival now, or park it until its slot.
-        let mut forward = None;
-        if let Some(m) = from_parent.filter(|_| !self.p.is_leaf()) {
-            debug_assert!(
-                m < self.p.i || m > self.p.j,
-                "parent sent own-subtree message {m}"
-            );
-            match d2_slot(t, self.p.i, self.p.j, self.p.k) {
-                slot if slot == t => forward = Some(m),
-                slot => {
-                    let cell = self.parked.iter_mut().find(|c| c.is_none());
-                    *cell.expect("two deferred slots") = Some(Ev { t: slot, msg: m });
-                }
-            }
-        }
-        let due = self.parked.iter_mut().find(|c| c.is_some_and(|e| e.t == t));
-        if let Some(e) = due.and_then(Option::take) {
-            assert!(forward.is_none(), "online protocol conflict");
-            forward = Some(e.msg);
-        }
-
-        // (U3/U4) and (D3): the sequence heads due now.
-        let up = self.up_head.filter(|e| e.t == t);
-        if up.is_some() {
-            self.up_head = self.up.next().map(|(e, _)| e);
-        }
-        let own = self.own_head.filter(|e| e.t == t);
-        if own.is_some() {
-            self.own_head = self.own.next().map(|(e, _)| e);
-        }
-
-        if let Some(m) = forward {
-            assert!(up.is_none() && own.is_none(), "online protocol conflict");
-            return Some(OnlineSend {
-                msg: m,
-                to_parent: false,
-                to_children: self.children.iter().map(|&(c, _)| c).collect(),
-            });
-        }
-        let to_children = own.map_or_else(Vec::new, |e| self.children_except_owner(e.msg));
-        match (up, own) {
-            (Some(u), own) => {
-                assert!(
-                    own.is_none_or(|o| o.msg == u.msg),
-                    "online protocol conflict"
-                );
-                Some(OnlineSend {
-                    msg: u.msg,
-                    to_parent: true,
-                    to_children,
-                })
-            }
-            (None, Some(o)) if !to_children.is_empty() => Some(OnlineSend {
-                msg: o.msg,
-                to_parent: false,
-                to_children,
-            }),
-            (None, _) => None,
-        }
+        let ends = &self.ends;
+        let arrival = from_parent.unwrap_or(NONE);
+        let send = self.machine.step(t, arrival, &self.kids, |p| ends[p])?;
+        let to_children = match send.down {
+            Down::No => Vec::new(),
+            Down::All => self.kids.clone(),
+            Down::Except(owner) => self.kids.iter().copied().filter(|&c| c != owner).collect(),
+        };
+        Some(OnlineSend {
+            msg: send.msg,
+            to_parent: send.to_parent,
+            to_children,
+        })
     }
 }
 

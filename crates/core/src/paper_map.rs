@@ -44,8 +44,8 @@
 //! | o/b/s/l/r-message taxonomy; lip/rip | [`crate::classify()`](crate::classify()), [`crate::is_lip`], [`crate::is_rip`] |
 //! | algorithm Simple, Lemma 1 (`2n + r - 3`) | [`crate::simple_gossip`] |
 //! | algorithm UpDown \[15\] | [`crate::updown_gossip`] (reconstruction; see DESIGN.md §3) |
-//! | algorithm Propagate-Up (U1–U4), Lemma 2 | the planner walk's `UpSeq` (`fast_planner.rs`), shared by [`crate::concurrent_updown`], [`crate::gather_schedule`] (standalone) and [`crate::OnlineVertex`] |
-//! | algorithm Propagate-Down (D1–D3), Lemma 3 | the walk's `OwnSeq` (D3) and `d2_slot` (D2); per-rule tags, reported by the walk, in [`crate::annotated_concurrent_updown`] |
+//! | algorithm Propagate-Up (U1–U4), Lemma 2 | `UpSeq` (`fast_planner.rs`), one sequence per vertex machine of the lock-step engine, shared by [`crate::concurrent_updown`], [`crate::gather_schedule`] (standalone) and [`crate::OnlineVertex`]; a leaf's one event is bucketed by round |
+//! | algorithm Propagate-Down (D1–D3), Lemma 3 | `OwnSeq` (D3) and `d2_slot` (D2), overlaid by the machine's one per-round step, which reads the parent's down-send of the round before; per-rule tags, reported by the step, in [`crate::annotated_concurrent_updown`] |
 //! | ConcurrentUpDown, Theorem 1 (`n + r`) | [`crate::concurrent_updown`]; property tests in `tests/theorem1_properties.rs` |
 //! | Tables 1–4 | [`gossip_model::vertex_trace`] rendering; exact assertions in `tests/paper_tables.rs` |
 //! | the "message 5 sent late causes conflicts" discussion | the deferral slots `j - k + 1`, `j - k + 2` ([`crate::annotated::Rule::D2Deferred`]) |
@@ -58,7 +58,7 @@
 //! | `O(mn)` tree step dominates; rest `O(n)` | criterion benches (`benches/construction.rs`) |
 //! | repeated gossiping amortizes the tree | [`crate::TreeMaintainer`], [`crate::pipelined_gossip`] (experiments E21) |
 //! | line networks: improve by one unit, non-uniform | [`crate::line_gossip_schedule`] (`n + r - 1`, exact search) |
-//! | online adaptation (only `i`, `j`, `k` needed) | [`crate::OnlineVertex`] (the walk's `UpSeq`/`OwnSeq` stepped per round, D2 arrivals parked until their `d2_slot`), [`crate::run_online`], [`crate::run_online_threaded`] |
+//! | online adaptation (only `i`, `j`, `k` needed) | [`crate::OnlineVertex`] (one vertex machine of the offline engine, stepped by the same per-round step: the offline generators run §4's protocol in lock-step), [`crate::run_online`], [`crate::run_online_threaded`] |
 //! | weighted gossiping by chain splitting | [`crate::weighted_gossip`] |
 //!
 //! ## Beyond the paper (context the experiments add)

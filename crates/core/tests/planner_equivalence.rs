@@ -1,5 +1,5 @@
 //! Planner equivalence. Both ConcurrentUpDown generators and the
-//! rule-tagged one run one event walk, so each is checked against an
+//! rule-tagged one run one lock-step engine, so each is checked against an
 //! independent oracle: the paper's rules overlaid per vertex in a
 //! `BTreeMap`, with every label read straight off [`RootedTree`], so it
 //! shares no code with the label arena it checks. On the same tree
@@ -12,10 +12,10 @@ use gossip_core::{
     annotated_concurrent_updown, concurrent_updown, concurrent_updown_flat_on,
     AnnotatedTransmission, FlatLabels, GossipPlanner, Rule,
 };
-use gossip_graph::{min_depth_spanning_tree, ChildOrder, Graph, RootedTree, NO_PARENT};
+use gossip_graph::{bfs_tree, min_depth_spanning_tree, ChildOrder, Graph, RootedTree, NO_PARENT};
 use gossip_model::{CommModel, FlatSchedule, Schedule, SimKernel, Transmission};
 use gossip_telemetry::NoopRecorder;
-use gossip_workloads::{fig5_tree, random_connected};
+use gossip_workloads::{fig5_tree, random_connected, random_tree};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -362,5 +362,22 @@ proptest! {
                 return Err(format!("CSR mismatch: {d}"));
             }
         }
+    }
+
+    /// Deep, irregular trees: a uniform random tree on up to 160
+    /// vertices, rooted at a random vertex (heights far above a
+    /// minimum-depth tree's, long D2 deferral chains) and at its center
+    /// with the largest subtree first. Both generators and the tags must
+    /// equal the overlay oracle on each.
+    fn generators_match_oracle_on_random_trees(
+        n in 2usize..=160,
+        seed in 0u64..1u64 << 48,
+        root_pick in 0usize..1 << 16,
+    ) {
+        let g = random_tree(n, seed);
+        assert_generators_match_oracle(&bfs_tree(&g, root_pick % n, ChildOrder::ById).unwrap());
+        assert_generators_match_oracle(
+            &min_depth_spanning_tree(&g, ChildOrder::LargestSubtreeFirst).unwrap(),
+        );
     }
 }
