@@ -892,6 +892,35 @@ fn profile_writes_artifact_and_collapsed_stacks() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `gossip profile` on the reference planner holds the plan past the
+/// timed window. Its `Schedule` keeps one destination list per
+/// transmission (hundreds of thousands on this graph), and dropping it
+/// inside the window left about a tenth of `plan_ms` unattributed.
+#[test]
+fn profile_attributes_the_reference_plan_window() {
+    let dir = temp_dir("profile-attribution");
+    let prof = dir.join("PROF.json");
+    let (ok, stdout, stderr) = gossip(&[
+        "profile",
+        "--graph",
+        "gnp:2048,0.0087890625",
+        "--seed",
+        "51",
+        "--out",
+        prof.to_str().unwrap(),
+    ]);
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    let text = std::fs::read_to_string(&prof).unwrap();
+    let pct: f64 = text
+        .split("\"attributed_pct\":")
+        .nth(1)
+        .and_then(|rest| rest.split([',', '\n']).next())
+        .and_then(|value| value.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no attributed_pct in {text}"));
+    assert!(pct >= 95.0, "attributed_pct {pct}: {stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn plan_profile_out_coexists_with_flight_out() {
     let dir = temp_dir("plan-profile");

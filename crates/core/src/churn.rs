@@ -29,7 +29,8 @@
 //!    replanned from scratch. Both costs are reported per batch
 //!    ([`ChurnEpoch::repaired_entries`] vs
 //!    [`ChurnEpoch::scratch_entries`]), which is the evidence for the
-//!    "strictly fewer replanned entries" acceptance check.
+//!    "strictly fewer replanned entries" acceptance check. The scratch
+//!    cost is counted by [`completion_deliveries`], not planned.
 //!
 //! After the last event a **predictive bound guard** runs: if the
 //! projected finish overruns `n + r` of the *final* graph, the remainder
@@ -40,7 +41,7 @@
 
 use crate::maintenance::{EdgeOp, TreeMaintainer};
 use crate::pipeline::{GossipPlan, GossipPlanner};
-use crate::recovery::{plan_completion, DEFAULT_MAX_EPOCHS};
+use crate::recovery::{completion_deliveries, plan_completion, DEFAULT_MAX_EPOCHS};
 use gossip_graph::{Graph, GraphError};
 use gossip_model::{
     BitSet, ChurnEvent, ChurnOp, ChurnPlan, CommModel, FaultPlan, FlatSchedule, LostDelivery,
@@ -124,7 +125,8 @@ pub struct ChurnEpoch {
     pub repaired_entries: usize,
     /// Deliveries a replan-from-scratch (discard the surviving schedule,
     /// replan everything still missing) would have planned at this
-    /// instant — the comparison baseline for the incremental claim.
+    /// instant — the comparison baseline for the incremental claim,
+    /// counted by [`completion_deliveries`].
     pub scratch_entries: usize,
 }
 
@@ -601,11 +603,14 @@ impl<'a> ChurnExecutor<'a> {
 
             // --- repair
             let connected = present_connected(&graph, &present);
-            let scratch_plan = plan_completion(&graph, &holds, &present);
-            let scratch = scratch_plan.schedule.stats().deliveries;
+            // The from-scratch baseline is counted, not planned; only a
+            // full replan needs its schedule.
+            let scratch = completion_deliveries(&graph, &holds, &present);
             let (decision, repaired) = if root_departed || !connected {
                 // The root component changed: replan the world from
                 // current knowledge, discarding the surviving schedule.
+                let scratch_plan = plan_completion(&graph, &holds, &present);
+                debug_assert_eq!(scratch_plan.schedule.stats().deliveries, scratch);
                 for round in pending.rounds.iter_mut().skip(time) {
                     round.transmissions.clear();
                 }

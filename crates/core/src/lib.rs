@@ -104,8 +104,8 @@ pub use pipelined::{
     min_pipeline_period, pipelined_gossip, pipelined_gossip_recorded, PipelinedPlan,
 };
 pub use recovery::{
-    plan_completion, EpochReport, RecoveryReport, ResidualPlan, ResilientExecutor,
-    DEFAULT_MAX_EPOCHS,
+    completion_deliveries, plan_completion, EpochReport, RecoveryReport, ResidualPlan,
+    ResilientExecutor, DEFAULT_MAX_EPOCHS,
 };
 pub use ring::{circuit_gossip_schedule, ring_gossip_schedule};
 pub use search::{petersen_gossip_schedule, randomized_gossip_search, SearchOutcome};

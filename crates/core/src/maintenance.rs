@@ -15,6 +15,12 @@
 //! - inserting an edge keeps the tree valid but may shrink the radius; the
 //!   maintainer recomputes lazily and keeps the old plan when the radius is
 //!   unchanged.
+//!
+//! Every commit leaves `plan().radius` equal to the radius of `graph()`: a
+//! rebuilt plan is the new graph's, and a kept tree still spans the new
+//! graph (so its radius is at most the tree's height) while the rebuild
+//! rule guarantees it did not shrink. So only a batch that inserts needs a
+//! radius at all.
 
 use crate::pipeline::{GossipPlan, GossipPlanner};
 use gossip_graph::{Graph, GraphError};
@@ -132,9 +138,13 @@ impl TreeMaintainer {
     pub fn batch(&mut self, ops: &[EdgeOp]) -> Result<MaintenanceOutcome, GraphError> {
         let mut candidate = self.graph.clone();
         let mut tree_edge_lost = false;
+        let mut inserts = false;
         for op in ops {
             match *op {
-                EdgeOp::Insert(u, v) => candidate = candidate.with_edge(u, v)?,
+                EdgeOp::Insert(u, v) => {
+                    candidate = candidate.with_edge(u, v)?;
+                    inserts = true;
+                }
                 EdgeOp::Remove(u, v) => {
                     candidate = candidate.without_edge(u, v)?;
                     tree_edge_lost |=
@@ -147,8 +157,11 @@ impl TreeMaintainer {
         }
         // One decision for the whole batch: rebuild if the tree no longer
         // spans (a tree edge was removed) or is no longer optimal (the net
-        // effect shrank the radius below the tree's height).
-        let rebuild = tree_edge_lost || gossip_graph::radius(&candidate)? < self.plan.radius;
+        // effect shrank the radius below the tree's height). Only an
+        // insertion can shrink it: a removal never shortens a distance, and
+        // `plan.radius` is the current graph's radius after every commit.
+        let rebuild =
+            tree_edge_lost || (inserts && gossip_graph::radius(&candidate)? < self.plan.radius);
         if rebuild {
             let plan = self.build_plan(&candidate)?;
             self.commit(candidate, Some(plan));

@@ -13,6 +13,8 @@
 //!   its surviving holders outward. Pairs no surviving holder can reach —
 //!   the message is extinct among survivors, or crashes disconnected them —
 //!   are reported as abandoned rather than looped on forever.
+//!   [`completion_deliveries`] counts that plan's deliveries in closed
+//!   form, for callers that only report its size.
 //! - [`ResilientExecutor`] wraps execution with epoch-based repair: run the
 //!   base schedule lossily, detect the residual, replan, re-run — repair
 //!   epochs execute under the *same* fault plan (faults keep firing at the
@@ -147,6 +149,67 @@ pub fn plan_completion(g: &Graph, holds: &[BitSet], alive: &[bool]) -> ResidualP
         covered,
         abandoned,
     }
+}
+
+/// The deliveries [`plan_completion`] would plan for the same input,
+/// counted without planning it.
+///
+/// The greedy emits an empty round only when no alive holder has an alive
+/// neighbour missing one of its messages. So it ends with every component
+/// C of the alive subgraph knowing U_C, the union of its members' holds,
+/// which no round can grow. Each delivery adds exactly one pair: a vertex
+/// receives at most once per round, only a message it lacks, and a round
+/// commits after it is planned. The count is therefore the sum over alive
+/// `v` of |U_C \ holds(v)|, C being `v`'s component: one pass over the
+/// alive subgraph's components and one over the hold words.
+///
+/// # Panics
+///
+/// Panics on the inputs [`plan_completion`] rejects.
+pub fn completion_deliveries(g: &Graph, holds: &[BitSet], alive: &[bool]) -> usize {
+    let n = g.n();
+    assert_eq!(holds.len(), n, "hold sets for a different processor count");
+    assert_eq!(alive.len(), n, "alive mask for a different processor count");
+    let n_msgs = holds.first().map_or(0, BitSet::capacity);
+    assert!(
+        holds.iter().all(|h| h.capacity() == n_msgs),
+        "hold sets have mixed capacities"
+    );
+    let mut seen = vec![false; n];
+    let mut members: Vec<usize> = Vec::new();
+    let mut union = vec![0u64; n_msgs.div_ceil(64)];
+    let mut deliveries = 0usize;
+    for s in 0..n {
+        if !alive[s] || seen[s] {
+            continue;
+        }
+        seen[s] = true;
+        members.clear();
+        members.push(s);
+        let mut next = 0;
+        while let Some(&v) = members.get(next) {
+            next += 1;
+            for d in g.neighbors(v) {
+                if alive[d] && !seen[d] {
+                    seen[d] = true;
+                    members.push(d);
+                }
+            }
+        }
+        union.fill(0);
+        for &v in &members {
+            for (u, &w) in union.iter_mut().zip(holds[v].words()) {
+                *u |= w;
+            }
+        }
+        for &v in &members {
+            let lacks = union.iter().zip(holds[v].words());
+            deliveries += lacks
+                .map(|(&u, &h)| (u & !h).count_ones() as usize)
+                .sum::<usize>();
+        }
+    }
+    deliveries
 }
 
 /// `pairs` without the pairs in `remove`, by one ordered merge walk: both
@@ -429,20 +492,23 @@ impl<'a> ResilientExecutor<'a> {
         // on the two engines' parity.
         let mut sim = SimKernel::with_origins(self.g, self.model, self.origins)?;
         let mut lost_log: Vec<LostDelivery> = Vec::new();
-        let mut transcript = self.schedule.clone();
-        transcript.trim();
         let baseline_rounds = self.schedule.makespan();
 
         let mut epochs = Vec::new();
         let mut retransmissions = 0usize;
         let mut unrecoverable: Vec<(u32, usize)> = Vec::new();
 
-        let (base_attempted, base_out) = {
+        // The transcript starts as a copy of the base schedule, made inside
+        // the base epoch's span beside the flatten of the same schedule, so
+        // a traced run books the copy to that epoch instead of to no span.
+        let (base_attempted, base_out, mut transcript) = {
             let _e = self.recorder.span("epoch");
             self.epoch_start(0, 0);
             let flat = FlatSchedule::from_schedule(self.schedule);
+            let mut transcript = self.schedule.clone();
+            transcript.trim();
             let out = sim.run_lossy_recorded(&flat, self.plan, &mut lost_log, self.recorder)?;
-            (flat.deliveries(), out)
+            (flat.deliveries(), out, transcript)
         };
         self.record_epoch(&mut epochs, 0, 0, base_attempted, &base_out, &sim);
 

@@ -7,8 +7,12 @@
 //! also replayed strictly from the holds it was planned from, so a planner
 //! that sent an unheld message or broke a model rule would fail here
 //! rather than read as a loss in the executors' lossy replay.
+//!
+//! `completion_deliveries`, the closed-form size of a completion, must
+//! count exactly the deliveries (and covered pairs) of every plan here,
+//! including residuals whose alive subgraph falls into several components.
 
-use gossip_core::{plan_completion, ResidualPlan, ResilientExecutor};
+use gossip_core::{completion_deliveries, plan_completion, ResidualPlan, ResilientExecutor};
 use gossip_graph::Graph;
 use gossip_model::{BitSet, CommModel, FaultPlan, FlatSchedule, Schedule, SimKernel, Transmission};
 use gossip_workloads::random_connected;
@@ -101,6 +105,40 @@ fn same_plan(got: &ResidualPlan, want: &ResidualPlan) -> Result<(), String> {
     Ok(())
 }
 
+/// Fails unless `completion_deliveries` counts what `plan`, planned from
+/// the same input, delivers: its schedule's deliveries and its covered
+/// pairs.
+fn counted(g: &Graph, holds: &[BitSet], alive: &[bool], plan: &ResidualPlan) -> Result<(), String> {
+    let count = completion_deliveries(g, holds, alive);
+    prop_assert_eq!(count, plan.schedule.stats().deliveries);
+    prop_assert_eq!(count, plan.covered.len());
+    Ok(())
+}
+
+/// Number of connected components of the subgraph the alive processors
+/// induce.
+fn alive_components(g: &Graph, alive: &[bool]) -> usize {
+    let mut seen = vec![false; g.n()];
+    let mut count = 0;
+    for s in (0..g.n()).filter(|&s| alive[s]) {
+        if seen[s] {
+            continue;
+        }
+        count += 1;
+        seen[s] = true;
+        let mut stack = vec![s];
+        while let Some(v) = stack.pop() {
+            for d in g.neighbors(v) {
+                if alive[d] && !seen[d] {
+                    seen[d] = true;
+                    stack.push(d);
+                }
+            }
+        }
+    }
+    count
+}
+
 /// Replays `plan` strictly from `holds` and checks where it lands: the
 /// final holds are the starting holds plus `covered`, so dead processors
 /// are untouched and every abandoned pair is still missing.
@@ -188,7 +226,21 @@ proptest! {
         let got = plan_completion(&g, &holds, &alive);
         same_plan(&got, &oracle_plan_completion(&g, &holds, &alive))?;
         replays_strictly(&g, &holds, &alive, &got)?;
+        counted(&g, &holds, &alive, &got)?;
     }
+}
+
+/// The proptest's residuals do reach alive subgraphs of several
+/// components, where the count must take one union per component.
+#[test]
+fn random_residuals_include_split_alive_subgraphs() {
+    let split = (0..64u64)
+        .filter(|&seed| {
+            let (g, _, alive) = random_residual(60, seed);
+            alive_components(&g, &alive) > 1
+        })
+        .count();
+    assert!(split >= 4, "only {split} of 64 residuals split");
 }
 
 /// Residuals shaped like the recovery executor's: the holds a planned
@@ -219,6 +271,7 @@ fn executor_shaped_residuals_match_the_oracle() {
             let got = plan_completion(&g, &holds, &alive);
             same_plan(&got, &oracle_plan_completion(&g, &holds, &alive)).unwrap();
             replays_strictly(&g, &holds, &alive, &got).unwrap();
+            counted(&g, &holds, &alive, &got).unwrap();
             if got.schedule.makespan() == 0 {
                 break;
             }
@@ -274,7 +327,47 @@ fn degenerate_residuals_match_the_oracle() {
         let got = plan_completion(g, &holds, &alive);
         same_plan(&got, &oracle_plan_completion(g, &holds, &alive)).unwrap();
         replays_strictly(g, &holds, &alive, &got).unwrap();
+        counted(g, &holds, &alive, &got).unwrap();
     }
+}
+
+/// A path of 9 whose processors 2 and 5 are dead splits into three alive
+/// components, {0, 1}, {3, 4} and {6, 7, 8}, each with its own union of
+/// holds: a count taking one union over every alive processor would ask
+/// the first component for messages only the others hold.
+#[test]
+fn split_alive_subgraph_counts_one_union_per_component() {
+    let g = Graph::from_edges(9, &(1..9).map(|v| (v - 1, v)).collect::<Vec<_>>()).unwrap();
+    let alive: Vec<bool> = (0..9).map(|v| v != 2 && v != 5).collect();
+    assert_eq!(alive_components(&g, &alive), 3);
+    let held: [&[usize]; 9] = [
+        &[0],
+        &[1, 70],
+        &[0, 1, 2, 3, 4, 5, 6, 7, 8],
+        &[3],
+        &[],
+        &[5],
+        &[6, 65],
+        &[7],
+        &[8, 129],
+    ];
+    let holds: Vec<BitSet> = held
+        .iter()
+        .map(|ms| {
+            let mut h = BitSet::new(130);
+            ms.iter().for_each(|&m| {
+                h.insert(m);
+            });
+            h
+        })
+        .collect();
+    // {0, 1} trade {0, 1, 70}: 2 + 1 deliveries; {3, 4}: 1; {6, 7, 8}
+    // trade {6, 7, 8, 65, 129}: 3 + 4 + 3.
+    assert_eq!(completion_deliveries(&g, &holds, &alive), 3 + 1 + 10);
+    let got = plan_completion(&g, &holds, &alive);
+    same_plan(&got, &oracle_plan_completion(&g, &holds, &alive)).unwrap();
+    replays_strictly(&g, &holds, &alive, &got).unwrap();
+    counted(&g, &holds, &alive, &got).unwrap();
 }
 
 #[test]

@@ -2,14 +2,15 @@
 //!
 //! The paper's schedule length is `n + r` with `r` the network *radius*: the
 //! least `r` such that some vertex is within `r` hops of every other vertex.
-//! Computing `r` exactly requires the eccentricity of every vertex — an
-//! n-source BFS sweep, `O(mn)` total, which [`distance_metrics`] runs
-//! sequentially with one reused scratch buffer. (The spanning-tree
-//! constructions run their own sweeps.)
+//! [`distance_metrics`] and [`diameter`] need the eccentricity of every
+//! vertex — an n-source BFS sweep, `O(mn)` total, run sequentially with one
+//! reused scratch buffer. [`radius`] needs only the least one, and runs the
+//! fast spanning tree's pruned search instead (`spanning::fast`).
 
 use crate::bfs::{bfs, bfs_into};
 use crate::error::GraphError;
 use crate::graph::Graph;
+use crate::spanning::fast::center_search;
 use rayon::prelude::*;
 
 /// Global distance summary of a connected graph.
@@ -61,9 +62,19 @@ pub fn distance_metrics(g: &Graph) -> Result<DistanceMetrics, GraphError> {
     Ok(DistanceMetrics::from_eccentricities(ecc))
 }
 
-/// The radius of a connected graph (sequential sweep).
+/// The radius of a connected graph, by the pruned multi-source search of
+/// [`crate::min_depth_spanning_tree_fast`]: double-sweep lower bounds,
+/// then 64-source waves over the vertices whose bound is below the
+/// incumbent. It builds no tree, records nothing and opens no profiler
+/// phase.
+///
+/// Errors like [`distance_metrics`]: [`GraphError::EmptyGraph`] on zero
+/// vertices, [`GraphError::Disconnected`] if some vertex is unreachable.
 pub fn radius(g: &Graph) -> Result<u32, GraphError> {
-    Ok(distance_metrics(g)?.radius)
+    if g.n() == 0 {
+        return Err(GraphError::EmptyGraph);
+    }
+    Ok(center_search(g, false)?.best.0)
 }
 
 /// The diameter of a connected graph (sequential sweep).

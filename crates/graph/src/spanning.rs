@@ -101,7 +101,9 @@ pub fn min_depth_spanning_tree_recorded(
         let t0 = recorder.enabled().then(Instant::now);
         let eccs = {
             let _sweep = gossip_telemetry::profile::phase("bfs_sweep");
-            fast::eval_batch(g, &sources)
+            let eccs = fast::eval_batch(g, &sources);
+            fast::count_frontier_popped(&eccs);
+            eccs
         };
         let per_root_ns = t0.map(|t0| t0.elapsed().as_nanos() as f64 / sources.len() as f64);
         for (ecc, v) in eccs {
@@ -182,7 +184,7 @@ pub(crate) fn parents_to_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::radius;
+    use crate::metrics::distance_metrics;
 
     fn path(n: usize) -> Graph {
         Graph::from_edges(n, &(0..n - 1).map(|i| (i, i + 1)).collect::<Vec<_>>()).unwrap()
@@ -204,7 +206,7 @@ mod tests {
     #[test]
     fn tree_height_equals_radius() {
         for g in [path(9), cycle(8), cycle(9), path(2)] {
-            let r = radius(&g).unwrap();
+            let r = distance_metrics(&g).unwrap().radius;
             let t = min_depth_spanning_tree(&g, ChildOrder::ById).unwrap();
             assert_eq!(t.height(), r);
         }

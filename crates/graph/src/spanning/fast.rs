@@ -29,8 +29,11 @@
 //! list) is fixed independent of thread count, and batch results are reduced
 //! by exact `(ecc, id)` minima — so the chosen root, and therefore the tree,
 //! is byte-identical no matter how many rayon workers run the batches.
+//!
+//! Steps 1–3 are `center_search`; [`crate::radius`] runs the same search
+//! and keeps only the radius.
 
-use crate::bfs::{bfs, bfs_into};
+use crate::bfs::{bfs, bfs_into, BfsResult};
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::spanning::{parents_to_tree, ChildOrder};
@@ -68,12 +71,80 @@ pub fn min_depth_spanning_tree_fast_recorded(
         return Err(GraphError::EmptyGraph);
     }
     let _span = recorder.span("spanning_tree_fast");
+    let mut search = center_search(g, true)?;
+    if search.early_exit {
+        recorder.counter("spanning/early_exit", 1);
+    }
+    let (sweeps, pruned) = (search.sweeps, search.pruned);
+    gossip_telemetry::profile::count("bfs_sweeps", sweeps);
+    gossip_telemetry::profile::count("candidates_pruned", pruned);
+    gossip_telemetry::profile::count("ms_batches", search.batches);
+    let (radius, root) = search.best;
+    if recorder.enabled() {
+        recorder.counter("spanning/sweeps", sweeps);
+        recorder.counter("spanning/pruned", pruned);
+        recorder.gauge("spanning/radius", f64::from(radius));
+        recorder.event(
+            "spanning_tree",
+            &[
+                ("mode", gossip_telemetry::Value::String("fast".to_string())),
+                ("sweeps", gossip_telemetry::Value::from_u64(sweeps)),
+                ("pruned", gossip_telemetry::Value::from_u64(pruned)),
+                (
+                    "radius",
+                    gossip_telemetry::Value::from_u64(u64::from(radius)),
+                ),
+                ("root", gossip_telemetry::Value::from_u64(u64::from(root))),
+            ],
+        );
+    }
+
+    // Final scalar sweep from the winner gives the parent array — the same
+    // BFS the reference runs, so equal roots mean byte-identical trees.
+    let scratch = &mut search.scratch;
+    {
+        let _p = gossip_telemetry::profile::phase("final_bfs");
+        bfs_into(g, root as usize, scratch);
+    }
+    debug_assert_eq!(scratch.eccentricity(), Some(radius));
+    parents_to_tree(root as usize, &scratch.parent, order)
+}
+
+/// What [`center_search`] found, and the work it took.
+pub(crate) struct CenterSearch {
+    /// The least `(eccentricity, id)` among the vertices evaluated: the
+    /// radius, and the root the tree builder hangs its tree from.
+    pub(crate) best: (u32, u32),
+    /// A BFS buffer sized for the graph, free for the caller's next sweep.
+    pub(crate) scratch: BfsResult,
+    /// Eccentricities evaluated: the double sweep's three plus every
+    /// candidate a wave took.
+    pub(crate) sweeps: u64,
+    /// Candidates dropped unevaluated.
+    pub(crate) pruned: u64,
+    /// 64-source batches run.
+    pub(crate) batches: u64,
+    /// Whether the search stopped at the radius floor.
+    pub(crate) early_exit: bool,
+}
+
+/// Steps 1–3 of the module docs: the radius of a connected, non-empty
+/// graph, and the root the fast tree uses. `profiled` opens the
+/// `double_sweep` and `ms_bfs` profiler phases and counts the batches'
+/// `frontier_popped`; the tree builder sets it, and [`crate::radius`]
+/// does not, so a radius query adds no PROF node (the double sweep's
+/// scalar BFS count their pops wherever they run, as every BFS does).
+///
+/// Errors with [`GraphError::Disconnected`] when vertex 0's sweep misses a
+/// vertex.
+pub(crate) fn center_search(g: &Graph, profiled: bool) -> Result<CenterSearch, GraphError> {
+    let phase = |name| profiled.then(|| gossip_telemetry::profile::phase(name));
     let n = g.n();
 
     // Step 1: double sweep — 3 scalar BFS giving lower bounds and an
     // initial incumbent, plus the connectivity check.
-    let (mut scratch, lb, floor, mut best) = {
-        let _p = gossip_telemetry::profile::phase("double_sweep");
+    let (scratch, lb, floor, mut best) = {
+        let _p = phase("double_sweep");
         let r0 = bfs(g, 0);
         if !r0.all_reached() {
             return Err(GraphError::Disconnected);
@@ -102,11 +173,12 @@ pub fn min_depth_spanning_tree_fast_recorded(
     let mut sweeps = 3u64;
     let mut pruned = 0u64;
     let mut batches = 0u64;
+    let mut early_exit = true;
 
     // Step 2 + 3: doubling waves of 64-source batches over the candidates
     // that can still beat the incumbent.
     if best.0 > floor {
-        let _p = gossip_telemetry::profile::phase("ms_bfs");
+        let _p = phase("ms_bfs");
         // The three swept vertices need no re-evaluation: 0 is excluded by
         // id; a and b have lb >= ecc(a) >= incumbent (d(a, b) = ecc(a) is
         // in both bounds), so the lb filter drops them.
@@ -123,7 +195,13 @@ pub fn min_depth_spanning_tree_fast_recorded(
             sweeps += take as u64;
             let results: Vec<Vec<(u32, u32)>> = batch_list
                 .into_par_iter()
-                .map(|sources| eval_batch(g, sources))
+                .map(|sources| {
+                    let eccs = eval_batch(g, sources);
+                    if profiled {
+                        count_frontier_popped(&eccs);
+                    }
+                    eccs
+                })
                 .collect();
             for &(ecc, v) in results.iter().flatten() {
                 if (ecc, v) < best {
@@ -148,45 +226,19 @@ pub fn min_depth_spanning_tree_fast_recorded(
             }
             wave *= 2;
         }
-        if best.0 <= floor {
+        early_exit = best.0 <= floor;
+        if early_exit {
             pruned += (candidates.len() - cursor) as u64;
-            recorder.counter("spanning/early_exit", 1);
         }
-    } else {
-        recorder.counter("spanning/early_exit", 1);
     }
-
-    gossip_telemetry::profile::count("bfs_sweeps", sweeps);
-    gossip_telemetry::profile::count("candidates_pruned", pruned);
-    gossip_telemetry::profile::count("ms_batches", batches);
-    let (radius, root) = best;
-    if recorder.enabled() {
-        recorder.counter("spanning/sweeps", sweeps);
-        recorder.counter("spanning/pruned", pruned);
-        recorder.gauge("spanning/radius", f64::from(radius));
-        recorder.event(
-            "spanning_tree",
-            &[
-                ("mode", gossip_telemetry::Value::String("fast".to_string())),
-                ("sweeps", gossip_telemetry::Value::from_u64(sweeps)),
-                ("pruned", gossip_telemetry::Value::from_u64(pruned)),
-                (
-                    "radius",
-                    gossip_telemetry::Value::from_u64(u64::from(radius)),
-                ),
-                ("root", gossip_telemetry::Value::from_u64(u64::from(root))),
-            ],
-        );
-    }
-
-    // Final scalar sweep from the winner gives the parent array — the same
-    // BFS the reference runs, so equal roots mean byte-identical trees.
-    {
-        let _p = gossip_telemetry::profile::phase("final_bfs");
-        bfs_into(g, root as usize, &mut scratch);
-    }
-    debug_assert_eq!(scratch.eccentricity(), Some(radius));
-    parents_to_tree(root as usize, &scratch.parent, order)
+    Ok(CenterSearch {
+        best,
+        scratch,
+        sweeps,
+        pruned,
+        batches,
+        early_exit,
+    })
 }
 
 /// Index of the first maximum in a distance array (ties to smallest id).
@@ -214,6 +266,7 @@ fn max_into(lb: &mut [u32], dist: &[u32]) {
 /// and one word op per up-to-64 frontiers on low-diameter graphs.
 ///
 /// Assumes `g` is connected (each caller's first scalar BFS verified it).
+/// Counts nothing: a profiled caller adds [`count_frontier_popped`].
 pub(crate) fn eval_batch(g: &Graph, sources: &[u32]) -> Vec<(u32, u32)> {
     let n = g.n();
     debug_assert!(!sources.is_empty() && sources.len() <= BATCH);
@@ -274,7 +327,6 @@ pub(crate) fn eval_batch(g: &Graph, sources: &[u32]) -> Vec<(u32, u32)> {
     for &u in &frontier_list {
         frontier[u as usize] = 0;
     }
-    gossip_telemetry::profile::count("frontier_popped", u64::from(level) * sources.len() as u64);
     sources
         .iter()
         .enumerate()
@@ -282,10 +334,18 @@ pub(crate) fn eval_batch(g: &Graph, sources: &[u32]) -> Vec<(u32, u32)> {
         .collect()
 }
 
+/// Books a batch's `frontier_popped` work counter in the innermost
+/// profiler node: every source stays on the frontier until the batch's
+/// last level, which is its largest eccentricity.
+pub(crate) fn count_frontier_popped(eccs: &[(u32, u32)]) {
+    let levels = eccs.iter().map(|&(ecc, _)| ecc).max().unwrap_or(0);
+    gossip_telemetry::profile::count("frontier_popped", u64::from(levels) * eccs.len() as u64);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::radius;
+    use crate::metrics::distance_metrics;
     use crate::spanning::min_depth_spanning_tree;
 
     fn path(n: usize) -> Graph {
@@ -324,7 +384,7 @@ mod tests {
             grid(5, 7),
             grid(9, 9),
         ] {
-            let r = radius(&g).unwrap();
+            let r = distance_metrics(&g).unwrap().radius;
             let t = min_depth_spanning_tree_fast(&g, ChildOrder::ById).unwrap();
             assert_eq!(t.height(), r, "radius mismatch");
             assert!(t.is_spanning_tree_of(&g));
@@ -397,9 +457,29 @@ mod tests {
     }
 
     #[test]
+    fn candidates_tied_with_the_incumbent_are_pruned() {
+        // C_8: vertex 0's sweep gives a = 4 and b = 0, every vertex has
+        // eccentricity 4, and the radius floor is ceil(4 / 2) = 2, so the
+        // incumbent (4, 0) never moves and no wave exits early. Vertex 4's
+        // lower bound d(0, 4) = 4 ties the incumbent, so it is pruned; the
+        // other six (bounds 2 and 3) are evaluated in one batch.
+        let s = center_search(&cycle(8), false).unwrap();
+        assert_eq!(s.best, (4, 0));
+        assert_eq!((s.sweeps, s.pruned, s.batches), (3 + 6, 0, 1));
+        assert!(!s.early_exit);
+        // On a path the bounds are exact: of the 198 candidates (all but the
+        // two ends), the first wave reaches the floor at the center, and the
+        // rest are pruned.
+        let s = center_search(&path(200), false).unwrap();
+        assert_eq!(s.best, (100, 99));
+        assert_eq!((s.sweeps, s.pruned, s.batches), (3 + 64, 198 - 64, 1));
+        assert!(s.early_exit);
+    }
+
+    #[test]
     fn child_order_is_respected() {
         let g = path(6);
         let t = min_depth_spanning_tree_fast(&g, ChildOrder::LargestSubtreeFirst).unwrap();
-        assert_eq!(t.height(), radius(&g).unwrap());
+        assert_eq!(t.height(), distance_metrics(&g).unwrap().radius);
     }
 }

@@ -3,8 +3,8 @@
 
 use gossip_graph::{
     articulation_points, bfs, bfs_into, bfs_tree, components, distance_metrics, is_connected,
-    min_depth_spanning_tree, min_depth_spanning_tree_recorded, ChildOrder, Graph, GraphBuilder,
-    GraphError, RootedTree, NO_PARENT, UNREACHABLE,
+    min_depth_spanning_tree, min_depth_spanning_tree_recorded, radius, ChildOrder, Graph,
+    GraphBuilder, GraphError, RootedTree, NO_PARENT, UNREACHABLE,
 };
 use gossip_telemetry::MetricsRecorder;
 use proptest::prelude::*;
@@ -206,6 +206,85 @@ fn random_connected(n: usize, p: f64, seed: u64) -> Graph {
     b.build()
 }
 
+/// Seeded unit-disk field on `n` points of the unit square: vertices
+/// within distance `reach` are adjacent, and `reach` grows by a quarter
+/// until the field is connected.
+fn unit_disk(n: usize, mut reach: f64, seed: u64) -> Graph {
+    let mut rng = TestRng::for_case(seed);
+    let mut coord = || rng.below(0, 1 << 20) as f64 / (1u64 << 20) as f64;
+    let points: Vec<(f64, f64)> = (0..n).map(|_| (coord(), coord())).collect();
+    loop {
+        let g = edges_graph(
+            n,
+            (0..n)
+                .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+                .filter(|&(u, v)| {
+                    let (dx, dy) = (points[u].0 - points[v].0, points[u].1 - points[v].1);
+                    dx * dx + dy * dy <= reach * reach
+                }),
+        );
+        if is_connected(&g) {
+            return g;
+        }
+        reach *= 1.25;
+    }
+}
+
+/// `radius` (the pruned search) against the full eccentricity sweep.
+fn radius_matches_sweep(g: &Graph) -> Result<(), String> {
+    prop_assert_eq!(radius(g), distance_metrics(g).map(|m| m.radius));
+    Ok(())
+}
+
+#[test]
+fn radius_matches_the_full_sweep_on_structured_graphs() {
+    let mut graphs = vec![star(300, 0), star(300, 299), grid(1, 300), grid(17, 17)];
+    for n in [1usize, 2, 3, 63, 64, 65, 129, 200, 300] {
+        graphs.extend([path(n), star(n, n / 2)]);
+        if n >= 3 {
+            graphs.push(cycle(n));
+        }
+    }
+    for (rows, cols) in [(2, 2), (3, 50), (5, 7), (6, 6), (9, 9), (12, 25), (15, 20)] {
+        graphs.push(grid(rows, cols));
+    }
+    for g in &graphs {
+        radius_matches_sweep(g).unwrap();
+    }
+}
+
+/// Unit-disk fields, the churn executor's topology, from sparse (long
+/// paths, many candidate centers) to dense.
+#[test]
+fn radius_matches_the_full_sweep_on_unit_disk_fields() {
+    for (n, reach) in [
+        (12, 0.3),
+        (72, 0.2),
+        (72, 0.35),
+        (150, 0.12),
+        (256, 0.09),
+        (300, 0.08),
+    ] {
+        for seed in 0..3 {
+            let g = unit_disk(n, reach, seed + n as u64);
+            radius_matches_sweep(&g).unwrap_or_else(|e| panic!("n = {n}, seed {seed}: {e}"));
+        }
+    }
+}
+
+#[test]
+fn radius_errors_match_the_full_sweep() {
+    for g in [
+        GraphBuilder::new(0).build(),
+        edges_graph(4, [(0, 1), (2, 3)]),
+        edges_graph(3, [(1, 2)]),
+        edges_graph(130, (1..129).map(|v| (v - 1, v))),
+    ] {
+        radius_matches_sweep(&g).unwrap();
+        assert!(radius(&g).is_err());
+    }
+}
+
 #[test]
 fn spanning_tree_matches_scalar_sweep_on_batch_edges() {
     // n on both sides of the 64-root batch boundary; path and star centers
@@ -299,6 +378,11 @@ proptest! {
         for &c in &m.center {
             prop_assert_eq!(m.ecc[c], m.radius);
         }
+    }
+
+    #[test]
+    fn radius_matches_the_full_sweep(g in arb_connected(40)) {
+        radius_matches_sweep(&g)?;
     }
 
     #[test]
