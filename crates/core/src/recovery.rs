@@ -58,9 +58,12 @@ pub struct ResidualPlan {
 /// is abandoned.
 ///
 /// A sender's choice is counted from what its free neighbours miss: each
-/// free neighbour `d` adds one to every message of `holds(v) & !holds(d)`,
-/// so a round costs word operations per (sender, free neighbour) pair plus
-/// one step per missing pair it counts, however many messages are held.
+/// free neighbour `d` adds `holds(v) & !holds(d)` into a bit-sliced
+/// counter, plane `p` holding bit `p` of every held message's count, so a
+/// round costs a few word operations per (sender, free neighbour, word)
+/// however many messages are held or missing. A receiver that already
+/// holds every message is never free: it would add no count and cannot be
+/// a destination.
 ///
 /// # Panics
 ///
@@ -80,43 +83,75 @@ pub fn plan_completion(g: &Graph, holds: &[BitSet], alive: &[bool]) -> ResidualP
     let words = n_msgs.div_ceil(64);
     let mut arena: Vec<u64> = holds.iter().flat_map(BitSet::words).copied().collect();
     let initially_missing = missing_pairs(&arena, n_msgs, alive);
+    // lacking[v]: the messages v misses, less each delivery as a round
+    // commits. Only processors lacking something are free to receive.
+    let mut lacking: Vec<usize> = holds.iter().map(|h| n_msgs - h.len()).collect();
+    let bit_length = |k: usize| (usize::BITS - k.leading_zeros()) as usize;
 
     let mut schedule = Schedule::new(n);
     let mut free = vec![false; n];
-    // count[m]: free neighbours of the current sender that miss held m.
-    let mut count = vec![0u32; n_msgs];
-    let mut touched: Vec<usize> = Vec::new();
-    let mut free_nbrs: Vec<usize> = Vec::new();
+    let mut nbrs = vec![0usize; g.max_degree()];
+    // The counter: `planes[w * used + p]` is bit p of the counts of word
+    // w's messages, `used` being the bit length of the sender's free
+    // neighbour count, which bounds every count it can reach.
+    let mut planes = vec![0u64; words * bit_length(g.max_degree())];
+    let mut best = vec![0u64; words];
     loop {
         let mut round_txs: Vec<Transmission> = Vec::new();
-        free.copy_from_slice(alive);
+        for (f, (&a, &l)) in free.iter_mut().zip(alive.iter().zip(&lacking)) {
+            *f = a && l > 0;
+        }
         for v in (0..n).filter(|&v| alive[v]) {
             let held = &arena[v * words..(v + 1) * words];
-            free_nbrs.clear();
-            free_nbrs.extend(g.neighbors(v).filter(|&d| free[d]));
-            for &d in &free_nbrs {
+            // Branch-free compaction of v's free neighbours.
+            let mut k = 0;
+            for d in g.neighbors(v) {
+                nbrs[k] = d;
+                k += usize::from(free[d]);
+            }
+            if k == 0 {
+                continue;
+            }
+            let free_nbrs = &nbrs[..k];
+            let used = bit_length(k);
+            let planes = &mut planes[..words * used];
+            planes.fill(0);
+            for &d in free_nbrs {
                 let theirs = &arena[d * words..(d + 1) * words];
-                for (w, (&a, &b)) in held.iter().zip(theirs).enumerate() {
-                    let mut bits = a & !b;
-                    while bits != 0 {
-                        let m = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        if count[m] == 0 {
-                            touched.push(m);
+                let counters = planes.chunks_exact_mut(used);
+                for ((&a, &b), counter) in held.iter().zip(theirs).zip(counters) {
+                    // Ripple-carry add of one to each message of `a & !b`.
+                    let mut carry = a & !b;
+                    for plane in counter.iter_mut() {
+                        if carry == 0 {
+                            break;
                         }
-                        count[m] += 1;
+                        let over = *plane & carry;
+                        *plane ^= carry;
+                        carry = over;
                     }
                 }
             }
-            let Some(m) = touched
-                .iter()
-                .copied()
-                .max_by_key(|&m| (count[m], std::cmp::Reverse(m)))
-            else {
+            // The largest count: from the messages with any count, keep
+            // those with each plane's bit, top plane first, whenever some
+            // have it. The lowest set bit left is the smallest id among
+            // them, the greedy's tie rule.
+            for (b, counter) in best.iter_mut().zip(planes.chunks_exact(used)) {
+                *b = counter.iter().fold(0, |acc, &plane| acc | plane);
+            }
+            let counters = || planes.chunks_exact(used);
+            for p in (0..used).rev() {
+                if best.iter().zip(counters()).any(|(&b, c)| b & c[p] != 0) {
+                    for (b, c) in best.iter_mut().zip(counters()) {
+                        *b &= c[p];
+                    }
+                }
+            }
+            let Some(w) = best.iter().position(|&b| b != 0) else {
                 continue;
             };
-            touched.drain(..).for_each(|t| count[t] = 0);
-            let (w, bit) = (m / 64, 1u64 << (m % 64));
+            let m = w * 64 + best[w].trailing_zeros() as usize;
+            let bit = 1u64 << (m % 64);
             let dests: Vec<usize> = free_nbrs
                 .iter()
                 .copied()
@@ -135,6 +170,7 @@ pub fn plan_completion(g: &Graph, holds: &[BitSet], alive: &[bool]) -> ResidualP
             let (w, bit) = (tx.msg as usize / 64, 1u64 << (tx.msg % 64));
             for &d in &tx.to {
                 arena[d * words + w] |= bit;
+                lacking[d] -= 1;
             }
         }
         schedule
@@ -519,6 +555,12 @@ impl<'a> ResilientExecutor<'a> {
             let alive = self.plan.alive_at(self.g.n(), sim.time());
             let holds: Vec<BitSet> = sim.hold_bitsets();
             let completion = plan_completion(self.g, &holds, &alive);
+            // The greedy stops at its fixed point: every alive component
+            // knows its union of holds.
+            debug_assert_eq!(
+                completion.schedule.stats().deliveries,
+                completion_deliveries(self.g, &holds, &alive)
+            );
             if completion.schedule.makespan() == 0 {
                 // Nothing can make progress: the rest is unreachable.
                 unrecoverable = completion.abandoned;

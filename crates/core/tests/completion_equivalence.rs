@@ -15,7 +15,7 @@
 use gossip_core::{completion_deliveries, plan_completion, ResidualPlan, ResilientExecutor};
 use gossip_graph::Graph;
 use gossip_model::{BitSet, CommModel, FaultPlan, FlatSchedule, Schedule, SimKernel, Transmission};
-use gossip_workloads::random_connected;
+use gossip_workloads::{complete, random_connected, star};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -179,7 +179,7 @@ fn replays_strictly(
 /// messages extinct among the survivors.
 fn random_residual(n: usize, seed: u64) -> (Graph, Vec<BitSet>, Vec<bool>) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let p = [1.5 / n as f64, 4.0 / n as f64, 0.08, 0.2][rng.gen_range(0..4usize)].min(1.0);
+    let p = [1.5 / n as f64, 4.0 / n as f64, 0.08, 0.2, 0.6][rng.gen_range(0..5usize)].min(1.0);
     let g = random_connected(n, p, rng.gen());
     let n_msgs = match rng.gen_range(0..3u32) {
         0 => n,
@@ -368,6 +368,72 @@ fn split_alive_subgraph_counts_one_union_per_component() {
     same_plan(&got, &oracle_plan_completion(&g, &holds, &alive)).unwrap();
     replays_strictly(&g, &holds, &alive, &got).unwrap();
     counted(&g, &holds, &alive, &got).unwrap();
+}
+
+/// High-degree residuals, where a sender's counts need seven or eight bit
+/// planes: processor 0 is adjacent to every other processor and holds all
+/// 130 messages. For each winning count `w` it may reach, the others miss
+/// messages so that processor 0's counts are: `w` at messages 70 and 129
+/// (a tie across words), `w - 1` at message 3, the largest power of two
+/// below `w` at message 9, and at most 4 at every seventh message. The
+/// maximum thus sits on each side of 32, 64 and 128 as `w` does, smaller
+/// counts with the same top bit come first, and every later round plans
+/// from what the first one left.
+fn high_degree_cases(g: &Graph) {
+    const N_MSGS: usize = 130;
+    let others = g.n() - 1;
+    assert_eq!(g.degree(0), others, "processor 0 must see every other");
+    let wins = [31, 32, 33, 63, 64, 65, 127, 128, 129, others];
+    for w in wins.into_iter().filter(|&w| w <= others) {
+        let top = 1 << (usize::BITS - 1 - (w - 1).leading_zeros());
+        let count = |m: usize| match m {
+            70 | 129 => w,
+            3 => w - 1,
+            9 => top,
+            _ if m.is_multiple_of(7) => m % 5,
+            _ => 0,
+        };
+        let mut missing = vec![[false; N_MSGS]; g.n()];
+        for m in 0..N_MSGS {
+            for i in 0..count(m) {
+                missing[1 + (m * 13 + i) % others][m] = true;
+            }
+        }
+        let holds: Vec<BitSet> = missing
+            .iter()
+            .map(|miss| {
+                let mut h = BitSet::new(N_MSGS);
+                (0..N_MSGS).filter(|&m| !miss[m]).for_each(|m| {
+                    h.insert(m);
+                });
+                h
+            })
+            .collect();
+        let alive = vec![true; g.n()];
+        let got = plan_completion(g, &holds, &alive);
+        let first = &got.schedule.rounds[0].transmissions[0];
+        assert_eq!((first.from, first.msg, first.to.len()), (0, 70, w));
+        same_plan(&got, &oracle_plan_completion(g, &holds, &alive)).unwrap();
+        replays_strictly(g, &holds, &alive, &got).unwrap();
+        counted(g, &holds, &alive, &got).unwrap();
+    }
+}
+
+#[test]
+fn complete_graph_k65_matches_the_oracle() {
+    high_degree_cases(&complete(65));
+}
+
+#[test]
+fn complete_graph_k130_matches_the_oracle() {
+    high_degree_cases(&complete(130));
+}
+
+#[test]
+fn stars_of_64_128_and_200_leaves_match_the_oracle() {
+    for leaves in [64, 128, 200] {
+        high_degree_cases(&star(leaves + 1));
+    }
 }
 
 #[test]

@@ -71,6 +71,29 @@ fn recovery_transcript_digest_under_loss_and_crashes_is_pinned() {
     assert_eq!(report.unrecoverable.len(), 752);
 }
 
+/// A dense recovery: G(256, 0.5), degree ~128, so each completion sender
+/// counts over many free neighbours at once.
+#[test]
+fn dense_recovery_transcript_digest_is_pinned() {
+    let n = 256;
+    let g = random_connected(n, 0.5, 7);
+    let plan = GossipPlanner::new(&g).unwrap().plan().unwrap();
+    let faults = FaultPlan::new(3)
+        .with_loss_rate(0.1)
+        .with_crash(5, 3)
+        .with_crash(9, 40);
+    let report = ResilientExecutor::new(&g, &plan.schedule, &plan.origin_of_message, &faults)
+        .run()
+        .unwrap();
+    let digest = FlatSchedule::from_schedule(&report.transcript).digest();
+    assert_eq!(digest, 0x04c5_672b_ba93_a597);
+    assert_eq!(report.total_rounds, 381);
+    assert_eq!(report.retransmissions, 18774);
+    assert_eq!(report.epochs.len(), 6);
+    assert_eq!(report.unrecoverable.len(), 254);
+    assert!(report.recovered);
+}
+
 #[test]
 fn churn_transcript_digests_are_pinned() {
     let (g, _, _) = unit_disk_connected(72, 0.13, 7);
