@@ -291,9 +291,7 @@ impl Replay<'_> {
         let mut sim =
             SimKernel::with_origins(self.g, self.model, self.origins).map_err(|e| e.to_string())?;
         match self.faults {
-            Some(f) => sim
-                .run_lossy_recorded(self.flat, f, &mut Vec::new(), rec)
-                .map(drop),
+            Some(f) => sim.run_lossy(self.flat, f, &mut Vec::new(), rec).map(drop),
             None => sim.run_recorded(self.flat, rec).map(drop),
         }
         .map_err(|e| e.to_string())

@@ -10,8 +10,8 @@
 //! ([`crate::recovery::plan_completion`]). On each churn batch it:
 //!
 //! 1. **advances** execution to the event round through the bitset kernel
-//!    (resumed across topology patches via [`SimKernel::with_holds`] —
-//!    knowledge persists, the graph does not);
+//!    (resumed at the segment's round across topology patches via
+//!    [`SimKernel::with_holds`] — knowledge persists, the graph does not);
 //! 2. **patches** the live graph atomically — pure edge batches go through
 //!    [`TreeMaintainer::batch`], all-or-nothing; node events are applied
 //!    raw and drop the maintainer until the network is whole again;
@@ -796,12 +796,12 @@ impl<'a> ChurnExecutor<'a> {
 
     /// Runs schedule rounds `[from, to)` on the current graph, with the
     /// same per-round telemetry stream as the kernel's recorded runners.
-    /// The kernel is rebuilt from the live hold sets each segment (the
-    /// graph may have changed), and rounds before `from` — cleared after
-    /// earlier segments — are stepped silently so every kernel clock,
-    /// event, and flight record carries the **absolute** round index.
-    /// Executed entries move from `pending` into `transcript`. Returns
-    /// the new absolute time (`to`), jumping any unscheduled stretch.
+    /// The rounds move out of `pending` first and replay once, on a kernel
+    /// rebuilt from the live hold sets (the graph may have changed) with
+    /// its clock at `from`, so every event and flight record carries the
+    /// **absolute** round index. Executed entries land in `transcript`.
+    /// Returns the new absolute time (`to`), jumping any unscheduled
+    /// stretch.
     #[allow(clippy::too_many_arguments)]
     fn advance(
         &self,
@@ -813,34 +813,26 @@ impl<'a> ChurnExecutor<'a> {
         from: usize,
         to: usize,
     ) -> Result<usize, ChurnError> {
-        if to <= from {
-            return Ok(from);
-        }
         let exec_end = pending.makespan().min(to);
         if exec_end <= from {
-            return Ok(to);
+            return Ok(to.max(from));
         }
-        let flat = FlatSchedule::from_schedule(pending);
-        let mut sim = SimKernel::with_holds(graph, self.model, holds)?;
-        let faults = FaultPlan::none();
-        for r in 0..exec_end {
-            let rec: &dyn Recorder = if r < from {
-                &NoopRecorder
-            } else {
-                self.recorder
-            };
-            // Lossy stepping (under the empty fault plan) instead of
-            // strict: entries whose upstream feed was invalidated by
-            // churn degrade into recorded `not_held` losses the
-            // completion loop covers, rather than aborting the run.
-            sim.step_round_lossy(&flat, r, &faults, lost_log, rec)?;
-        }
-        *holds = sim.hold_bitsets();
         let mut executed = Schedule::new(pending.n);
         executed.rounds = pending.rounds[from..exec_end]
             .iter_mut()
             .map(std::mem::take)
             .collect();
+        // The segment's trailing empty rounds stay in the flatten, which
+        // `FlatSchedule::from_schedule` would trim: each still emits its
+        // `round_start` / `round_end`.
+        let flat = FlatSchedule::from_rounds(executed.n, &executed.rounds);
+        let mut sim = SimKernel::with_holds(graph, self.model, holds, from)?;
+        // Lossy stepping (under the empty fault plan) instead of strict:
+        // entries whose upstream feed was invalidated by churn degrade
+        // into recorded `not_held` losses the completion loop covers,
+        // rather than aborting the run.
+        sim.run_lossy(&flat, &FaultPlan::none(), lost_log, self.recorder)?;
+        *holds = sim.hold_bitsets();
         transcript.merge_at(from, executed);
         Ok(to)
     }
@@ -853,7 +845,7 @@ impl<'a> ChurnExecutor<'a> {
     /// only: release builds compile it out.
     #[cfg(debug_assertions)]
     fn check_splice(&self, graph: &Graph, planned_from: &[BitSet], splice: &Schedule, kind: &str) {
-        let replay = SimKernel::with_holds(graph, self.model, planned_from)
+        let replay = SimKernel::with_holds(graph, self.model, planned_from, 0)
             .and_then(|mut sim| sim.run(&FlatSchedule::from_schedule(splice)));
         if let Err(e) = replay {
             panic!("{kind} splice fails a strict replay: {e}");
@@ -1080,6 +1072,7 @@ mod tests {
             &FlatSchedule::from_schedule(&report.transcript),
             &FaultPlan::none(),
             &mut lost,
+            &NoopRecorder,
         )
         .unwrap();
         assert!(sim.gossip_complete());
@@ -1124,5 +1117,35 @@ mod tests {
             (report.repaired_entries + report.fallback_entries) as u64
         );
         assert!(rec.events_emitted() > 0);
+    }
+
+    #[test]
+    fn a_segment_ending_in_empty_rounds_still_steps_them() {
+        use gossip_telemetry::{MetricsRecorder, SharedBuffer};
+        // Vertex 0 leaves at round 1, which empties the later rounds that
+        // only fed it, so the segment up to the chord at round 4 ends in
+        // an empty round. That round still runs and emits its
+        // `round_start` / `round_end`.
+        let path = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        let churn = ChurnPlan::new(0)
+            .with_event(ChurnEvent::node_leave(1, 0))
+            .with_event(ChurnEvent::edge_add(4, 1, 3));
+        let events = SharedBuffer::new();
+        let rec = MetricsRecorder::with_sink(Box::new(events.clone()));
+        let report = ChurnExecutor::new(&path, &churn)
+            .recorder(&rec)
+            .run()
+            .unwrap();
+        assert!(report.recovered, "{report:?}");
+        let rounds = |name: &str| -> Vec<u64> {
+            let lines = events.lines();
+            let named = lines.iter().filter(|e| e["event"].as_str() == Some(name));
+            named.map(|e| e["round"].as_u64().unwrap()).collect()
+        };
+        assert!(report.transcript.rounds[3].transmissions.is_empty());
+        let every: Vec<u64> = (0..report.total_rounds as u64).collect();
+        assert_eq!(every.len(), 6);
+        assert_eq!(rounds("round_start"), every);
+        assert_eq!(rounds("round_end"), every);
     }
 }

@@ -83,47 +83,25 @@ impl TreeMaintainer {
         self.rebuilds
     }
 
-    /// Applies an edge insertion. Keeps the plan when the radius is
-    /// unchanged; rebuilds when the new chord shrinks it.
+    /// Applies an edge insertion: a one-op [`TreeMaintainer::batch`], so
+    /// it keeps the plan when the radius is unchanged and rebuilds when
+    /// the new chord shrinks it.
     ///
     /// Atomic: on any error (including a failed rebuild) the maintainer's
     /// graph and plan are both unchanged, so they never disagree.
     pub fn insert_edge(&mut self, u: usize, v: usize) -> Result<MaintenanceOutcome, GraphError> {
-        let candidate = self.graph.with_edge(u, v)?;
-        // The old tree still spans; rebuild only if the radius improved.
-        let new_radius = gossip_graph::radius(&candidate)?;
-        if new_radius < self.plan.radius {
-            let plan = self.build_plan(&candidate)?;
-            self.commit(candidate, Some(plan));
-            Ok(MaintenanceOutcome::Rebuilt)
-        } else {
-            self.commit(candidate, None);
-            Ok(MaintenanceOutcome::Kept)
-        }
+        self.batch(&[EdgeOp::Insert(u, v)])
     }
 
-    /// Applies an edge removal. Errors with [`GraphError::Disconnected`]
-    /// if the removal would disconnect the network; otherwise rebuilds only
-    /// when a tree edge was lost.
+    /// Applies an edge removal: a one-op [`TreeMaintainer::batch`], so it
+    /// errors with [`GraphError::Disconnected`] if the removal would
+    /// disconnect the network and otherwise rebuilds only when a tree edge
+    /// was lost.
     ///
     /// Atomic: on any error (including a failed rebuild) the maintainer's
     /// graph and plan are both unchanged, so they never disagree.
     pub fn remove_edge(&mut self, u: usize, v: usize) -> Result<MaintenanceOutcome, GraphError> {
-        let candidate = self.graph.without_edge(u, v)?;
-        if !gossip_graph::is_connected(&candidate) {
-            return Err(GraphError::Disconnected);
-        }
-        let tree_edge = self.plan.tree.parent(u) == Some(v) || self.plan.tree.parent(v) == Some(u);
-        if tree_edge {
-            let plan = self.build_plan(&candidate)?;
-            self.commit(candidate, Some(plan));
-            Ok(MaintenanceOutcome::Rebuilt)
-        } else {
-            // The tree still spans. Its height equals the old radius, which
-            // removal can only have grown, so the tree stays optimal.
-            self.commit(candidate, None);
-            Ok(MaintenanceOutcome::Kept)
-        }
+        self.batch(&[EdgeOp::Remove(u, v)])
     }
 
     /// Applies several edge operations atomically, in order, with one

@@ -543,7 +543,7 @@ impl<'a> ResilientExecutor<'a> {
             let flat = FlatSchedule::from_schedule(self.schedule);
             let mut transcript = self.schedule.clone();
             transcript.trim();
-            let out = sim.run_lossy_recorded(&flat, self.plan, &mut lost_log, self.recorder)?;
+            let out = sim.run_lossy(&flat, self.plan, &mut lost_log, self.recorder)?;
             (flat.deliveries(), out, transcript)
         };
         self.record_epoch(&mut epochs, 0, 0, base_attempted, &base_out, &sim);
@@ -571,7 +571,7 @@ impl<'a> ResilientExecutor<'a> {
                 let _e = self.recorder.span("epoch");
                 self.epoch_start(epoch, start);
                 let flat = FlatSchedule::from_schedule(&completion.schedule);
-                let out = sim.run_lossy_recorded(&flat, self.plan, &mut lost_log, self.recorder)?;
+                let out = sim.run_lossy(&flat, self.plan, &mut lost_log, self.recorder)?;
                 (flat.deliveries(), out)
             };
             retransmissions += attempted;

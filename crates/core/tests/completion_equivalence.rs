@@ -15,6 +15,7 @@
 use gossip_core::{completion_deliveries, plan_completion, ResidualPlan, ResilientExecutor};
 use gossip_graph::Graph;
 use gossip_model::{BitSet, CommModel, FaultPlan, FlatSchedule, Schedule, SimKernel, Transmission};
+use gossip_telemetry::NoopRecorder;
 use gossip_workloads::{complete, random_connected, star};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -148,7 +149,7 @@ fn replays_strictly(
     alive: &[bool],
     plan: &ResidualPlan,
 ) -> Result<(), String> {
-    let mut sim = SimKernel::with_holds(g, CommModel::Multicast, holds)
+    let mut sim = SimKernel::with_holds(g, CommModel::Multicast, holds, 0)
         .map_err(|e| format!("with_holds: {e}"))?;
     sim.run(&FlatSchedule::from_schedule(&plan.schedule))
         .map_err(|e| format!("strict replay of the completion: {e}"))?;
@@ -262,6 +263,7 @@ fn executor_shaped_residuals_match_the_oracle() {
             &FlatSchedule::from_schedule(&plan.schedule),
             &faults,
             &mut lost,
+            &NoopRecorder,
         )
         .unwrap();
         let mut epochs = 0;
@@ -279,6 +281,7 @@ fn executor_shaped_residuals_match_the_oracle() {
                 &FlatSchedule::from_schedule(&got.schedule),
                 &faults,
                 &mut lost,
+                &NoopRecorder,
             )
             .unwrap();
             epochs += 1;

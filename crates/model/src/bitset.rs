@@ -114,49 +114,6 @@ impl BitSet {
         }
     }
 
-    /// Word-wise union: ORs `other` into `self`, returning how many values
-    /// were newly added. Both sets must have the same capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn union_with(&mut self, other: &BitSet) -> usize {
-        assert_eq!(
-            self.capacity, other.capacity,
-            "union of bitsets with different capacities"
-        );
-        let before = self.len;
-        for (a, &b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a |= b;
-        }
-        self.len = self.blocks.iter().map(|w| w.count_ones() as usize).sum();
-        self.len - before
-    }
-
-    /// Iterates the *absent* values in `0..capacity` in ascending order —
-    /// the word-parallel complement walk residual extraction runs on.
-    pub fn iter_missing(&self) -> impl Iterator<Item = usize> + '_ {
-        let capacity = self.capacity;
-        self.blocks
-            .iter()
-            .enumerate()
-            .flat_map(move |(bi, &block)| {
-                let mut bits = !block;
-                if bi == capacity / 64 && !capacity.is_multiple_of(64) {
-                    bits &= (1u64 << (capacity % 64)) - 1;
-                }
-                std::iter::from_fn(move || {
-                    if bits == 0 {
-                        return None;
-                    }
-                    let tz = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(bi * 64 + tz)
-                })
-                .filter(move |&v| v < capacity)
-            })
-    }
-
     /// The smallest absent value in `0..capacity`, if any.
     pub fn first_missing(&self) -> Option<usize> {
         for (bi, &block) in self.blocks.iter().enumerate() {

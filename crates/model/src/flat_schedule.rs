@@ -30,6 +30,7 @@
 
 use crate::error::ModelError;
 use crate::models::CommModel;
+use crate::round::CommRound;
 use crate::schedule::{Schedule, ScheduleStats};
 use gossip_graph::Graph;
 use gossip_telemetry::TxBatch;
@@ -174,11 +175,20 @@ impl FlatSchedule {
     /// deliveries — beyond any schedule this workspace can build (gossip on
     /// n = 8192 is ~67M tuples) but a hard cap of the `u32` CSR offsets.
     pub fn from_schedule(schedule: &Schedule) -> FlatSchedule {
+        Self::from_rounds(schedule.n, &schedule.rounds[..schedule.makespan()])
+    }
+
+    /// Flattens `rounds` over `n` processors as given, trailing empty
+    /// rounds included: a replay of the result steps every one of them.
+    ///
+    /// # Panics
+    ///
+    /// As [`FlatSchedule::from_schedule`].
+    pub fn from_rounds(n: usize, rounds: &[CommRound]) -> FlatSchedule {
         let _phase = gossip_telemetry::profile::phase("flatten");
-        let makespan = schedule.makespan();
         let mut tx_count = 0usize;
         let mut deliveries = 0usize;
-        for r in &schedule.rounds[..makespan] {
+        for r in rounds {
             tx_count += r.transmissions.len();
             deliveries += r.deliveries();
         }
@@ -187,8 +197,8 @@ impl FlatSchedule {
             "schedule too large for u32 CSR offsets ({tx_count} transmissions, {deliveries} deliveries)"
         );
         let mut out = FlatSchedule {
-            n: schedule.n,
-            round_offsets: Vec::with_capacity(makespan + 1),
+            n,
+            round_offsets: Vec::with_capacity(rounds.len() + 1),
             tx_msg: Vec::with_capacity(tx_count),
             tx_from: Vec::with_capacity(tx_count),
             dest_offsets: Vec::with_capacity(tx_count + 1),
@@ -198,7 +208,7 @@ impl FlatSchedule {
         };
         out.round_offsets.push(0);
         out.dest_offsets.push(0);
-        for r in &schedule.rounds[..makespan] {
+        for r in rounds {
             out.busiest_round = out.busiest_round.max(r.transmissions.len());
             for tx in &r.transmissions {
                 out.tx_msg.push(tx.msg);

@@ -158,13 +158,15 @@ impl<'g> SimKernel<'g> {
 
     /// Creates a kernel whose knowledge is seeded from explicit hold sets
     /// — one [`BitSet`] per processor, all with the same capacity (which
-    /// becomes `n_msgs`). This resumes replay from a mid-run state: when
-    /// the topology changes the kernel must be rebuilt over the patched
-    /// graph, but the processors' accumulated knowledge persists.
+    /// becomes `n_msgs`) — at the absolute round `time`. This resumes
+    /// replay from a mid-run state: when the topology changes the kernel
+    /// must be rebuilt over the patched graph, but the processors'
+    /// accumulated knowledge and the run's clock persist.
     pub fn with_holds(
         g: &'g Graph,
         model: CommModel,
         holds: &[BitSet],
+        time: usize,
     ) -> Result<Self, ModelError> {
         let n = g.n();
         if holds.len() != n {
@@ -180,7 +182,9 @@ impl<'g> SimKernel<'g> {
         }
         let by_proc: Vec<u64> = holds.iter().flat_map(|h| h.words()).copied().collect();
         let hold = transpose_bits(&by_proc, n, n_msgs);
-        Ok(Self::from_arena(g, model, n_msgs, hold))
+        let mut kernel = Self::from_arena(g, model, n_msgs, hold);
+        kernel.time = time;
+        Ok(kernel)
     }
 
     /// The current time (number of rounds executed).
@@ -353,7 +357,7 @@ impl<'g> SimKernel<'g> {
 
     /// Runs a whole flat schedule with full validation, streaming live
     /// instrumentation into `recorder` — the clean-run counterpart of
-    /// [`SimKernel::run_lossy_recorded`]: per round a `round_start` /
+    /// [`SimKernel::run_lossy`]: per round a `round_start` /
     /// `round_end` event pair, `exec/deliveries` counters, and the
     /// knowledge-curve gauges `round_current` / `known_pairs`. Recorders
     /// that opt into `wants_transmissions` (the flight recorder) also get
@@ -632,20 +636,10 @@ impl<'g> SimKernel<'g> {
     /// Runs a whole flat schedule under `plan` from the kernel's current
     /// time — the kernel-side equivalent of [`crate::Simulator::run_lossy`]
     /// (absolute rounds index the fault plan, so one kernel carried across
-    /// repair epochs keeps sampling the same deterministic fault sequence).
+    /// repair epochs keeps sampling the same deterministic fault sequence)
+    /// — with each round's live stream (see [`SimKernel::step_round_lossy`])
+    /// going to `recorder`; pass [`NoopRecorder`] for none.
     pub fn run_lossy(
-        &mut self,
-        flat: &FlatSchedule,
-        plan: &FaultPlan,
-        lost: &mut Vec<LostDelivery>,
-    ) -> Result<LossyOutcome, ModelError> {
-        self.run_lossy_recorded(flat, plan, lost, &NoopRecorder)
-    }
-
-    /// [`SimKernel::run_lossy`] with each round's live stream (see
-    /// [`SimKernel::step_round_lossy`]) going to `recorder`. With a
-    /// disabled recorder this is exactly [`SimKernel::run_lossy`].
-    pub fn run_lossy_recorded(
         &mut self,
         flat: &FlatSchedule,
         plan: &FaultPlan,
@@ -1000,7 +994,9 @@ mod tests {
         let want = oracle.run_lossy(&s, &plan, &mut want_lost).unwrap();
         let mut k = SimKernel::new(&g, CommModel::Multicast, &identity(n)).unwrap();
         let mut got_lost = Vec::new();
-        let got = k.run_lossy(&flat, &plan, &mut got_lost).unwrap();
+        let got = k
+            .run_lossy(&flat, &plan, &mut got_lost, &NoopRecorder)
+            .unwrap();
         assert_eq!(got, want);
         assert_eq!(got_lost, want_lost);
         assert_eq!(k.residual(&plan), oracle.residual(&plan));
@@ -1028,13 +1024,37 @@ mod tests {
                     second.add_transmission(t - split, tx.clone());
                 }
             }
-            k.run_lossy(&FlatSchedule::from_schedule(&first), &plan, &mut lost)
+            for part in [first, second] {
+                k.run_lossy(
+                    &FlatSchedule::from_schedule(&part),
+                    &plan,
+                    &mut lost,
+                    &NoopRecorder,
+                )
                 .unwrap();
-            k.run_lossy(&FlatSchedule::from_schedule(&second), &plan, &mut lost)
-                .unwrap();
+            }
             (lost, k.hold_bitsets())
         };
         assert_eq!(run(7), run(3));
+    }
+
+    /// Keeps the `round_start` / `round_end` events of a run, in order.
+    #[derive(Default)]
+    struct RoundEvents(std::sync::Mutex<Vec<String>>);
+
+    impl Recorder for RoundEvents {
+        fn enabled(&self) -> bool {
+            true
+        }
+        fn counter(&self, _name: &str, _delta: u64) {}
+        fn gauge(&self, _name: &str, _value: f64) {}
+        fn observe(&self, _name: &str, _value: f64) {}
+        fn event(&self, name: &str, fields: &[(&str, Value)]) {
+            if name == "round_start" || name == "round_end" {
+                self.0.lock().unwrap().push(format!("{name} {fields:?}"));
+            }
+        }
+        fn span_observe(&self, _path: &str, _nanos: u64) {}
     }
 
     #[test]
@@ -1042,37 +1062,70 @@ mod tests {
         let n = 8;
         let g = ring(n);
         let s = ring_schedule(n);
-        let split = 4;
-        let mut first = Schedule::new(n);
-        let mut second = Schedule::new(n);
-        for (t, tx) in s.iter() {
-            if t < split {
-                first.add_transmission(t, tx.clone());
-            } else {
-                second.add_transmission(t - split, tx.clone());
+        // Sampled losses and the crash both read the absolute round, so a
+        // resumed kernel whose clock restarted at 0 would diverge.
+        let plan = FaultPlan::new(42).with_loss_rate(0.3).with_crash(3, 4);
+        let unbroken = {
+            let mut k = SimKernel::new(&g, CommModel::Multicast, &identity(n)).unwrap();
+            let (mut lost, rec) = (Vec::new(), RoundEvents::default());
+            k.run_lossy(&FlatSchedule::from_schedule(&s), &plan, &mut lost, &rec)
+                .unwrap();
+            (
+                k.hold_bitsets(),
+                k.known_pairs(),
+                lost,
+                rec.0.into_inner().unwrap(),
+            )
+        };
+        assert!(unbroken.2.iter().any(|l| l.cause == LossCause::Sampled));
+        assert!(unbroken
+            .2
+            .iter()
+            .any(|l| l.cause == LossCause::SenderCrashed));
+        for split in 0..=s.makespan() {
+            let mut first = Schedule::new(n);
+            let mut second = Schedule::new(n);
+            for (t, tx) in s.iter() {
+                if t < split {
+                    first.add_transmission(t, tx.clone());
+                } else {
+                    second.add_transmission(t - split, tx.clone());
+                }
             }
+            let (mut lost, rec) = (Vec::new(), RoundEvents::default());
+            let mut head = SimKernel::new(&g, CommModel::Multicast, &identity(n)).unwrap();
+            head.run_lossy(&FlatSchedule::from_schedule(&first), &plan, &mut lost, &rec)
+                .unwrap();
+            // Rebuild a fresh kernel from the mid-run hold sets at the
+            // split round (as the churn executor does across a topology
+            // patch) and finish the run.
+            let mid = head.hold_bitsets();
+            let mut tail = SimKernel::with_holds(&g, CommModel::Multicast, &mid, split).unwrap();
+            assert_eq!(tail.time(), split);
+            tail.run_lossy(
+                &FlatSchedule::from_schedule(&second),
+                &plan,
+                &mut lost,
+                &rec,
+            )
+            .unwrap();
+            let resumed = (
+                tail.hold_bitsets(),
+                tail.known_pairs(),
+                lost,
+                rec.0.into_inner().unwrap(),
+            );
+            assert_eq!(resumed, unbroken, "split at round {split}");
         }
-        let mut whole = SimKernel::new(&g, CommModel::Multicast, &identity(n)).unwrap();
-        whole.run(&FlatSchedule::from_schedule(&s)).unwrap();
-        let mut head = SimKernel::new(&g, CommModel::Multicast, &identity(n)).unwrap();
-        head.run(&FlatSchedule::from_schedule(&first)).unwrap();
-        // Rebuild a fresh kernel from the mid-run hold sets (as the churn
-        // executor does across a topology patch) and finish the run.
-        let mid = head.hold_bitsets();
-        let mut tail = SimKernel::with_holds(&g, CommModel::Multicast, &mid).unwrap();
-        tail.run(&FlatSchedule::from_schedule(&second)).unwrap();
-        assert_eq!(tail.hold_bitsets(), whole.hold_bitsets());
-        assert_eq!(tail.known_pairs(), whole.known_pairs());
-        assert!(tail.gossip_complete());
     }
 
     #[test]
     fn with_holds_rejects_bad_shapes() {
         let g = ring(3);
         let short = vec![BitSet::new(3); 2];
-        assert!(SimKernel::with_holds(&g, CommModel::Multicast, &short).is_err());
+        assert!(SimKernel::with_holds(&g, CommModel::Multicast, &short, 0).is_err());
         let mixed = vec![BitSet::new(3), BitSet::new(3), BitSet::new(4)];
-        assert!(SimKernel::with_holds(&g, CommModel::Multicast, &mixed).is_err());
+        assert!(SimKernel::with_holds(&g, CommModel::Multicast, &mixed, 0).is_err());
     }
 
     #[test]
@@ -1129,7 +1182,7 @@ mod tests {
         }
         // The processor-major views survive a round trip through with_holds.
         let holds = k.hold_bitsets();
-        let resumed = SimKernel::with_holds(&g, CommModel::Multicast, &holds).unwrap();
+        let resumed = SimKernel::with_holds(&g, CommModel::Multicast, &holds, 0).unwrap();
         assert_eq!(resumed.hold_bitsets(), holds);
         assert_eq!(resumed.known_pairs(), k.known_pairs());
     }
@@ -1234,7 +1287,8 @@ mod tests {
         let flat = FlatSchedule::from_schedule(&ring_schedule(n));
         let plan = FaultPlan::new(5).with_loss_rate(0.4).with_crash(6, 2);
         let mut k = SimKernel::new(&g, CommModel::Multicast, &identity(n)).unwrap();
-        k.run_lossy(&flat, &plan, &mut Vec::new()).unwrap();
+        k.run_lossy(&flat, &plan, &mut Vec::new(), &NoopRecorder)
+            .unwrap();
         assert!(!plan.alive_at(n, k.time())[6]);
         assert_eq!(k.residual_count(&plan), k.residual(&plan).len());
         assert!(k.residual(&plan).iter().all(|&(_, v)| v != 6));

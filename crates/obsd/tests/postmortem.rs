@@ -129,9 +129,7 @@ fn clean_vs_lossy_diff_names_the_first_suppressed_delivery_round() {
         let rec = FlightRecorder::new(header("lossy", g.n(), &origins));
         let mut kernel = SimKernel::with_origins(&g, CommModel::Multicast, &origins).unwrap();
         let mut lost: Vec<LostDelivery> = Vec::new();
-        kernel
-            .run_lossy_recorded(&flat, &plan, &mut lost, &rec)
-            .unwrap();
+        kernel.run_lossy(&flat, &plan, &mut lost, &rec).unwrap();
         if !lost.is_empty() {
             found = Some((FlightLog::decode(&rec.finish()).unwrap(), lost));
             break;

@@ -205,7 +205,9 @@ fn lossy_runs_agree_on_reference_instances() {
             let mut k =
                 SimKernel::with_origins(&inst.g, CommModel::Multicast, &inst.origins).unwrap();
             let mut k_lost = Vec::new();
-            let kernel = k.run_lossy(&flat, plan, &mut k_lost).unwrap();
+            let kernel = k
+                .run_lossy(&flat, plan, &mut k_lost, &NoopRecorder)
+                .unwrap();
             assert_eq!(oracle, kernel, "{}: lossy outcome", inst.name);
             assert_eq!(sim_lost, k_lost, "{}: loss log", inst.name);
             assert_eq!(
@@ -338,7 +340,7 @@ proptest! {
         let oracle = sim.run_lossy(&plan.schedule, &fp, &mut sim_lost).unwrap();
         let mut k = SimKernel::with_origins(&g, CommModel::Multicast, &plan.origin_of_message).unwrap();
         let mut k_lost = Vec::new();
-        let kernel = k.run_lossy(&flat, &fp, &mut k_lost).unwrap();
+        let kernel = k.run_lossy(&flat, &fp, &mut k_lost, &NoopRecorder).unwrap();
         prop_assert_eq!(oracle, kernel);
         prop_assert_eq!(sim_lost, k_lost);
         prop_assert_eq!(sim.residual(&fp), k.residual(&fp));
