@@ -2,7 +2,7 @@
 //! planner, and replay it through the bitset kernel for `--alerts` and
 //! `--flight-out`.
 
-use super::profile::profile_artifact;
+use super::profile::{profile_artifact, write_profile};
 use super::{
     flight_header, load_graph, loss_breakdown, open_metrics, parse_algorithm, parse_fault_plan,
     parse_planner, path_option, write_metrics, Out, Planner, RunSinks, Watch,
@@ -43,17 +43,6 @@ fn parse_tree_only(args: &Args) -> Result<bool, String> {
         Some("tree") => Ok(true),
         Some(other) => Err(format!("--stages must be all or tree (got {other})")),
     }
-}
-
-/// Writes a `--profile-out` PROF artifact.
-fn write_profile(path: &str, doc: &gossip_telemetry::Value, out: Out) -> Result<(), String> {
-    let json = serde_json::to_string_pretty(doc).map_err(|e| e.to_string())?;
-    std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-    out!(
-        out,
-        "wrote profile to {path} — render with `gossip stats {path}`"
-    );
-    Ok(())
 }
 
 /// `gossip plan`: build, verify, and summarize (optionally dump) a schedule.

@@ -1,7 +1,9 @@
-//! `gossip profile` and the PROF artifact it shares with `gossip plan
-//! --profile-out` and `gossip stats`.
+//! `gossip profile` and the PROF artifact it shares with `--profile-out`
+//! (`gossip plan`, `recover` and `churn`) and `gossip stats`.
 
-use super::{load_graph, load_graph_spec, parse_algorithm, parse_planner, path_option, Planner};
+use super::{
+    load_graph, load_graph_spec, parse_algorithm, parse_planner, path_option, Out, Planner,
+};
 use crate::args::Args;
 use gossip_core::{Algorithm, GossipPlanner};
 use gossip_graph::Graph;
@@ -9,7 +11,8 @@ use gossip_model::CommModel;
 use gossip_telemetry::{Value, SCHEMA_VERSION};
 
 /// Builds the schema-versioned PROF artifact (`kind: "profile"`) shared
-/// by `gossip profile` and `gossip plan --profile-out`.
+/// by `gossip profile` and `--profile-out`. `plan_ms` is the profiled
+/// window's wall time.
 pub(super) fn profile_artifact(
     g: &Graph,
     alg: Algorithm,
@@ -51,6 +54,31 @@ pub(super) fn profile_artifact(
         ),
         ("phases".to_string(), profile.to_value()),
     ])
+}
+
+/// The line saying how much of the profiled window landed in named
+/// phases, read from a PROF artifact.
+fn attribution_line(doc: &Value) -> String {
+    let ms = |key: &str| doc.get(key).and_then(Value::as_f64).unwrap_or(0.0);
+    format!(
+        "attribution: {:.3} ms of {:.3} ms in named phases ({:.1}%); {:.3} ms unattributed",
+        ms("attributed_ms"),
+        ms("plan_ms"),
+        ms("attributed_pct"),
+        ms("unattributed_ms")
+    )
+}
+
+/// Writes a `--profile-out` PROF artifact and prints its attribution line.
+pub(super) fn write_profile(path: &str, doc: &Value, out: Out) -> Result<(), String> {
+    let json = serde_json::to_string_pretty(doc).map_err(|e| e.to_string())?;
+    std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
+    out!(out, "{}", attribution_line(doc));
+    out!(
+        out,
+        "wrote profile to {path} — render with `gossip stats {path}`"
+    );
+    Ok(())
 }
 
 /// Renders a PROF phase forest as an indented table: one row per phase
@@ -217,21 +245,7 @@ pub fn profile(args: &Args) -> Result<(), String> {
     );
     println!("construction: {plan_ms:.3} ms wall (tree + generate + flatten + validate)");
     print!("{}", render_profile_phases(&doc["phases"]));
-    let attributed = doc
-        .get("attributed_ms")
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0);
-    let pct = doc
-        .get("attributed_pct")
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0);
-    let unattributed = doc
-        .get("unattributed_ms")
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0);
-    println!(
-        "attribution: {attributed:.3} ms of {plan_ms:.3} ms in named phases ({pct:.1}%); {unattributed:.3} ms unattributed"
-    );
+    println!("{}", attribution_line(&doc));
     if profile.alloc_tracking() {
         println!(
             "allocation tracking: on — peak live {} bytes in the hottest phase",

@@ -1,6 +1,9 @@
 //! The executors users watch: `recover`, `churn` and `serve`, each
-//! recording through [`RunSinks`].
+//! recording through [`RunSinks`]. With `--profile-out`, `recover` and
+//! `churn` profile the base plan and the executor run, and write the PROF
+//! artifact `gossip plan --profile-out` writes.
 
+use super::profile::{profile_artifact, write_profile};
 use super::{
     flight_header, json_digest, load_graph, loss_breakdown, open_metrics, parse_algorithm,
     parse_fault_plan, path_option, RunSinks, Watch,
@@ -9,9 +12,10 @@ use crate::args::Args;
 use gossip_core::{Algorithm, ChurnExecutor, GossipPlanner, ResilientExecutor, DEFAULT_MAX_EPOCHS};
 use gossip_model::{ChurnPlan, FaultPlan, FlatSchedule};
 use gossip_obsd::ObsdServer;
+use gossip_telemetry::profile::Profiler;
 use gossip_telemetry::LiveRegistry;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// `gossip recover`: run the plan under a fault plan with the self-healing
 /// executor and report the recovery outcome. Errors (exit 1) when the epoch
@@ -29,12 +33,16 @@ pub fn recover(args: &Args) -> Result<(), String> {
     let out = sinks.out;
     let report_out = path_option(args, "out")?;
     let trace_out = path_option(args, "trace-out")?;
+    let profile_out = path_option(args, "profile-out")?;
     let mut planner = GossipPlanner::new(&g)
         .map_err(|e| e.to_string())?
         .algorithm(alg);
     if let Some(m) = &sinks.metrics {
         planner = planner.recorder(&m.recorder);
     }
+    let profiler = profile_out
+        .as_ref()
+        .map(|_| (Profiler::begin(), Instant::now()));
     let plan = planner.plan().map_err(|e| e.to_string())?;
     let faults_opt = parse_fault_plan(args, g.n())?;
     let faults = faults_opt.clone().unwrap_or_else(FaultPlan::none);
@@ -57,6 +65,12 @@ pub fn recover(args: &Args) -> Result<(), String> {
                 .run()
         })
         .map_err(|e| e.to_string())?;
+    if let (Some((profiler, t0)), Some(path)) = (profiler, &profile_out) {
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        let profile = profiler.finish();
+        let doc = profile_artifact(&g, alg, plan.radius, report.total_rounds, ms, &profile);
+        write_profile(path, &doc, out)?;
+    }
 
     out!(
         out,
@@ -163,6 +177,10 @@ pub fn churn(args: &Args) -> Result<(), String> {
     let out = sinks.out;
     let churn_out = path_option(args, "churn-out")?;
     let report_out = path_option(args, "out")?;
+    let profile_out = path_option(args, "profile-out")?;
+    let profiler = profile_out
+        .as_ref()
+        .map(|_| (Profiler::begin(), Instant::now()));
     // The base plan is only consulted for the report header (radius,
     // baseline makespan) and the generator horizon; the executor plans
     // internally so its tree stays in sync with its repairs.
@@ -170,6 +188,7 @@ pub fn churn(args: &Args) -> Result<(), String> {
         .map_err(|e| e.to_string())?
         .plan()
         .map_err(|e| e.to_string())?;
+    let churn_plan_phase = gossip_telemetry::profile::phase("churn_plan");
     let churn_plan = match path_option(args, "churn-plan")? {
         Some(path) => {
             let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
@@ -191,6 +210,7 @@ pub fn churn(args: &Args) -> Result<(), String> {
             ChurnPlan::generate(&g, rate, seed, horizon)
         }
     };
+    drop(churn_plan_phase);
     if let Some(path) = churn_out {
         let json = serde_json::to_string_pretty(&churn_plan).map_err(|e| e.to_string())?;
         std::fs::write(&path, json).map_err(|e| format!("{path}: {e}"))?;
@@ -228,6 +248,13 @@ pub fn churn(args: &Args) -> Result<(), String> {
                 .run()
         })
         .map_err(|e| e.to_string())?;
+    if let (Some((profiler, t0)), Some(path)) = (profiler, &profile_out) {
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        let profile = profiler.finish();
+        let alg = Algorithm::ConcurrentUpDown;
+        let doc = profile_artifact(&g, alg, plan.radius, report.total_rounds, ms, &profile);
+        write_profile(path, &doc, out)?;
+    }
 
     out!(
         out,

@@ -47,13 +47,13 @@ commands:
             [--outage U-V@A..B[,..]] [--fault-seed S]
             [--max-epochs K] [--out FILE] [--metrics FILE]
             [--trace-out FILE] [--flight-out FILE.gfr] run under faults + self-heal;
-                                                       exit 1 if recovery falls short
+            [--profile-out PROF.json]                  exit 1 if recovery falls short
   churn     (--family F --n N | --graph FILE|NAME)
             [--churn-rate P] [--churn-seed S]
             [--churn-plan FILE] [--churn-out FILE]
             [--max-epochs K] [--out FILE] [--metrics FILE]
             [--flight-out FILE.gfr]                    run while a seeded churn plan
-                                                       rewires the topology mid-run;
+            [--profile-out PROF.json]                  rewires the topology mid-run;
                                                        incremental schedule repair,
                                                        exit 1 if a reachable pair
                                                        is left undelivered
@@ -107,7 +107,7 @@ trace export (plan):
                     produced it; add --wall to also run the threaded online
                     executor and append its wall-clock lanes
 
-profiling (profile / plan --profile-out):
+profiling (profile / plan, recover, churn --profile-out):
   the always-on phase profiler breaks schedule construction into a
   self-time/total-time phase tree (BFS sweeps, tree build, labeling,
   generation, CSR flattening, validation) with work counters. `gossip
@@ -115,7 +115,10 @@ profiling (profile / plan --profile-out):
   (render with `gossip stats`, aggregate with `gossip dash`); --flame
   FILE writes collapsed stacks for flamegraph.pl / speedscope. Binaries
   built with `--features prof-alloc` additionally attribute allocation
-  count / bytes / peak live bytes to each phase
+  count / bytes / peak live bytes to each phase. `recover` and `churn`
+  profile the base plan and the executor run (setup, kernel_replay,
+  tree_maintenance, invalidation, projection, completion_planning,
+  bound_guard) into the same artifact
 
 live monitoring (serve):
   --listen ADDR        bind address (default 127.0.0.1:9464; port 0 picks a

@@ -1299,6 +1299,83 @@ fn churn_with_every_sink_matches_goldens() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The `attributed_pct` of a PROF artifact's text.
+fn attributed_pct(text: &str) -> f64 {
+    text.split("\"attributed_pct\":")
+        .nth(1)
+        .and_then(|rest| rest.split([',', '\n']).next())
+        .and_then(|value| value.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no attributed_pct in {text}"))
+}
+
+/// Runs `args` with `--profile-out PROF.json` in a fresh directory and
+/// checks the PROF artifact: at least 90% of the window in named phases,
+/// and a node for each of `phases`.
+fn assert_profiled(tag: &str, args: &[&str], phases: &[&str]) {
+    let dir = temp_dir(tag);
+    let args = [args, &["--profile-out", "PROF.json"]].concat();
+    let (ok, stdout, stderr) = gossip_in(&dir, &args);
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stdout.contains("ms in named phases"), "{stdout}");
+    assert!(stdout.contains("wrote profile to PROF.json"), "{stdout}");
+    let text = std::fs::read_to_string(dir.join("PROF.json")).unwrap();
+    assert!(text.contains("\"kind\": \"profile\""), "{text}");
+    let pct = attributed_pct(&text);
+    assert!(pct >= 90.0, "attributed_pct {pct}: {text}");
+    for phase in phases {
+        let node = format!("\"name\": \"{phase}\"");
+        assert!(text.contains(&node), "missing phase {phase}: {text}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn churn_profile_out_attributes_the_repair() {
+    assert_profiled(
+        "churn-profile",
+        &[
+            "churn",
+            "--graph",
+            "unit-disk:72,0.13",
+            "--seed",
+            "7",
+            "--churn-rate",
+            "0.05",
+            "--churn-seed",
+            "2",
+        ],
+        &[
+            "churn",
+            "setup",
+            "kernel_replay",
+            "tree_maintenance",
+            "invalidation",
+            "projection",
+            "completion_planning",
+            "bound_guard",
+        ],
+    );
+}
+
+#[test]
+fn recover_profile_out_attributes_replay_and_repair() {
+    assert_profiled(
+        "recover-profile",
+        &[
+            "recover",
+            "--graph",
+            "unit-disk:72,0.13",
+            "--seed",
+            "7",
+            "--loss-rate",
+            "0.1",
+            "--fault-seed",
+            "1",
+        ],
+        &["recover", "epoch", "kernel_replay", "completion_planning"],
+    );
+}
+
 #[test]
 fn churn_rejects_a_plan_past_the_round_bound() {
     // Node 3 of C_8 leaves at round 1 and rejoins at round 2,000,000. If

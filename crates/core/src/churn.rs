@@ -18,7 +18,9 @@
 //! 3. **classifies** which in-flight schedule entries the change
 //!    invalidated: deliveries over now-dead edges and entries sent by or
 //!    addressed to departed nodes (each surfaces as a `loss` telemetry
-//!    event with cause `churn_invalidated`). Entries whose *upstream*
+//!    event with cause `churn_invalidated`). Every pending delivery was
+//!    carried by the topology before the batch, so only entries at a
+//!    vertex the batch touched are re-checked. Entries whose *upstream*
 //!    feed was invalidated degrade at execution time into recorded
 //!    `not_held` losses — the cascade is observable, not fatal;
 //! 4. **repairs incrementally**: the surviving schedule is projected
@@ -47,6 +49,7 @@ use gossip_model::{
     BitSet, ChurnEvent, ChurnOp, ChurnPlan, CommModel, FaultPlan, FlatSchedule, LostDelivery,
     ModelError, Schedule, SimKernel, Transmission,
 };
+use gossip_telemetry::profile::phase;
 use gossip_telemetry::{NoopRecorder, Recorder, RecorderExt, Value};
 
 /// Why a [`ChurnExecutor`] run failed. Topology changes themselves never
@@ -350,9 +353,11 @@ fn present_connected(graph: &Graph, present: &[bool]) -> bool {
 }
 
 /// Dry-runs the remaining schedule (rounds `from..`) over the patched
-/// graph and returns the hold sets it would leave behind — deliveries
-/// only land when the sender is present and holds the message, the
-/// receiver is present, and the edge exists, mirroring lossy execution.
+/// graph and returns the hold sets it would leave behind — a delivery
+/// lands when its sender holds the message, mirroring lossy execution.
+/// Every pending delivery has a present sender and receiver and a live
+/// edge, since invalidation dropped the rest, so only the hold is
+/// checked; test builds assert the rest.
 fn project_holds(
     graph: &Graph,
     present: &[bool],
@@ -360,17 +365,24 @@ fn project_holds(
     pending: &Schedule,
     from: usize,
 ) -> Vec<BitSet> {
+    let _phase = phase("projection");
     let mut projected = holds.to_vec();
     for round in pending.rounds.iter().skip(from) {
         for tx in &round.transmissions {
+            debug_assert!(
+                present[tx.from]
+                    && tx
+                        .to
+                        .iter()
+                        .all(|&d| present[d] && graph.has_edge(tx.from, d)),
+                "pending entry {tx:?} is not carried by the live topology"
+            );
             let m = tx.msg as usize;
-            if !present[tx.from] || !projected[tx.from].contains(m) {
+            if !projected[tx.from].contains(m) {
                 continue;
             }
             for &d in &tx.to {
-                if present[d] && graph.has_edge(tx.from, d) {
-                    projected[d].insert(m);
-                }
+                projected[d].insert(m);
             }
         }
     }
@@ -501,6 +513,7 @@ impl<'a> ChurnExecutor<'a> {
         self.recorder.counter("churn/replanned", 0);
 
         let n = self.g.n();
+        let setup = phase("setup");
         let mut maintainer = Some(TreeMaintainer::new(self.g.clone())?);
         let plan0 = maintainer.as_ref().expect("just built").plan();
         let origins = plan0.origin_of_message.clone();
@@ -529,6 +542,8 @@ impl<'a> ChurnExecutor<'a> {
                 _ => batches.push((e.round as usize, vec![e])),
             }
         }
+
+        drop(setup);
 
         let mut epochs: Vec<ChurnEpoch> = Vec::new();
         let mut entries_invalidated = 0usize;
@@ -564,6 +579,7 @@ impl<'a> ChurnExecutor<'a> {
             }
 
             // --- patch the topology atomically
+            let maintenance = phase("tree_maintenance");
             let edge_only = batch
                 .iter()
                 .all(|e| matches!(e.op, ChurnOp::EdgeAdd | ChurnOp::EdgeRemove));
@@ -595,14 +611,16 @@ impl<'a> ChurnExecutor<'a> {
                     .any(|e| e.op == ChurnOp::NodeLeave && e.u as usize == root);
                 graph = apply_batch_raw(&graph, &mut present, batch)?;
             }
+            let connected = present_connected(&graph, &present);
+            drop(maintenance);
 
             // --- classify invalidated in-flight entries
-            let (inv_e, inv_d) = self.invalidate_pending(&mut pending, time, &graph, &present);
+            let (inv_e, inv_d) =
+                self.invalidate_pending(&mut pending, time, &graph, &present, batch);
             entries_invalidated += inv_e;
             deliveries_invalidated += inv_d;
 
             // --- repair
-            let connected = present_connected(&graph, &present);
             // The from-scratch baseline is counted, not planned; only a
             // full replan needs its schedule.
             let scratch = completion_deliveries(&graph, &holds, &present);
@@ -624,9 +642,10 @@ impl<'a> ChurnExecutor<'a> {
                 if connected && present.iter().all(|&p| p) && maintainer.is_none() {
                     // The network is whole again: re-adopt lazy
                     // maintenance (and its root) for future batches.
+                    let _phase = phase("tree_maintenance");
                     maintainer = TreeMaintainer::new(graph.clone()).ok();
                     if let Some(m) = &maintainer {
-                        root = m.plan().tree.root();
+                        root = m.tree().root();
                     }
                 }
                 (RepairDecision::FullReplan, scratch)
@@ -663,20 +682,23 @@ impl<'a> ChurnExecutor<'a> {
         }
 
         // --- post-churn bound guard
+        let guard = phase("bound_guard");
         let last_event_round = batches.last().map_or(0, |(r, _)| *r);
         let final_present = present.iter().filter(|&&p| p).count();
-        let final_radius = if !present_connected(&graph, &present) {
-            None
-        } else if final_present == n {
-            gossip_graph::radius(&graph).ok()
-        } else if final_present <= 1 {
-            Some(0)
-        } else {
-            let keep: Vec<usize> = (0..n).filter(|&v| present[v]).collect();
-            graph
-                .induced_subgraph(&keep)
-                .ok()
-                .and_then(|sub| gossip_graph::radius(&sub).ok())
+        let final_radius = match &maintainer {
+            // The maintainer holds the final graph, whole, and its tree's
+            // height is that graph's radius after every commit.
+            Some(m) if final_present == n => Some(m.tree().height()),
+            _ if !present_connected(&graph, &present) => None,
+            _ if final_present == n => gossip_graph::radius(&graph).ok(),
+            _ if final_present <= 1 => Some(0),
+            _ => {
+                let keep: Vec<usize> = (0..n).filter(|&v| present[v]).collect();
+                graph
+                    .induced_subgraph(&keep)
+                    .ok()
+                    .and_then(|sub| gossip_graph::radius(&sub).ok())
+            }
         };
         let final_bound = final_radius.map(|r| {
             if final_present <= 1 {
@@ -698,11 +720,12 @@ impl<'a> ChurnExecutor<'a> {
                 // final graph's n + r guarantee; a fresh full plan meets
                 // it by construction, because origins still hold their
                 // own messages.
+                let mut planned = None;
                 let fresh = match &maintainer {
-                    Some(m) => m.plan().clone(),
-                    None => GossipPlanner::new(&graph)?.plan()?,
+                    Some(m) => m.plan(),
+                    None => planned.insert(GossipPlanner::new(&graph)?.plan()?),
                 };
-                let remapped = remap_messages(&fresh, &origins);
+                let remapped = remap_messages(fresh, &origins);
                 for round in pending.rounds.iter_mut().skip(time) {
                     round.transmissions.clear();
                 }
@@ -715,6 +738,7 @@ impl<'a> ChurnExecutor<'a> {
                 bound_fallback = true;
             }
         }
+        drop(guard);
 
         // --- run the remainder
         let end = pending.makespan().max(time);
@@ -813,6 +837,7 @@ impl<'a> ChurnExecutor<'a> {
         from: usize,
         to: usize,
     ) -> Result<usize, ChurnError> {
+        let _phase = phase("kernel_replay");
         let exec_end = pending.makespan().min(to);
         if exec_end <= from {
             return Ok(to.max(from));
@@ -852,59 +877,87 @@ impl<'a> ChurnExecutor<'a> {
         }
     }
 
-    /// Drops every pending delivery the patched topology can no longer
-    /// carry — dead edge, departed sender, departed receiver — emitting a
-    /// `loss` event with cause `churn_invalidated` per delivery. Returns
-    /// (entries touched, deliveries dropped).
+    /// Drops every pending delivery the batch broke — dead edge, departed
+    /// sender, departed receiver — emitting a `loss` event with cause
+    /// `churn_invalidated` per delivery. Returns (entries touched,
+    /// deliveries dropped).
+    ///
+    /// Every pending delivery was carried by the graph and present set
+    /// from before the batch: each splice is planned on the live topology,
+    /// and each batch drops what it breaks. So a delivery can break only
+    /// at a vertex the batch touched — an end of an `EdgeRemove`, or a
+    /// `NodeLeave` — and only a transmission whose sender is touched, or,
+    /// when the batch has a leave, one of whose receivers is, is
+    /// re-checked.
     fn invalidate_pending(
         &self,
         pending: &mut Schedule,
         time: usize,
         graph: &Graph,
         present: &[bool],
+        batch: &[ChurnEvent],
     ) -> (usize, usize) {
+        let _phase = phase("invalidation");
+        // Both ends of a removal; a leave's node is its `u`.
+        let mut touched = vec![false; graph.n()];
+        let mut leaves = false;
+        for e in batch {
+            match e.op {
+                ChurnOp::EdgeRemove => touched[e.v as usize] = true,
+                ChurnOp::NodeLeave => leaves = true,
+                _ => continue,
+            }
+            touched[e.u as usize] = true;
+        }
+        if !touched.contains(&true) {
+            return (0, 0);
+        }
         let mut entries = 0usize;
         let mut deliveries = 0usize;
+        let mut dropped: Vec<usize> = Vec::new();
         for (r, round) in pending.rounds.iter_mut().enumerate().skip(time) {
-            let txs = std::mem::take(&mut round.transmissions);
-            for mut tx in txs {
+            round.transmissions.retain_mut(|tx| {
                 let from = tx.from;
-                let mut dropped: Vec<usize> = Vec::new();
-                if present[from] {
-                    tx.to.retain(|&d| {
-                        let ok = present[d] && graph.has_edge(from, d);
-                        if !ok {
-                            dropped.push(d);
-                        }
-                        ok
-                    });
-                } else {
-                    dropped = std::mem::take(&mut tx.to);
+                let hit = touched[from] || (leaves && tx.to.iter().any(|&d| touched[d]));
+                if !hit {
+                    return true;
                 }
+                dropped.clear();
+                tx.to.retain(|&d| {
+                    let ok = present[from] && present[d] && graph.has_edge(from, d);
+                    if !ok {
+                        dropped.push(d);
+                    }
+                    ok
+                });
                 if !dropped.is_empty() {
                     entries += 1;
                     deliveries += dropped.len();
-                    self.recorder
-                        .counter("churn/invalidated", dropped.len() as u64);
-                    for d in &dropped {
-                        self.recorder.event(
-                            "loss",
-                            &[
-                                ("round", Value::from_u64(r as u64)),
-                                ("msg", Value::from_u64(tx.msg as u64)),
-                                ("from", Value::from_u64(from as u64)),
-                                ("to", Value::from_u64(*d as u64)),
-                                ("cause", Value::String("churn_invalidated".to_string())),
-                            ],
-                        );
-                    }
+                    self.record_invalidated(r, tx, &dropped);
                 }
-                if !tx.to.is_empty() {
-                    round.transmissions.push(tx);
-                }
-            }
+                !tx.to.is_empty()
+            });
         }
         (entries, deliveries)
+    }
+
+    /// The telemetry of one entry's invalidated deliveries `dropped`: the
+    /// `churn/invalidated` counter, then a `loss` event per delivery.
+    fn record_invalidated(&self, round: usize, tx: &Transmission, dropped: &[usize]) {
+        self.recorder
+            .counter("churn/invalidated", dropped.len() as u64);
+        for &d in dropped {
+            self.recorder.event(
+                "loss",
+                &[
+                    ("round", Value::from_u64(round as u64)),
+                    ("msg", Value::from_u64(tx.msg as u64)),
+                    ("from", Value::from_u64(tx.from as u64)),
+                    ("to", Value::from_u64(d as u64)),
+                    ("cause", Value::String("churn_invalidated".to_string())),
+                ],
+            );
+        }
     }
 }
 
@@ -936,6 +989,185 @@ mod tests {
             (8, 5),
         ];
         Graph::from_edges(10, &edges).unwrap()
+    }
+
+    /// The full walk [`ChurnExecutor::invalidate_pending`] replaced, kept
+    /// as its oracle: every pending delivery is re-checked against the
+    /// patched topology, whatever the batch touched.
+    fn invalidate_pending_full(
+        exec: &ChurnExecutor,
+        pending: &mut Schedule,
+        time: usize,
+        graph: &Graph,
+        present: &[bool],
+    ) -> (usize, usize) {
+        let mut entries = 0usize;
+        let mut deliveries = 0usize;
+        for (r, round) in pending.rounds.iter_mut().enumerate().skip(time) {
+            let txs = std::mem::take(&mut round.transmissions);
+            for mut tx in txs {
+                let from = tx.from;
+                let mut dropped: Vec<usize> = Vec::new();
+                if present[from] {
+                    tx.to.retain(|&d| {
+                        let ok = present[d] && graph.has_edge(from, d);
+                        if !ok {
+                            dropped.push(d);
+                        }
+                        ok
+                    });
+                } else {
+                    dropped = std::mem::take(&mut tx.to);
+                }
+                if !dropped.is_empty() {
+                    entries += 1;
+                    deliveries += dropped.len();
+                    exec.record_invalidated(r, &tx, &dropped);
+                }
+                if !tx.to.is_empty() {
+                    round.transmissions.push(tx);
+                }
+            }
+        }
+        (entries, deliveries)
+    }
+
+    /// A random batch on `graph` with presence `present`, valid in order,
+    /// of the kind `kind` picks: edge removals, edge adds, one edge removed
+    /// and re-added, node leaves and joins (a join re-attaches with an
+    /// add), or a mix, each op of a random kind.
+    fn random_batch(
+        graph: &Graph,
+        present: &[bool],
+        kind: usize,
+        rng: &mut rand::rngs::SmallRng,
+    ) -> Vec<ChurnEvent> {
+        use rand::Rng;
+        let n = graph.n();
+        let mut edges: Vec<(usize, usize)> = graph.edges().collect();
+        let mut present = present.to_vec();
+        let mut batch = Vec::new();
+        for _ in 0..rng.gen_range(1..4usize) {
+            let kind = if kind == 4 {
+                rng.gen_range(0..4usize)
+            } else {
+                kind
+            };
+            let absent: Vec<(usize, usize)> = (0..n)
+                .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+                .filter(|&(u, v)| present[u] && present[v] && !edges.contains(&(u, v)))
+                .collect();
+            match kind {
+                0 | 2 if !edges.is_empty() => {
+                    let (u, v) = edges.swap_remove(rng.gen_range(0..edges.len()));
+                    batch.push(ChurnEvent::edge_remove(0, u, v));
+                    if kind == 2 {
+                        edges.push((u, v));
+                        batch.push(ChurnEvent::edge_add(0, v, u));
+                    }
+                }
+                1 if !absent.is_empty() => {
+                    let (u, v) = absent[rng.gen_range(0..absent.len())];
+                    edges.push((u, v));
+                    batch.push(ChurnEvent::edge_add(0, u, v));
+                }
+                3 => {
+                    let v = rng.gen_range(0..n);
+                    if present[v] {
+                        present[v] = false;
+                        edges.retain(|&(a, b)| a != v && b != v);
+                        batch.push(ChurnEvent::node_leave(0, v));
+                    } else {
+                        present[v] = true;
+                        batch.push(ChurnEvent::node_join(0, v));
+                        if let Some(u) = (0..n).find(|&u| u != v && present[u]) {
+                            edges.push((u.min(v), u.max(v)));
+                            batch.push(ChurnEvent::edge_add(0, v, u));
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        batch
+    }
+
+    #[test]
+    fn targeted_invalidation_matches_the_full_walk() {
+        use gossip_telemetry::{MetricsRecorder, SharedBuffer};
+        use rand::{Rng, SeedableRng};
+        let none = ChurnPlan::none();
+        let mut dropped_by_kind = [0usize; 5];
+        for seed in 0..400u64 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let n = rng.gen_range(3..20usize);
+            let p = [0.1, 0.25, 0.5][rng.gen_range(0..3usize)];
+            let g = gossip_workloads::random_connected(n, p, rng.gen());
+            // The topology before the batch, some vertices already gone.
+            let mut present = vec![true; n];
+            let gone: Vec<ChurnEvent> = (0..rng.gen_range(0..3usize))
+                .map(|_| ChurnEvent::node_leave(0, rng.gen_range(0..n)))
+                .collect();
+            let mut before = g.clone();
+            for e in gone {
+                if present[e.u as usize] {
+                    before = apply_batch_raw(&before, &mut present, &[e]).unwrap();
+                }
+            }
+            // Pending entries at rounds `time..`, every delivery carried by
+            // that topology; rounds before `time` have already run.
+            let time = rng.gen_range(0..4usize);
+            let mut pending = Schedule::new(n);
+            for t in 0..time + rng.gen_range(1..8usize) {
+                for from in 0..n {
+                    if !present[from] || rng.gen_bool(0.5) {
+                        continue;
+                    }
+                    let to: Vec<usize> = before
+                        .neighbors(from)
+                        .filter(|&d| present[d] && rng.gen_bool(0.6))
+                        .collect();
+                    if !to.is_empty() {
+                        let msg = rng.gen_range(0..n as u32);
+                        pending.add_transmission(t, Transmission::new(msg, from, to));
+                    }
+                }
+            }
+            let kind = rng.gen_range(0..5usize);
+            let batch = random_batch(&before, &present, kind, &mut rng);
+            let graph = apply_batch_raw(&before, &mut present, &batch).unwrap();
+
+            let walk = |full: bool| {
+                let events = SharedBuffer::new();
+                let rec = MetricsRecorder::with_sink(Box::new(events.clone()));
+                let exec = ChurnExecutor::new(&g, &none).recorder(&rec);
+                let mut left = pending.clone();
+                let counts = if full {
+                    invalidate_pending_full(&exec, &mut left, time, &graph, &present)
+                } else {
+                    exec.invalidate_pending(&mut left, time, &graph, &present, &batch)
+                };
+                let losses: Vec<String> = events
+                    .lines()
+                    .iter()
+                    .filter(|e| e["event"].as_str() == Some("loss"))
+                    .map(|e| {
+                        format!(
+                            "{:?} {:?} {:?} {:?}",
+                            e["round"], e["msg"], e["from"], e["to"]
+                        )
+                    })
+                    .collect();
+                (left, counts, rec.counter_value("churn/invalidated"), losses)
+            };
+            let (targeted, oracle) = (walk(false), walk(true));
+            assert_eq!(targeted, oracle, "seed {seed}, batch {batch:?}");
+            dropped_by_kind[kind] += oracle.1 .1;
+        }
+        // Every kind that can break a delivery did break some.
+        let [removes, adds, readds, nodes, mixed] = dropped_by_kind;
+        assert!(removes > 0 && nodes > 0 && mixed > 0, "{dropped_by_kind:?}");
+        assert_eq!(adds + readds, 0, "adds and re-adds break nothing");
     }
 
     #[test]

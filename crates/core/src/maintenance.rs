@@ -16,21 +16,28 @@
 //!   maintainer recomputes lazily and keeps the old plan when the radius is
 //!   unchanged.
 //!
-//! Every commit leaves `plan().radius` equal to the radius of `graph()`: a
-//! rebuilt plan is the new graph's, and a kept tree still spans the new
+//! Every commit leaves the tree's height equal to the radius of `graph()`:
+//! a rebuilt tree is the new graph's, and a kept tree still spans the new
 //! graph (so its radius is at most the tree's height) while the rebuild
 //! rule guarantees it did not shrink. So only a batch that inserts needs a
 //! radius at all.
+//!
+//! The rule reads the tree alone, so a rebuild constructs only the tree.
+//! The schedule is generated from it on the first [`TreeMaintainer::plan`]
+//! after each rebuild; a caller that only reads the tree, like the churn
+//! executor between batches, never pays for one.
 
 use crate::pipeline::{GossipPlan, GossipPlanner};
-use gossip_graph::{Graph, GraphError};
+use gossip_graph::{min_depth_spanning_tree, ChildOrder, Graph, GraphError, RootedTree};
+use std::sync::OnceLock;
 
 /// What a topology change did to the maintained plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintenanceOutcome {
     /// The existing tree and schedule remain in force.
     Kept,
-    /// The plan was rebuilt (tree construction re-ran).
+    /// The tree was rebuilt; the next [`TreeMaintainer::plan`] generates
+    /// the schedule on it.
     Rebuilt,
 }
 
@@ -43,24 +50,34 @@ pub enum EdgeOp {
     Remove(usize, usize),
 }
 
-/// A long-lived planner that owns the evolving network and its current
-/// gossip plan.
+/// A long-lived planner that owns the evolving network, its minimum-depth
+/// spanning tree and, once read, the gossip plan on that tree.
 #[derive(Debug, Clone)]
 pub struct TreeMaintainer {
     graph: Graph,
-    plan: GossipPlan,
+    tree: RootedTree,
+    /// The plan on `tree`, generated on the first [`TreeMaintainer::plan`]
+    /// since the tree was built.
+    plan: OnceLock<GossipPlan>,
     rebuilds: usize,
     #[cfg(test)]
     fail_next_rebuild: bool,
 }
 
+// The lazy plan keeps the maintainer shareable across threads.
+const _: () = {
+    const fn send_sync_clone<T: Send + Sync + Clone>() {}
+    send_sync_clone::<TreeMaintainer>();
+};
+
 impl TreeMaintainer {
-    /// Plans on the initial network.
+    /// Builds the minimum-depth spanning tree of the initial network.
     pub fn new(graph: Graph) -> Result<Self, GraphError> {
-        let plan = GossipPlanner::new(&graph)?.plan()?;
+        let tree = min_depth_spanning_tree(&graph, ChildOrder::default())?;
         Ok(TreeMaintainer {
             graph,
-            plan,
+            tree,
+            plan: OnceLock::new(),
             rebuilds: 1,
             #[cfg(test)]
             fail_next_rebuild: false,
@@ -72,13 +89,25 @@ impl TreeMaintainer {
         &self.graph
     }
 
-    /// The current plan.
-    pub fn plan(&self) -> &GossipPlan {
-        &self.plan
+    /// The current minimum-depth spanning tree; its height is the radius
+    /// of [`TreeMaintainer::graph`].
+    pub fn tree(&self) -> &RootedTree {
+        &self.tree
     }
 
-    /// How many times the `O(mn)` construction has run (including the
-    /// initial build).
+    /// The current plan: the default planner's schedule on
+    /// [`TreeMaintainer::tree`], generated on the first call after each
+    /// rebuild.
+    pub fn plan(&self) -> &GossipPlan {
+        self.plan.get_or_init(|| {
+            GossipPlanner::new(&self.graph)
+                .expect("the maintainer holds a connected network")
+                .plan_on_tree(self.tree.clone())
+        })
+    }
+
+    /// How many times the `O(mn)` tree construction has run (including
+    /// the initial build).
     pub fn rebuilds(&self) -> usize {
         self.rebuilds
     }
@@ -126,7 +155,7 @@ impl TreeMaintainer {
                 EdgeOp::Remove(u, v) => {
                     candidate = candidate.without_edge(u, v)?;
                     tree_edge_lost |=
-                        self.plan.tree.parent(u) == Some(v) || self.plan.tree.parent(v) == Some(u);
+                        self.tree.parent(u) == Some(v) || self.tree.parent(v) == Some(u);
                 }
             }
         }
@@ -137,12 +166,13 @@ impl TreeMaintainer {
         // spans (a tree edge was removed) or is no longer optimal (the net
         // effect shrank the radius below the tree's height). Only an
         // insertion can shrink it: a removal never shortens a distance, and
-        // `plan.radius` is the current graph's radius after every commit.
+        // the tree's height is the current graph's radius after every
+        // commit.
         let rebuild =
-            tree_edge_lost || (inserts && gossip_graph::radius(&candidate)? < self.plan.radius);
+            tree_edge_lost || (inserts && gossip_graph::radius(&candidate)? < self.tree.height());
         if rebuild {
-            let plan = self.build_plan(&candidate)?;
-            self.commit(candidate, Some(plan));
+            let tree = self.build_tree(&candidate)?;
+            self.commit(candidate, Some(tree));
             Ok(MaintenanceOutcome::Rebuilt)
         } else {
             self.commit(candidate, None);
@@ -152,21 +182,23 @@ impl TreeMaintainer {
 
     /// Runs the `O(mn)` construction against a candidate graph without
     /// touching the maintainer's state.
-    fn build_plan(&mut self, graph: &Graph) -> Result<GossipPlan, GraphError> {
+    fn build_tree(&mut self, graph: &Graph) -> Result<RootedTree, GraphError> {
         #[cfg(test)]
         if self.fail_next_rebuild {
             self.fail_next_rebuild = false;
             return Err(GraphError::Disconnected);
         }
-        GossipPlanner::new(graph)?.plan()
+        min_depth_spanning_tree(graph, ChildOrder::default())
     }
 
-    /// Commits a validated candidate graph (and rebuilt plan, if any) in
-    /// one step — the only place maintainer state changes.
-    fn commit(&mut self, graph: Graph, plan: Option<GossipPlan>) {
+    /// Commits a validated candidate graph (and rebuilt tree, if any) in
+    /// one step — the only place maintainer state changes. A new tree
+    /// drops the plan generated on the old one.
+    fn commit(&mut self, graph: Graph, tree: Option<RootedTree>) {
         self.graph = graph;
-        if let Some(plan) = plan {
-            self.plan = plan;
+        if let Some(tree) = tree {
+            self.tree = tree;
+            self.plan = OnceLock::new();
             self.rebuilds += 1;
         }
     }

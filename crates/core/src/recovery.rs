@@ -28,6 +28,7 @@ use gossip_model::{
     missing_pairs, BitSet, CommModel, CommRound, FaultPlan, FlatSchedule, LossyOutcome,
     LostDelivery, ModelError, Schedule, SimKernel, Transmission,
 };
+use gossip_telemetry::profile::phase;
 use gossip_telemetry::{ChromeTrace, NoopRecorder, Recorder, RecorderExt, Value};
 
 /// A conflict-free completion schedule for a residual, plus the pairs it
@@ -70,6 +71,7 @@ pub struct ResidualPlan {
 /// Panics if `holds` or `alive` has a length other than `g.n()`, or if the
 /// hold sets differ in capacity.
 pub fn plan_completion(g: &Graph, holds: &[BitSet], alive: &[bool]) -> ResidualPlan {
+    let _phase = phase("completion_planning");
     let n = g.n();
     assert_eq!(holds.len(), n, "hold sets for a different processor count");
     assert_eq!(alive.len(), n, "alive mask for a different processor count");
@@ -203,6 +205,7 @@ pub fn plan_completion(g: &Graph, holds: &[BitSet], alive: &[bool]) -> ResidualP
 ///
 /// Panics on the inputs [`plan_completion`] rejects.
 pub fn completion_deliveries(g: &Graph, holds: &[BitSet], alive: &[bool]) -> usize {
+    let _phase = phase("completion_planning");
     let n = g.n();
     assert_eq!(holds.len(), n, "hold sets for a different processor count");
     assert_eq!(alive.len(), n, "alive mask for a different processor count");
@@ -543,6 +546,7 @@ impl<'a> ResilientExecutor<'a> {
             let flat = FlatSchedule::from_schedule(self.schedule);
             let mut transcript = self.schedule.clone();
             transcript.trim();
+            let _replay = phase("kernel_replay");
             let out = sim.run_lossy(&flat, self.plan, &mut lost_log, self.recorder)?;
             (flat.deliveries(), out, transcript)
         };
@@ -571,6 +575,7 @@ impl<'a> ResilientExecutor<'a> {
                 let _e = self.recorder.span("epoch");
                 self.epoch_start(epoch, start);
                 let flat = FlatSchedule::from_schedule(&completion.schedule);
+                let _replay = phase("kernel_replay");
                 let out = sim.run_lossy(&flat, self.plan, &mut lost_log, self.recorder)?;
                 (flat.deliveries(), out)
             };

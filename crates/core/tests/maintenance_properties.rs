@@ -5,9 +5,14 @@
 //! graphs take sequences of random batches — inserts only, tree-edge
 //! removals only, non-tree removals only, and mixes — and after every
 //! committed batch `plan().radius` must equal the radius of `graph()`.
+//!
+//! A batch builds only the tree: the schedule is generated on the first
+//! `plan()` after a rebuild, under the profiler's `concurrent_updown`
+//! node, and equals a plan generated on `tree()` directly.
 
-use gossip_core::{EdgeOp, MaintenanceOutcome, TreeMaintainer};
+use gossip_core::{EdgeOp, GossipPlanner, MaintenanceOutcome, TreeMaintainer};
 use gossip_graph::{distance_metrics, is_connected, Graph, GraphError};
+use gossip_telemetry::profile::{Profile, Profiler};
 use gossip_workloads::random_connected;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -19,7 +24,7 @@ fn full_rule(
     m: &TreeMaintainer,
     ops: &[EdgeOp],
 ) -> Result<(Graph, MaintenanceOutcome), GraphError> {
-    let tree = &m.plan().tree;
+    let tree = m.tree();
     let mut candidate = m.graph().clone();
     let mut tree_edge_lost = false;
     for op in ops {
@@ -34,7 +39,7 @@ fn full_rule(
     if !is_connected(&candidate) {
         return Err(GraphError::Disconnected);
     }
-    let outcome = if tree_edge_lost || distance_metrics(&candidate)?.radius < m.plan().radius {
+    let outcome = if tree_edge_lost || distance_metrics(&candidate)?.radius < tree.height() {
         MaintenanceOutcome::Rebuilt
     } else {
         MaintenanceOutcome::Kept
@@ -62,7 +67,7 @@ const SHAPES: [Shape; 4] = [
 /// leave. A shape with nothing left to pick yields fewer ops, possibly
 /// none.
 fn random_batch(m: &TreeMaintainer, shape: Shape, rng: &mut SmallRng) -> Vec<EdgeOp> {
-    let tree = &m.plan().tree;
+    let tree = m.tree();
     let is_tree = |(u, v): (usize, usize)| tree.parent(u) == Some(v) || tree.parent(v) == Some(u);
     let n = m.graph().n();
     let mut g = m.graph().clone();
@@ -99,7 +104,18 @@ fn random_batch(m: &TreeMaintainer, shape: Shape, rng: &mut SmallRng) -> Vec<Edg
 /// (kept, rebuilt, refused).
 type Tally = [(usize, usize, usize); 4];
 
+/// Whether `profile` has a node named `name` anywhere in its forest.
+fn has_node(profile: &Profile, name: &str) -> bool {
+    profile
+        .collapsed_stacks()
+        .lines()
+        .filter_map(|line| line.split(' ').next())
+        .any(|stack| stack.split(';').any(|node| node == name))
+}
+
 /// Eight random batches on one random graph, each held to the full rule.
+/// A batch builds at most one tree and never a schedule; the first
+/// `plan()` after it generates the schedule on `tree()`.
 fn run_batches(n: usize, seed: u64) -> Result<Tally, String> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let p = [1.5 / n as f64, 3.0 / n as f64, 0.15, 0.4][rng.gen_range(0..4usize)].min(1.0);
@@ -110,29 +126,54 @@ fn run_batches(n: usize, seed: u64) -> Result<Tally, String> {
         let ops = random_batch(&m, SHAPES[i], &mut rng);
         let want = full_rule(&m, &ops);
         let before: Vec<(usize, usize)> = m.graph().edges().collect();
+        let rebuilds = m.rebuilds();
+        let profiler = Profiler::begin();
         let got = m.batch(&ops);
+        let batch_profile = profiler.finish();
         let after: Vec<(usize, usize)> = m.graph().edges().collect();
+        prop_assert!(!has_node(&batch_profile, "concurrent_updown"));
         match want {
             Ok((candidate, outcome)) => {
                 prop_assert_eq!(got, Ok(outcome), "{:?} on {:?}", ops, before);
                 prop_assert_eq!(after, candidate.edges().collect::<Vec<_>>());
                 if outcome == MaintenanceOutcome::Kept {
+                    prop_assert_eq!(m.rebuilds(), rebuilds);
                     tally[i].0 += 1;
                 } else {
+                    prop_assert_eq!(m.rebuilds(), rebuilds + 1);
+                    prop_assert!(has_node(&batch_profile, "spanning_tree"));
                     tally[i].1 += 1;
                 }
             }
             Err(e) => {
                 prop_assert_eq!(got, Err(e), "{:?} on {:?}", ops, before);
                 prop_assert_eq!(after, before);
+                prop_assert_eq!(m.rebuilds(), rebuilds);
                 tally[i].2 += 1;
             }
         }
         prop_assert_eq!(
-            m.plan().radius,
+            m.tree().height(),
             distance_metrics(m.graph()).unwrap().radius,
-            "plan radius after {:?}",
+            "tree height after {:?}",
             ops
+        );
+        let profiler = Profiler::begin();
+        let plan = m.plan();
+        let plan_profile = profiler.finish();
+        if got == Ok(MaintenanceOutcome::Rebuilt) {
+            prop_assert!(has_node(&plan_profile, "concurrent_updown"));
+        }
+        let direct = GossipPlanner::new(m.graph())
+            .unwrap()
+            .plan_on_tree(m.tree().clone());
+        prop_assert_eq!(&plan.tree, m.tree());
+        prop_assert_eq!(&plan.schedule, &direct.schedule);
+        prop_assert_eq!(&plan.origin_of_message, &direct.origin_of_message);
+        prop_assert_eq!(plan.radius, direct.radius);
+        prop_assert_eq!(
+            m.rebuilds(),
+            rebuilds + usize::from(got == Ok(MaintenanceOutcome::Rebuilt))
         );
     }
     Ok(tally)

@@ -9,11 +9,11 @@
 //! [`crate::RecorderExt::span`] and [`phase`] both open a node and return
 //! a [`SpanGuard`]. On drop, a span's enabled recorder is told the path
 //! and the elapsed time ([`crate::Recorder::span_observe`]); a phase is
-//! seen by the profiler only, and must never wrap a span, or the span's
-//! path would depend on the profiler. A guard that neither an enabled
-//! recorder nor a [`Profiler`] reads is inert: one thread-local read and
-//! a branch, no clock read, no allocation. Work counters ([`count`])
-//! attribute to the innermost open node.
+//! seen by the profiler only, and must never wrap a span whose recorder
+//! is enabled, or the span's path would depend on the profiler. A guard
+//! that neither an enabled recorder nor a [`Profiler`] reads is inert:
+//! one thread-local read and a branch, no clock read, no allocation.
+//! Work counters ([`count`]) attribute to the innermost open node.
 //!
 //! [`Profiler::begin`] installs a profiler; from then on every span and
 //! phase counts calls and time, whatever its recorder.
